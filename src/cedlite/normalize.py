@@ -1,10 +1,24 @@
-"""Untyped conversion on pure terms: βδ-normalization plus η-contraction.
+"""Untyped conversion on pure terms by normalization by evaluation.
 
-Normal order with call-by-need δ: a definition reference is unfolded only
-once it reaches head position, and each definition's own normal form is
-memoized on the signature, so repeated unfolds cost one δ-step each.
-Fuel bounds the β/δ steps of a single normalization call; running out is
-an error, never silent truncation.
+Values are weak-head normal forms of two shapes: a λ-closure (the λ's
+hint and body plus the environment it was evaluated in) or a neutral (a
+variable, named by its de Bruijn *level*, applied to a spine of
+arguments). Evaluation is call-by-need: every application argument
+becomes a memoizing thunk, forced at most once and only when it reaches
+head position or is read back, so a term that normal order normalizes
+still normalizes. A free index of an open input evaluates to a neutral
+whose level lies below 0, outside every binder of the term.
+
+Readback turns a value back into a term with an explicit stack: a
+closure is applied to a fresh neutral and its body read back one level
+deeper, a neutral becomes its head index applied to its read-back
+arguments. Each λ is η-contracted once, as soon as its body is read
+back; a bottom-up pass over a β-normal form is already an η-fixpoint.
+
+A definition reference costs one δ-step and evaluates the definition's
+own normal form, which is memoized on the signature. Fuel bounds the
+β/δ steps of a single normalization call; running out is an error,
+never silent truncation.
 """
 
 from __future__ import annotations
@@ -38,14 +52,141 @@ class FuelExhausted(KernelError):
 
 
 class _Meter:
-    def __init__(self, limit: int):
-        self.limit = limit
+    """The step budget of one normalization call, and its signature."""
+
+    def __init__(self, fuel: Fuel, sig: Signature):
+        self.fuel = fuel
         self.used = 0
+        self.sig = sig
 
     def tick(self, focus: PureTerm) -> None:
         self.used += 1
-        if self.used > self.limit:
+        if self.used > self.fuel.max_steps:
             raise FuelExhausted(focus, self.used - 1)
+
+
+class _Closure:
+    __slots__ = ("hint", "body", "env")
+
+    def __init__(self, hint: str, body: PureTerm, env):
+        self.hint = hint
+        self.body = body
+        self.env = env
+
+
+class _Neutral:
+    __slots__ = ("level", "spine")
+
+    def __init__(self, level: int, spine: tuple):
+        self.level = level
+        self.spine = spine
+
+
+class _Thunk:
+    """`term` in `env`, evaluated on first demand; `value` once forced."""
+
+    __slots__ = ("term", "env", "value")
+
+    def __init__(self, term, env, value=None):
+        self.term = term
+        self.env = env
+        self.value = value
+
+
+# An environment is None or a pair (thunk of index 0, rest of the env).
+
+def _lookup(env, idx: int) -> _Thunk:
+    n = idx
+    while env is not None:
+        if n == 0:
+            return env[0]
+        env, n = env[1], n - 1
+    return _Thunk(None, None, _Neutral(-1 - n, ()))
+
+
+def _force(th: _Thunk, m: _Meter):
+    if th.value is None:
+        th.value = _eval(th.term, th.env, m)
+        th.term = th.env = None
+    return th.value
+
+
+def _eval(t: PureTerm, env, m: _Meter):
+    """Weak-head value of `t` in `env`: a Krivine machine whose pending
+    arguments are thunks, the last one applied first."""
+    args: list[_Thunk] = []
+    while True:
+        kind = type(t)
+        if kind is PApp:
+            a = t.arg
+            args.append(_lookup(env, a.idx) if type(a) is PVar
+                        else _Thunk(a, env))
+            t = t.fn
+        elif kind is PLam:
+            if not args:
+                return _Closure(t.hint, t.body, env)
+            m.tick(t)
+            env, t = (args.pop(), env), t.body
+        elif kind is PVar:
+            th = _lookup(env, t.idx)
+            v = th.value if th.value is not None else _force(th, m)
+            if type(v) is _Neutral:
+                if args:
+                    args.reverse()
+                    return _Neutral(v.level, v.spine + tuple(args))
+                return v
+            if not args:
+                return v
+            m.tick(v.body)
+            env, t = (args.pop(), v.env), v.body
+        elif kind is PRef:
+            # The normal form takes the reference's place, so it is
+            # evaluated in the environment the reference sits in.
+            m.tick(t)
+            t = _def_nf(t.name, m.sig, m.fuel)
+        else:
+            raise TypeError(t)
+
+
+_APP = object()     # readback marker: apply the result below to the top one
+
+
+def _readback(v, m: _Meter) -> PureTerm:
+    """The η-short term of a value, built with an explicit stack."""
+    out: list[PureTerm] = []
+    todo: list = [(v, 0)]
+    while todo:
+        item, depth = todo.pop()
+        if item is _APP:
+            arg = out.pop()
+            out[-1] = PApp(out[-1], arg)
+        elif type(item) is str:             # a λ's hint: its body is done
+            out.append(_eta(item, out.pop()))
+        else:
+            if type(item) is _Thunk:
+                item = _force(item, m)
+            if type(item) is _Closure:
+                fresh = _Thunk(None, None, _Neutral(depth, ()))
+                todo.append((item.hint, depth))
+                todo.append((_eval(item.body, (fresh, item.env), m),
+                             depth + 1))
+            else:
+                out.append(PVar(depth - 1 - item.level))
+                for arg in reversed(item.spine):
+                    todo.append((_APP, depth))
+                    todo.append((arg, depth))
+    return out[0]
+
+
+def _eta(hint: str, body: PureTerm) -> PureTerm:
+    """`λ hint . body`, η-contracted if `body` is `f 0` with 0 not free in f.
+
+    `body` is already η-short and β-normal, so the contractum is too.
+    """
+    if type(body) is PApp and type(body.arg) is PVar and body.arg.idx == 0 \
+            and not _free_in(0, body.fn):
+        return shift_pure(body.fn, -1)
+    return PLam(hint, body)
 
 
 def shift_pure(t: PureTerm, by: int, cutoff: int = 0) -> PureTerm:
@@ -56,21 +197,6 @@ def shift_pure(t: PureTerm, by: int, cutoff: int = 0) -> PureTerm:
             return PLam(hint, shift_pure(body, by, cutoff + 1))
         case PApp(f, a):
             return PApp(shift_pure(f, by, cutoff), shift_pure(a, by, cutoff))
-        case PRef(_):
-            return t
-    raise TypeError(t)
-
-
-def subst_pure(t: PureTerm, j: int, val: PureTerm) -> PureTerm:
-    match t:
-        case PVar(idx):
-            if idx == j:
-                return val
-            return PVar(idx - 1) if idx > j else t
-        case PLam(hint, body):
-            return PLam(hint, subst_pure(body, j + 1, shift_pure(val, 1)))
-        case PApp(f, a):
-            return PApp(subst_pure(f, j, val), subst_pure(a, j, val))
         case PRef(_):
             return t
     raise TypeError(t)
@@ -100,80 +226,48 @@ def _def_nf(name: str, sig: Signature, fuel: Fuel) -> PureTerm:
     if body is None:
         body = erase(decl.body)
         sig._erasures[name] = body
-    nf = _nf(body, sig, _Meter(fuel.max_steps))
+    meter = _Meter(fuel, sig)
+    nf = _readback(_eval(body, None, meter), meter)
     sig._def_nfs[name] = nf
     return nf
 
 
-def _whnf(t: PureTerm, sig: Signature, meter: _Meter) -> PureTerm:
-    stack: list[PureTerm] = []
-    while True:
-        match t:
-            case PApp(f, a):
-                stack.append(a)
-                t = f
-            case PLam(_, body) if stack:
-                meter.tick(t)
-                t = subst_pure(body, 0, stack.pop())
-            case PRef(name):
-                meter.tick(t)
-                t = _def_nf(name, sig, Fuel(meter.limit))
-            case _:
-                break
-    for a in reversed(stack):
-        t = PApp(t, a)
-    return t
-
-
-def _nf(t: PureTerm, sig: Signature, meter: _Meter) -> PureTerm:
-    t = _whnf(t, sig, meter)
-    match t:
-        case PLam(hint, body):
-            return PLam(hint, _nf(body, sig, meter))
-        case PApp(_, _):
-            # head is neutral (a variable); normalize the arguments
-            spine = []
-            while isinstance(t, PApp):
-                spine.append(t.arg)
-                t = t.fn
-            for a in reversed(spine):
-                t = PApp(t, _nf(a, sig, meter))
-            return t
-        case _:
-            return t
-
-
-def _eta(t: PureTerm) -> PureTerm:
-    """One bottom-up η pass; β-normal input stays β-normal."""
-    match t:
-        case PLam(hint, body):
-            b = _eta(body)
-            if isinstance(b, PApp) and b.arg == PVar(0) and not _free_in(0, b.fn):
-                return shift_pure(b.fn, -1)
-            return PLam(hint, b)
-        case PApp(f, a):
-            return PApp(_eta(f), _eta(a))
-        case _:
-            return t
-
-
 def normalize(t: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> NormalForm:
-    """Full βδ-normalization, then η-contraction to a fixpoint."""
-    meter = _Meter(fuel.max_steps)
-    out = _nf(t, sig, meter)
-    while True:
-        contracted = _eta(out)
-        if contracted == out:
-            break
-        out = contracted
+    """The βδη-normal form of `t`, and the β/δ steps it took."""
+    meter = _Meter(fuel, sig)
+    out = _readback(_eval(t, None, meter), meter)
     return NormalForm(out, meter.used)
+
+
+def _alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
+    """Structural equality up to binder hints, without recursion."""
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is PApp:
+            todo.append((a.arg, b.arg))
+            todo.append((a.fn, b.fn))
+        elif kind is PLam:
+            todo.append((a.body, b.body))
+        elif kind is PVar:
+            if a.idx != b.idx:
+                return False
+        elif a.name != b.name:
+            return False
+    return True
 
 
 def conv(t1: PureTerm, t2: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> bool:
     """Definitional equality: α-equality of βδη-normal forms."""
-    if t1 == t2:
+    if _alpha_eq(t1, t2):
         return True
-    return normalize(t1, sig, fuel).term == normalize(t2, sig, fuel).term
+    return _alpha_eq(normalize(t1, sig, fuel).term,
+                     normalize(t2, sig, fuel).term)
 
 
 IDENTITY = PLam("x", PVar(0))

@@ -2,7 +2,7 @@ import random
 
 from cedlite.erasure import (PApp, PLam, PRef, PVar, embed, erase,
                              free_in_erasure)
-from cedlite.normalize import subst_pure
+from subst_oracle import subst_pure
 from cedlite.parser import parse_signature, parse_term
 from cedlite.syntax import subst
 from termgen import gen_pure

@@ -51,7 +51,7 @@ def test_no_capture_under_binders():
 def test_substitution_agrees_with_independent_implementation():
     # shadowing-heavy random terms, kernel subst vs the cross-check one
     import applicative
-    from cedlite.normalize import subst_pure
+    from subst_oracle import subst_pure
     rng = random.Random(7171)
     for _ in range(300):
         t = gen_pure(rng, depth=5, avail=(0, 1, 2))
