@@ -12,36 +12,17 @@ Definition references are preserved; unfolding them is conversion's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .syntax import (
-    App, Beta, EApp, ILam, Lam, Pair, Proj, Ref, Rho, Symm, TApp, Term, Var,
+    App, Beta, EApp, ILam, Lam, Pair, PApp, PLam, PRef, Proj, PureTerm, PVar,
+    Ref, Rho, Symm, TApp, Term, Var,
 )
 
-PureTerm = Union["PVar", "PLam", "PApp", "PRef"]
-
-
-@dataclass(frozen=True)
-class PVar:
-    idx: int
-
-
-@dataclass(frozen=True)
-class PLam:
-    hint: str = field(compare=False)
-    body: PureTerm
-
-
-@dataclass(frozen=True)
-class PApp:
-    fn: PureTerm
-    arg: PureTerm
-
-
-@dataclass(frozen=True)
-class PRef:
-    name: str
+# The one field of each erased wrapper node that survives erasure; an
+# absent witness (plain `β`) erases to the identity.
+_KEPT = {EApp: "fn", TApp: "fn", Pair: "left", Proj: "sub", Rho: "body",
+         Symm: "proof", Beta: "witness"}
 
 
 def erase(t: Term) -> PureTerm:
@@ -54,6 +35,10 @@ def erase(t: Term) -> PureTerm:
 
 
 def _erase(t: Term, env: list[Optional[int]], pure_depth: int) -> PureTerm:
+    while (kept := _KEPT.get(type(t))) is not None:
+        t = getattr(t, kept)
+        if t is None:
+            return PLam("x", PVar(0))
     match t:
         case Var(idx):
             if idx < len(env):
@@ -71,20 +56,6 @@ def _erase(t: Term, env: list[Optional[int]], pure_depth: int) -> PureTerm:
             return _erase(body, env + [None], pure_depth)
         case App(f, a):
             return PApp(_erase(f, env, pure_depth), _erase(a, env, pure_depth))
-        case EApp(f, _) | TApp(f, _):
-            return _erase(f, env, pure_depth)
-        case Pair(l, _):
-            return _erase(l, env, pure_depth)
-        case Proj(sub, _):
-            return _erase(sub, env, pure_depth)
-        case Beta(None):
-            return PLam("x", PVar(0))
-        case Beta(w):
-            return _erase(w, env, pure_depth)
-        case Rho(_, body, _):
-            return _erase(body, env, pure_depth)
-        case Symm(q):
-            return _erase(q, env, pure_depth)
     raise TypeError(t)
 
 
@@ -94,27 +65,19 @@ def free_in_erasure(idx: int, t: Term) -> bool:
     Mirrors the erasure clauses without building the erasure, so it is
     usable as the implicit-abstraction side condition on unchecked input.
     """
+    while (kept := _KEPT.get(type(t))) is not None:
+        t = getattr(t, kept)
+        if t is None:
+            return False
     match t:
         case Var(j):
             return j == idx
-        case Ref(_) | Beta(None):
+        case Ref(_):
             return False
         case Lam(_, _, body) | ILam(_, body):
             return free_in_erasure(idx + 1, body)
         case App(f, a):
             return free_in_erasure(idx, f) or free_in_erasure(idx, a)
-        case EApp(f, _) | TApp(f, _):
-            return free_in_erasure(idx, f)
-        case Pair(l, _):
-            return free_in_erasure(idx, l)
-        case Proj(sub, _):
-            return free_in_erasure(idx, sub)
-        case Beta(w):
-            return free_in_erasure(idx, w)
-        case Rho(_, body, _):
-            return free_in_erasure(idx, body)
-        case Symm(q):
-            return free_in_erasure(idx, q)
     raise TypeError(t)
 
 

@@ -25,8 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .erasure import PApp, PLam, PRef, PVar, PureTerm, erase
-from .syntax import KernelError, Signature
+from .erasure import erase
+from .syntax import (
+    KernelError, PApp, PLam, PRef, PureTerm, PVar, Signature, occurs_index,
+    shift,
+)
 
 
 @dataclass(frozen=True)
@@ -184,35 +187,9 @@ def _eta(hint: str, body: PureTerm) -> PureTerm:
     `body` is already η-short and β-normal, so the contractum is too.
     """
     if type(body) is PApp and type(body.arg) is PVar and body.arg.idx == 0 \
-            and not _free_in(0, body.fn):
-        return shift_pure(body.fn, -1)
+            and not occurs_index(body.fn, 0):
+        return shift(body.fn, -1)
     return PLam(hint, body)
-
-
-def shift_pure(t: PureTerm, by: int, cutoff: int = 0) -> PureTerm:
-    match t:
-        case PVar(idx):
-            return PVar(idx + by) if idx >= cutoff else t
-        case PLam(hint, body):
-            return PLam(hint, shift_pure(body, by, cutoff + 1))
-        case PApp(f, a):
-            return PApp(shift_pure(f, by, cutoff), shift_pure(a, by, cutoff))
-        case PRef(_):
-            return t
-    raise TypeError(t)
-
-
-def _free_in(idx: int, t: PureTerm) -> bool:
-    match t:
-        case PVar(j):
-            return j == idx
-        case PLam(_, body):
-            return _free_in(idx + 1, body)
-        case PApp(f, a):
-            return _free_in(idx, f) or _free_in(idx, a)
-        case PRef(_):
-            return False
-    raise TypeError(t)
 
 
 def _def_nf(name: str, sig: Signature, fuel: Fuel) -> PureTerm:
@@ -239,7 +216,7 @@ def normalize(t: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> NormalForm:
     return NormalForm(out, meter.used)
 
 
-def _alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
+def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
     """Structural equality up to binder hints, without recursion."""
     todo = [(t1, t2)]
     while todo:
@@ -264,10 +241,10 @@ def _alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
 
 def conv(t1: PureTerm, t2: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> bool:
     """Definitional equality: α-equality of βδη-normal forms."""
-    if _alpha_eq(t1, t2):
+    if alpha_eq(t1, t2):
         return True
-    return _alpha_eq(normalize(t1, sig, fuel).term,
-                     normalize(t2, sig, fuel).term)
+    return alpha_eq(normalize(t1, sig, fuel).term,
+                    normalize(t2, sig, fuel).term)
 
 
 IDENTITY = PLam("x", PVar(0))

@@ -28,29 +28,13 @@ _EXPR, _ARROW, _APP, _ATOM = 0, 1, 2, 3
 
 
 def _ref_names(node, out: set[str]) -> None:
-    if isinstance(node, (S.Ref, S.TRef, E.PRef)):
-        out.add(node.name)
-        return
-    for f in getattr(node, "__dataclass_fields__", {}):
-        sub = getattr(node, f)
-        if hasattr(sub, "__dataclass_fields__"):
-            _ref_names(sub, out)
-
-
-def _uses_binder(body, depth: int = 0) -> bool:
-    """Does de Bruijn index `depth` occur in `body`?"""
-    if isinstance(body, (S.Var, S.TVar, E.PVar)):
-        return body.idx == depth
-    binders = (S.Lam, S.ILam, S.All, S.Pi, S.TLam, S.Iota, S.KPi, S.KPiK,
-               E.PLam)
-    is_binder = isinstance(body, binders)
-    for f in getattr(body, "__dataclass_fields__", {}):
-        sub = getattr(body, f)
-        if hasattr(sub, "__dataclass_fields__"):
-            under = is_binder and f in ("body", "right")
-            if _uses_binder(sub, depth + (1 if under else 0)):
-                return True
-    return False
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, (S.Ref, S.TRef)):
+            out.add(n.name)
+        else:
+            todo += [sub for sub, _ in S.subtrees(n, 0)]
 
 
 class _Printer:
@@ -68,6 +52,23 @@ class _Printer:
     @staticmethod
     def wrap(text: str, level: int, ctx: int) -> str:
         return f"({text})" if level < ctx else text
+
+    def node(self, n, env: list[str], ctx: int = _EXPR) -> str:
+        """A term, type or kind."""
+        by_sort = {"term": self.term, "type": self.type, "kind": self.kind}
+        return by_sort[S.sort_of(n)](n, env, ctx)
+
+    def binder(self, kw: str, arrow, hint: str, dom, body, env: list[str],
+               ctx: int) -> str:
+        """`kw x : dom . body`, or `dom arrow body` if there is an arrow
+        spelling and `x` does not occur in `body`."""
+        if arrow is not None and not S.occurs_index(body, 0):
+            s = (f"{self.node(dom, env, _APP)} {arrow} "
+                 f"{self.node(body, env + [''], _ARROW)}")
+            return self.wrap(s, _ARROW, ctx)
+        x = self.fresh(hint, env, body)
+        s = f"{kw} {x} : {self.node(dom, env)} . {self.node(body, env + [x])}"
+        return self.wrap(s, _EXPR, ctx)
 
     def term(self, t, env: list[str], ctx: int = _EXPR) -> str:
         sym = self.sym
@@ -122,30 +123,14 @@ class _Printer:
             case S.TRef(name):
                 return name
             case S.All(hint, dom, body):
-                if not _uses_binder(body) and S.is_type(dom):
-                    s = (f"{self.type(dom, env, _APP)} {sym['fatarrow']} "
-                         f"{self.type(body, env + [''], _ARROW)}")
-                    return self.wrap(s, _ARROW, ctx)
-                dom_s = self.kind(dom, env) if S.is_kind(dom) \
-                    else self.type(dom, env)
-                x = self.fresh(hint, env, body)
-                s = f"{sym['all']} {x} : {dom_s} . {self.type(body, env + [x])}"
-                return self.wrap(s, _EXPR, ctx)
+                arrow = sym["fatarrow"] if S.is_type(dom) else None
+                return self.binder(sym["all"], arrow, hint, dom, body, env,
+                                   ctx)
             case S.Pi(hint, dom, body):
-                if not _uses_binder(body):
-                    s = (f"{self.type(dom, env, _APP)} {sym['arrow']} "
-                         f"{self.type(body, env + [''], _ARROW)}")
-                    return self.wrap(s, _ARROW, ctx)
-                x = self.fresh(hint, env, body)
-                s = (f"{sym['pi']} {x} : {self.type(dom, env)} . "
-                     f"{self.type(body, env + [x])}")
-                return self.wrap(s, _EXPR, ctx)
+                return self.binder(sym["pi"], sym["arrow"], hint, dom, body,
+                                   env, ctx)
             case S.TLam(hint, dom, body):
-                dom_s = self.kind(dom, env) if S.is_kind(dom) \
-                    else self.type(dom, env)
-                x = self.fresh(hint, env, body)
-                s = f"{sym['lam']} {x} : {dom_s} . {self.type(body, env + [x])}"
-                return self.wrap(s, _EXPR, ctx)
+                return self.binder(sym["lam"], None, hint, dom, body, env, ctx)
             case S.AppT(f, a):
                 s = (f"{self.type(f, env, _APP)} {sym['cdot']} "
                      f"{self.type(a, env, _ATOM)}")
@@ -154,10 +139,8 @@ class _Printer:
                 s = f"{self.type(f, env, _APP)} {self.term(a, env, _ATOM)}"
                 return self.wrap(s, _APP, ctx)
             case S.Iota(hint, left, right):
-                x = self.fresh(hint, env, right)
-                s = (f"{sym['iota']} {x} : {self.type(left, env)} . "
-                     f"{self.type(right, env + [x])}")
-                return self.wrap(s, _EXPR, ctx)
+                return self.binder(sym["iota"], None, hint, left, right, env,
+                                   ctx)
             case S.Eq(l, r):
                 s = f"{self.term(l, env, _APP)} {sym['eq']} {self.term(r, env, _APP)}"
                 return self.wrap(s, _EXPR, ctx)
@@ -168,41 +151,10 @@ class _Printer:
         match k:
             case S.Star():
                 return sym["star"]
-            case S.KPi(hint, dom, body):
-                if not _uses_binder(body):
-                    s = (f"{self.type(dom, env, _APP)} {sym['arrow']} "
-                         f"{self.kind(body, env + [''], _ARROW)}")
-                    return self.wrap(s, _ARROW, ctx)
-                x = self.fresh(hint, env, body)
-                s = (f"{sym['pi']} {x} : {self.type(dom, env)} . "
-                     f"{self.kind(body, env + [x])}")
-                return self.wrap(s, _EXPR, ctx)
-            case S.KPiK(hint, dom, body):
-                if not _uses_binder(body):
-                    s = (f"{self.kind(dom, env, _APP)} {sym['arrow']} "
-                         f"{self.kind(body, env + [''], _ARROW)}")
-                    return self.wrap(s, _ARROW, ctx)
-                x = self.fresh(hint, env, body)
-                s = (f"{sym['pi']} {x} : {self.kind(dom, env)} . "
-                     f"{self.kind(body, env + [x])}")
-                return self.wrap(s, _EXPR, ctx)
+            case S.KPi(hint, dom, body) | S.KPiK(hint, dom, body):
+                return self.binder(sym["pi"], sym["arrow"], hint, dom, body,
+                                   env, ctx)
         raise TypeError(k)
-
-    def pure(self, p, env: list[str], ctx: int = _EXPR) -> str:
-        match p:
-            case E.PVar(idx):
-                return env[len(env) - 1 - idx] if idx < len(env) \
-                    else f"?{idx - len(env)}"
-            case E.PRef(name):
-                return name
-            case E.PLam(hint, body):
-                x = self.fresh(hint, env, body)
-                s = f"{self.sym['lam']} {x} . {self.pure(body, env + [x])}"
-                return self.wrap(s, _EXPR, ctx)
-            case E.PApp(f, a):
-                s = f"{self.pure(f, env, _APP)} {self.pure(a, env, _ATOM)}"
-                return self.wrap(s, _APP, ctx)
-        raise TypeError(p)
 
 
 def print_term(t, ascii_only: bool = False, env: list[str] | None = None) -> str:
@@ -218,12 +170,12 @@ def print_kind(k, ascii_only: bool = False, env: list[str] | None = None) -> str
 
 
 def print_classifier(c, ascii_only: bool = False) -> str:
-    p = _Printer(ascii_only)
-    return p.kind(c, []) if S.is_kind(c) else p.type(c, [])
+    return _Printer(ascii_only).node(c, [])
 
 
 def print_pure(p, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    return _Printer(ascii_only).pure(p, env or [])
+    """A pure term prints as its embedding (a λ without annotation)."""
+    return _Printer(ascii_only).term(E.embed(p), env or [])
 
 
 def print_erased(t, ascii_only: bool = False) -> str:
@@ -233,8 +185,5 @@ def print_erased(t, ascii_only: bool = False) -> str:
 
 def print_decl(decl: S.Decl, ascii_only: bool = False) -> str:
     p = _Printer(ascii_only)
-    cls = p.kind(decl.classifier, []) if decl.level == "type" \
-        else p.type(decl.classifier, [])
-    body = p.type(decl.body, []) if decl.level == "type" \
-        else p.term(decl.body, [])
-    return f"{decl.name} {p.sym['ascribe']} {cls} = {body} ."
+    return (f"{decl.name} {p.sym['ascribe']} {p.node(decl.classifier, [])} = "
+            f"{p.node(decl.body, [])} .")

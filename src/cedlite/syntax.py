@@ -1,10 +1,16 @@
-"""Resolved abstract syntax: annotated terms, types, kinds, signatures.
+"""Resolved abstract syntax: annotated terms, types, kinds, the pure terms
+that erasure produces, signatures, and one de Bruijn traversal for all.
 
 Bound variables are de Bruijn indices (0 = innermost binder); binder
 names are kept only as printing hints and are excluded from equality,
 so structural `==` is alpha-equivalence on every AST here. Term and
 type variables share one index space: the context is a single telescope
 and a binder's classifier decides which flavor it introduces.
+
+`SHAPES` says, for each node class, which fields are data, subtrees, or
+subtrees under the node's binder; `rebuild` and `subtrees` read it, and
+shifting, substitution, occurrence and every other structural walk of
+the kernel are written once on top of them.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ Type = Union[
     "TVar", "TRef", "All", "Pi", "TLam", "AppT", "AppTm", "Iota", "Eq",
 ]
 Kind = Union["Star", "KPi", "KPiK"]
+PureTerm = Union["PVar", "PLam", "PApp", "PRef"]
 
 
 class KernelError(Exception):
@@ -207,149 +214,161 @@ class KPiK:
 
 
 # ---------------------------------------------------------------------------
-# Shifting and substitution (uniform over the shared index space)
+# Pure terms: the untyped λ-terms that erasure produces (see erasure.py)
 
-def _under(val, k: int):
-    return shift(val, k) if k else val
-
-
-def shift(node, by: int, cutoff: int = 0):
-    """Add `by` to every free index >= cutoff, in any AST."""
-    match node:
-        case Var(idx):
-            return Var(idx + by) if idx >= cutoff else node
-        case TVar(idx):
-            return TVar(idx + by) if idx >= cutoff else node
-        case Ref() | TRef() | Star() | Beta(None):
-            return node
-        case Lam(name, ann, body):
-            a = shift(ann, by, cutoff) if ann is not None else None
-            return Lam(name, a, shift(body, by, cutoff + 1))
-        case ILam(name, body):
-            return ILam(name, shift(body, by, cutoff + 1))
-        case App(f, a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case EApp(f, a):
-            return EApp(shift(f, by, cutoff), shift(a, by, cutoff))
-        case TApp(f, ty):
-            return TApp(shift(f, by, cutoff), shift(ty, by, cutoff))
-        case Pair(l, r):
-            return Pair(shift(l, by, cutoff), shift(r, by, cutoff))
-        case Proj(sub, w):
-            return Proj(shift(sub, by, cutoff), w)
-        case Beta(w):
-            return Beta(shift(w, by, cutoff))
-        case Rho(p, b, nf):
-            return Rho(shift(p, by, cutoff), shift(b, by, cutoff), nf)
-        case Symm(p):
-            return Symm(shift(p, by, cutoff))
-        case All(name, dom, body):
-            return All(name, shift(dom, by, cutoff), shift(body, by, cutoff + 1))
-        case Pi(name, dom, body):
-            return Pi(name, shift(dom, by, cutoff), shift(body, by, cutoff + 1))
-        case TLam(name, dom, body):
-            return TLam(name, shift(dom, by, cutoff), shift(body, by, cutoff + 1))
-        case AppT(f, a):
-            return AppT(shift(f, by, cutoff), shift(a, by, cutoff))
-        case AppTm(f, a):
-            return AppTm(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Iota(name, l, r):
-            return Iota(name, shift(l, by, cutoff), shift(r, by, cutoff + 1))
-        case Eq(l, r):
-            return Eq(shift(l, by, cutoff), shift(r, by, cutoff))
-        case KPi(name, dom, body):
-            return KPi(name, shift(dom, by, cutoff), shift(body, by, cutoff + 1))
-        case KPiK(name, dom, body):
-            return KPiK(name, shift(dom, by, cutoff), shift(body, by, cutoff + 1))
-    raise TypeError(node)
+@dataclass(frozen=True)
+class PVar:
+    idx: int
 
 
-def subst(node, j: int, val):
-    """Replace index j by `val` (a Term or a Type); decrement frees above j.
+@dataclass(frozen=True)
+class PLam:
+    hint: str = field(compare=False)
+    body: PureTerm
 
-    Hitting a term variable with a Type substituend (or vice versa) means
-    the input confused the two flavors; that is an internal error.
-    """
-    match node:
-        case Var(idx):
-            if idx == j:
-                if not is_term(val):
-                    raise KernelError("type substituted into term position")
-                return val
-            return Var(idx - 1) if idx > j else node
-        case TVar(idx):
-            if idx == j:
-                if is_term(val):
-                    raise KernelError("term substituted into type position")
-                return val
-            return TVar(idx - 1) if idx > j else node
-        case Ref() | TRef() | Star() | Beta(None):
-            return node
-        case Lam(name, ann, body):
-            a = subst(ann, j, val) if ann is not None else None
-            return Lam(name, a, subst(body, j + 1, _under(val, 1)))
-        case ILam(name, body):
-            return ILam(name, subst(body, j + 1, _under(val, 1)))
-        case App(f, a):
-            return App(subst(f, j, val), subst(a, j, val))
-        case EApp(f, a):
-            return EApp(subst(f, j, val), subst(a, j, val))
-        case TApp(f, ty):
-            return TApp(subst(f, j, val), subst(ty, j, val))
-        case Pair(l, r):
-            return Pair(subst(l, j, val), subst(r, j, val))
-        case Proj(sub, w):
-            return Proj(subst(sub, j, val), w)
-        case Beta(w):
-            return Beta(subst(w, j, val))
-        case Rho(p, b, nf):
-            return Rho(subst(p, j, val), subst(b, j, val), nf)
-        case Symm(p):
-            return Symm(subst(p, j, val))
-        case All(name, dom, body):
-            return All(name, subst(dom, j, val), subst(body, j + 1, _under(val, 1)))
-        case Pi(name, dom, body):
-            return Pi(name, subst(dom, j, val), subst(body, j + 1, _under(val, 1)))
-        case TLam(name, dom, body):
-            return TLam(name, subst(dom, j, val), subst(body, j + 1, _under(val, 1)))
-        case AppT(f, a):
-            return AppT(subst(f, j, val), subst(a, j, val))
-        case AppTm(f, a):
-            return AppTm(subst(f, j, val), subst(a, j, val))
-        case Iota(name, l, r):
-            return Iota(name, subst(l, j, val), subst(r, j + 1, _under(val, 1)))
-        case Eq(l, r):
-            return Eq(subst(l, j, val), subst(r, j, val))
-        case KPi(name, dom, body):
-            return KPi(name, subst(dom, j, val), subst(body, j + 1, _under(val, 1)))
-        case KPiK(name, dom, body):
-            return KPiK(name, subst(dom, j, val), subst(body, j + 1, _under(val, 1)))
-    raise TypeError(node)
 
+@dataclass(frozen=True)
+class PApp:
+    fn: PureTerm
+    arg: PureTerm
+
+
+@dataclass(frozen=True)
+class PRef:
+    name: str
+
+
+# ---------------------------------------------------------------------------
+# One generic traversal for every AST above
+
+DATA, SUB, BOUND = None, 0, 1   # a field's role; SUB/BOUND add to the depth
+
+# One row per node class: each field in declaration order, with whether it
+# holds plain data, a subtree, or a subtree under the node's binder.
+SHAPES = {
+    Var: {"idx": DATA},
+    Ref: {"name": DATA},
+    Lam: {"name": DATA, "ann": SUB, "body": BOUND},
+    ILam: {"name": DATA, "body": BOUND},
+    App: {"fn": SUB, "arg": SUB},
+    EApp: {"fn": SUB, "arg": SUB},
+    TApp: {"fn": SUB, "ty": SUB},
+    Pair: {"left": SUB, "right": SUB},
+    Proj: {"sub": SUB, "which": DATA},
+    Beta: {"witness": SUB},
+    Rho: {"proof": SUB, "body": SUB, "normalize_first": DATA},
+    Symm: {"proof": SUB},
+    TVar: {"idx": DATA},
+    TRef: {"name": DATA},
+    All: {"name": DATA, "dom": SUB, "body": BOUND},
+    Pi: {"name": DATA, "dom": SUB, "body": BOUND},
+    TLam: {"name": DATA, "dom": SUB, "body": BOUND},
+    AppT: {"fn": SUB, "arg": SUB},
+    AppTm: {"fn": SUB, "arg": SUB},
+    Iota: {"name": DATA, "left": SUB, "right": BOUND},
+    Eq: {"lhs": SUB, "rhs": SUB},
+    Star: {},
+    KPi: {"name": DATA, "dom": SUB, "body": BOUND},
+    KPiK: {"name": DATA, "dom": SUB, "body": BOUND},
+    PVar: {"idx": DATA},
+    PLam: {"hint": DATA, "body": BOUND},
+    PApp: {"fn": SUB, "arg": SUB},
+    PRef: {"name": DATA},
+}
+for _cls, _row in SHAPES.items():
+    if tuple(_row) != tuple(_cls.__dataclass_fields__):
+        raise TypeError(f"SHAPES row of {_cls.__name__} does not list its "
+                        f"fields in order")
+
+_ROWS = {cls: tuple(row.items()) for cls, row in SHAPES.items()}
+_SUBS = {cls: tuple((f, r) for f, r in row.items() if r is not DATA)
+         for cls, row in SHAPES.items()}
+_VARS = (Var, TVar, PVar)
 
 _TERM_NODES = (Var, Ref, Lam, ILam, App, EApp, TApp, Pair, Proj, Beta, Rho, Symm)
 _TYPE_NODES = (TVar, TRef, All, Pi, TLam, AppT, AppTm, Iota, Eq)
 _KIND_NODES = (Star, KPi, KPiK)
+_PURE_NODES = (PVar, PLam, PApp, PRef)
+_SORTS = {cls: sort for sort, group in (
+    ("term", _TERM_NODES), ("type", _TYPE_NODES), ("kind", _KIND_NODES),
+    ("pure term", _PURE_NODES)) for cls in group}
 
-_BINDER_NODES = (Lam, ILam, All, Pi, TLam, Iota, KPi, KPiK)
+
+def sort_of(node) -> str:
+    """"term", "type", "kind" or "pure term"."""
+    return _SORTS[type(node)]
+
+
+def rebuild(node, fn, depth: int):
+    """`node` with each subtree `s` replaced by `fn(s, d)`, where `d` is
+    `depth` plus one under the node's binder."""
+    cls = type(node)
+    if not _SUBS[cls]:
+        return node
+    args = []
+    for f, role in _ROWS[cls]:
+        v = getattr(node, f)
+        args.append(v if role is DATA or v is None else fn(v, depth + role))
+    return cls(*args)
+
+
+def subtrees(node, depth: int) -> list:
+    """The `(subtree, d)` pairs of `node` in field order, `d` as in rebuild."""
+    return [(v, depth + role) for f, role in _SUBS[type(node)]
+            if (v := getattr(node, f)) is not None]
+
+
+# ---------------------------------------------------------------------------
+# Shifting, substitution and occurrence (uniform over the shared index space)
+
+def shift(node, by: int, cutoff: int = 0):
+    """Add `by` to every free index >= cutoff, in any AST."""
+    if not by:
+        return node
+
+    def go(n, c):
+        cls = type(n)
+        if cls in _VARS:
+            return cls(n.idx + by) if n.idx >= c else n
+        return rebuild(n, go, c)
+    return go(node, cutoff)
+
+
+def subst(node, j: int, val):
+    """Replace index j by `val`; decrement frees above j, in any AST.
+
+    A substituend of another sort than the variable (a Type for a term
+    variable, say) means the input confused the flavors; that is an
+    internal error.
+    """
+    shifted = {}        # val under k - j more binders, by k
+
+    def go(n, k):
+        cls = type(n)
+        if cls not in _VARS:
+            return rebuild(n, go, k)
+        if n.idx != k:
+            return cls(n.idx - 1) if n.idx > k else n
+        got = _SORTS.get(type(val), type(val).__name__)
+        if got != _SORTS[cls]:
+            raise KernelError(f"{got} substituted into {_SORTS[cls]} position")
+        out = shifted.get(k)
+        if out is None:
+            out = shifted[k] = shift(val, k - j)
+        return out
+    return go(node, j)
 
 
 def occurs_index(node, idx: int) -> bool:
-    """Does de Bruijn index `idx` occur anywhere in `node`?
-
-    Duck-typed over dataclass ASTs; in binder nodes only the `body` and
-    `right` fields sit under the binder.
-    """
-    if isinstance(node, (Var, TVar)) or type(node).__name__ == "PVar":
-        return node.idx == idx
-    under_binder = isinstance(node, _BINDER_NODES) \
-        or type(node).__name__ == "PLam"
-    for f in getattr(node, "__dataclass_fields__", {}):
-        sub = getattr(node, f)
-        if hasattr(sub, "__dataclass_fields__"):
-            bump = 1 if under_binder and f in ("body", "right") else 0
-            if occurs_index(sub, idx + bump):
+    """Does de Bruijn index `idx` occur anywhere in `node`?"""
+    todo = [(node, idx)]
+    while todo:
+        n, i = todo.pop()
+        if type(n) in _VARS:
+            if n.idx == i:
                 return True
+        else:
+            todo += subtrees(n, i)
     return False
 
 
@@ -418,6 +437,3 @@ class Signature:
                 raise KernelError(f"duplicate definition {decl.name}")
             self._by_name[decl.name] = decl
         self.decls.append(decl)
-
-    def checkable(self) -> list[Decl]:
-        return self.decls

@@ -14,9 +14,12 @@ from typing import Optional, Union
 
 from . import syntax as S
 from .erasure import PureTerm, embed, erase, free_in_erasure
-from .normalize import Fuel, FuelExhausted, normalize, shift_pure
+from .normalize import Fuel, FuelExhausted, alpha_eq, normalize
 from .printer import print_classifier, print_pure
-from .syntax import Decl, KernelError, Signature, occurs_index, shift, subst
+from .syntax import (
+    Decl, KernelError, Signature, occurs_index, rebuild, shift, subst,
+    subtrees,
+)
 
 
 class CheckError(KernelError):
@@ -93,9 +96,7 @@ class Checker:
         return out.term
 
     def conv_pure(self, p1: PureTerm, p2: PureTerm) -> bool:
-        if p1 == p2:
-            return True
-        return self._nf(p1) == self._nf(p2)
+        return alpha_eq(p1, p2) or alpha_eq(self._nf(p1), self._nf(p2))
 
     def conv_terms(self, t1: S.Term, t2: S.Term) -> bool:
         return self.conv_pure(erase(t1), erase(t2))
@@ -104,14 +105,11 @@ class Checker:
 
     def type_whnf(self, ty: S.Type) -> S.Type:
         """Unfold definition heads and reduce type-level redexes."""
-        stack: list[tuple[str, object]] = []
+        stack: list[tuple[type, object]] = []    # (AppT or AppTm, argument)
         while True:
             match ty:
-                case S.AppT(f, a):
-                    stack.append(("T", a))
-                    ty = f
-                case S.AppTm(f, a):
-                    stack.append(("t", a))
+                case S.AppT(f, a) | S.AppTm(f, a):
+                    stack.append((type(ty), a))
                     ty = f
                 case S.TRef(name):
                     decl = self.sig.lookup(name)
@@ -124,85 +122,40 @@ class Checker:
                     ty = subst(body, 0, stack.pop()[1])
                 case _:
                     break
-        for tag, a in reversed(stack):
-            ty = S.AppT(ty, a) if tag == "T" else S.AppTm(ty, a)
+        for app, a in reversed(stack):
+            ty = app(ty, a)
         return ty
 
-    def type_nf(self, ty: S.Type) -> S.Type:
-        """Normalize the type structure fully; embedded terms untouched."""
-        ty = self.type_whnf(ty)
-        match ty:
-            case S.All(n, dom, body):
-                d = self.kind_nf(dom) if S.is_kind(dom) else self.type_nf(dom)
-                return S.All(n, d, self.type_nf(body))
-            case S.Pi(n, dom, body):
-                return S.Pi(n, self.type_nf(dom), self.type_nf(body))
-            case S.TLam(n, dom, body):
-                d = self.kind_nf(dom) if S.is_kind(dom) else self.type_nf(dom)
-                return S.TLam(n, d, self.type_nf(body))
-            case S.Iota(n, left, right):
-                return S.Iota(n, self.type_nf(left), self.type_nf(right))
-            case S.AppT(f, a):
-                return S.AppT(self.type_nf(f), self.type_nf(a))
-            case S.AppTm(f, a):
-                return S.AppTm(self.type_nf(f), a)
-            case _:
-                return ty
-
-    def kind_nf(self, k: S.Kind) -> S.Kind:
-        match k:
-            case S.Star():
-                return k
-            case S.KPi(n, dom, body):
-                return S.KPi(n, self.type_nf(dom), self.kind_nf(body))
-            case S.KPiK(n, dom, body):
-                return S.KPiK(n, self.kind_nf(dom), self.kind_nf(body))
-        raise TypeError(k)
+    def type_nf(self, node, depth: int = 0):
+        """Normalize the structure of a type or kind fully; embedded terms
+        are left untouched. (`depth` lets `rebuild` call this directly.)"""
+        if S.is_term(node):
+            return node
+        if S.is_type(node):
+            node = self.type_whnf(node)
+        return rebuild(node, self.type_nf, depth)
 
     # --- conversion of types and kinds -------------------------------------
 
-    def type_conv(self, t1: S.Type, t2: S.Type) -> bool:
+    def type_conv(self, t1, t2) -> bool:
+        """Convertibility of two types or two kinds: weak-head normal
+        forms agree node by node, and embedded terms by erasure."""
         if t1 == t2:
             return True
-        u1, u2 = self.type_whnf(t1), self.type_whnf(t2)
-        match (u1, u2):
-            case (S.TVar(i), S.TVar(j)):
-                return i == j
-            case (S.All(_, d1, b1), S.All(_, d2, b2)):
-                if S.is_kind(d1) != S.is_kind(d2):
-                    return False
-                doms = self.kind_conv(d1, d2) if S.is_kind(d1) \
-                    else self.type_conv(d1, d2)
-                return doms and self.type_conv(b1, b2)
-            case (S.Pi(_, d1, b1), S.Pi(_, d2, b2)):
-                return self.type_conv(d1, d2) and self.type_conv(b1, b2)
-            case (S.TLam(_, d1, b1), S.TLam(_, d2, b2)):
-                if S.is_kind(d1) != S.is_kind(d2):
-                    return False
-                doms = self.kind_conv(d1, d2) if S.is_kind(d1) \
-                    else self.type_conv(d1, d2)
-                return doms and self.type_conv(b1, b2)
-            case (S.Iota(_, l1, r1), S.Iota(_, l2, r2)):
-                return self.type_conv(l1, l2) and self.type_conv(r1, r2)
-            case (S.Eq(l1, r1), S.Eq(l2, r2)):
-                return self.conv_terms(l1, l2) and self.conv_terms(r1, r2)
-            case (S.AppT(f1, a1), S.AppT(f2, a2)):
-                return self.type_conv(f1, f2) and self.type_conv(a1, a2)
-            case (S.AppTm(f1, a1), S.AppTm(f2, a2)):
-                return self.type_conv(f1, f2) and self.conv_terms(a1, a2)
-            case _:
-                return False
-
-    def kind_conv(self, k1: S.Kind, k2: S.Kind) -> bool:
-        match (k1, k2):
-            case (S.Star(), S.Star()):
-                return True
-            case (S.KPi(_, d1, b1), S.KPi(_, d2, b2)):
-                return self.type_conv(d1, d2) and self.kind_conv(b1, b2)
-            case (S.KPiK(_, d1, b1), S.KPiK(_, d2, b2)):
-                return self.kind_conv(d1, d2) and self.kind_conv(b1, b2)
-            case _:
-                return False
+        sort = S.sort_of(t1)
+        if sort != S.sort_of(t2):
+            return False
+        if sort == "term":
+            return self.conv_terms(t1, t2)
+        if sort == "type":
+            t1, t2 = self.type_whnf(t1), self.type_whnf(t2)
+        if type(t1) is not type(t2):
+            return False
+        subs1, subs2 = subtrees(t1, 0), subtrees(t2, 0)
+        if not subs1:
+            return t1 == t2
+        return all(self.type_conv(a, b)
+                   for (a, _), (b, _) in zip(subs1, subs2))
 
     # --- kinding ------------------------------------------------------------
 
@@ -212,18 +165,13 @@ class Checker:
         entry = ctx[len(ctx) - 1 - idx]
         return shift(entry.classifier, idx + 1)
 
-    def kind_wf(self, ctx: Context, k: S.Kind) -> None:
-        match k:
-            case S.Star():
-                return
-            case S.KPi(n, dom, body):
-                self.ensure_star(ctx, dom)
-                self.kind_wf(ctx + [CtxEntry(n, dom)], body)
-            case S.KPiK(n, dom, body):
-                self.kind_wf(ctx, dom)
-                self.kind_wf(ctx + [CtxEntry(n, dom)], body)
-            case _:
-                raise TypeError(k)
+    def classifier_wf(self, ctx: Context, c) -> None:
+        """A binder's classifier is a well-formed kind or a ★-kinded type."""
+        if not S.is_kind(c):
+            self.ensure_star(ctx, c)
+        elif not isinstance(c, S.Star):
+            self.classifier_wf(ctx, c.dom)
+            self.classifier_wf(ctx + [CtxEntry(c.name, c.dom)], c.body)
 
     def ensure_star(self, ctx: Context, ty: S.Type) -> None:
         k = self.kind_check(ctx, ty)
@@ -244,10 +192,7 @@ class Checker:
                     raise CheckError("scope", f"{name} is not a type")
                 return decl.classifier
             case S.All(n, dom, body):
-                if S.is_kind(dom):
-                    self.kind_wf(ctx, dom)
-                else:
-                    self.ensure_star(ctx, dom)
+                self.classifier_wf(ctx, dom)
                 self.ensure_star(ctx + [CtxEntry(n, dom, erased=True)], body)
                 return S.Star()
             case S.Pi(n, dom, body):
@@ -259,20 +204,16 @@ class Checker:
                 self.ensure_star(ctx + [CtxEntry(n, left)], right)
                 return S.Star()
             case S.TLam(n, dom, body):
-                if S.is_kind(dom):
-                    self.kind_wf(ctx, dom)
-                    inner = self.kind_check(ctx + [CtxEntry(n, dom)], body)
-                    return S.KPiK(n, dom, inner)
-                self.ensure_star(ctx, dom)
+                self.classifier_wf(ctx, dom)
                 inner = self.kind_check(ctx + [CtxEntry(n, dom)], body)
-                return S.KPi(n, dom, inner)
+                return (S.KPiK if S.is_kind(dom) else S.KPi)(n, dom, inner)
             case S.AppT(f, a):
                 kf = self.kind_check(ctx, f)
                 if not isinstance(kf, S.KPiK):
                     raise CheckError("kind", "type applied to a type argument "
                                              "but its kind is not Π over a kind")
                 ka = self.kind_check(ctx, a)
-                if not self.kind_conv(ka, kf.dom):
+                if not self.type_conv(ka, kf.dom):
                     raise CheckError("kind", "type argument has the wrong kind")
                 return subst(kf.body, 0, a)
             case S.AppTm(f, a):
@@ -416,7 +357,7 @@ class Checker:
                 match ft:
                     case S.All(_, dom, cod) if S.is_kind(dom):
                         ka = self.kind_check(ctx, ty_arg)
-                        if not self.kind_conv(ka, dom):
+                        if not self.type_conv(ka, dom):
                             raise CheckError("kind",
                                              "type argument has the wrong "
                                              "kind")
@@ -468,128 +409,46 @@ class Checker:
         if t.normalize_first:
             goal = self._norm_term_positions(goal)
         lhs_nf = self._nf(erase(qt.lhs))
-        goal, count = self._rewrite_type(goal, erase(qt.lhs), lhs_nf,
-                                         qt.rhs, 0)
+        goal, count = self._rewrite(goal, erase(qt.lhs), lhs_nf, qt.rhs, 0)
         if count == 0:
             self.warnings.append("ρ rewrote no occurrences of the equation's "
                                  "left side")
         self.check(ctx, t.body, goal)
 
-    def _norm_term_positions(self, ty: S.Type) -> S.Type:
+    def _norm_term_positions(self, node, depth: int = 0):
         """βδ-normalize every embedded term of an already type-normal type."""
-        match ty:
-            case S.All(n, dom, body):
-                d = dom if S.is_kind(dom) else self._norm_term_positions(dom)
-                return S.All(n, d, self._norm_term_positions(body))
-            case S.Pi(n, dom, body):
-                return S.Pi(n, self._norm_term_positions(dom),
-                            self._norm_term_positions(body))
-            case S.TLam(n, dom, body):
-                d = dom if S.is_kind(dom) else self._norm_term_positions(dom)
-                return S.TLam(n, d, self._norm_term_positions(body))
-            case S.Iota(n, left, right):
-                return S.Iota(n, self._norm_term_positions(left),
-                              self._norm_term_positions(right))
-            case S.AppT(f, a):
-                return S.AppT(self._norm_term_positions(f),
-                              self._norm_term_positions(a))
-            case S.AppTm(f, a):
-                return S.AppTm(self._norm_term_positions(f),
-                               embed(self._nf(erase(a))))
-            case S.Eq(l, r):
-                return S.Eq(embed(self._nf(erase(l))),
-                            embed(self._nf(erase(r))))
-            case _:
-                return ty
+        if S.is_kind(node):
+            return node
+        if S.is_term(node):
+            return embed(self._nf(erase(node)))
+        return rebuild(node, self._norm_term_positions, depth)
 
-    def _rewrite_type(self, ty: S.Type, lhs: PureTerm, lhs_nf: PureTerm,
-                      rhs: S.Term, depth: int) -> tuple[S.Type, int]:
-        match ty:
-            case S.All(n, dom, body):
-                d, c1 = (dom, 0) if S.is_kind(dom) else \
-                    self._rewrite_type(dom, lhs, lhs_nf, rhs, depth)
-                b, c2 = self._rewrite_type(body, lhs, lhs_nf, rhs, depth + 1)
-                return S.All(n, d, b), c1 + c2
-            case S.Pi(n, dom, body):
-                d, c1 = self._rewrite_type(dom, lhs, lhs_nf, rhs, depth)
-                b, c2 = self._rewrite_type(body, lhs, lhs_nf, rhs, depth + 1)
-                return S.Pi(n, d, b), c1 + c2
-            case S.TLam(n, dom, body):
-                d, c1 = (dom, 0) if S.is_kind(dom) else \
-                    self._rewrite_type(dom, lhs, lhs_nf, rhs, depth)
-                b, c2 = self._rewrite_type(body, lhs, lhs_nf, rhs, depth + 1)
-                return S.TLam(n, d, b), c1 + c2
-            case S.Iota(n, left, right):
-                l, c1 = self._rewrite_type(left, lhs, lhs_nf, rhs, depth)
-                r, c2 = self._rewrite_type(right, lhs, lhs_nf, rhs, depth + 1)
-                return S.Iota(n, l, r), c1 + c2
-            case S.AppT(f, a):
-                f2, c1 = self._rewrite_type(f, lhs, lhs_nf, rhs, depth)
-                a2, c2 = self._rewrite_type(a, lhs, lhs_nf, rhs, depth)
-                return S.AppT(f2, a2), c1 + c2
-            case S.AppTm(f, a):
-                f2, c1 = self._rewrite_type(f, lhs, lhs_nf, rhs, depth)
-                a2, c2 = self._rewrite_term(a, lhs, lhs_nf, rhs, depth)
-                return S.AppTm(f2, a2), c1 + c2
-            case S.Eq(l, r):
-                l2, c1 = self._rewrite_term(l, lhs, lhs_nf, rhs, depth)
-                r2, c2 = self._rewrite_term(r, lhs, lhs_nf, rhs, depth)
-                return S.Eq(l2, r2), c1 + c2
-            case _:
-                return ty, 0
+    def _rewrite(self, node, lhs: PureTerm, lhs_nf: PureTerm, rhs: S.Term,
+                 depth: int):
+        """Replace by `rhs` every term position of the type or term `node`
+        whose erasure converts with `lhs` (whose normal form is `lhs_nf`);
+        kinds are left alone. `node` sits under `depth` binders. Returns
+        the result and the number of positions replaced."""
+        count = 0
+        lhs_at: dict[int, tuple] = {}     # lhs and lhs_nf under d binders
 
-    def _matches(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm,
-                 depth: int) -> bool:
+        def go(n, d):
+            nonlocal count
+            if S.is_kind(n):
+                return n
+            if S.is_term(n):
+                pair = lhs_at.get(d)
+                if pair is None:
+                    pair = lhs_at[d] = (shift(lhs, d), shift(lhs_nf, d))
+                if self._matches(n, *pair):
+                    count += 1
+                    return shift(rhs, d)
+            return rebuild(n, go, d)
+        return go(node, depth), count
+
+    def _matches(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm) -> bool:
         te = erase(t)
-        if te == shift_pure(lhs, depth):
-            return True
-        return self._nf(te) == shift_pure(lhs_nf, depth)
-
-    def _rewrite_term(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm,
-                      rhs: S.Term, depth: int) -> tuple[S.Term, int]:
-        if self._matches(t, lhs, lhs_nf, depth):
-            return shift(rhs, depth), 1
-        match t:
-            case S.Var(_) | S.Ref(_) | S.Beta(None):
-                return t, 0
-            case S.Lam(n, ann, body):
-                a, c1 = (None, 0) if ann is None else \
-                    self._rewrite_type(ann, lhs, lhs_nf, rhs, depth)
-                b, c2 = self._rewrite_term(body, lhs, lhs_nf, rhs, depth + 1)
-                return S.Lam(n, a, b), c1 + c2
-            case S.ILam(n, body):
-                b, c = self._rewrite_term(body, lhs, lhs_nf, rhs, depth + 1)
-                return S.ILam(n, b), c
-            case S.App(f, a):
-                f2, c1 = self._rewrite_term(f, lhs, lhs_nf, rhs, depth)
-                a2, c2 = self._rewrite_term(a, lhs, lhs_nf, rhs, depth)
-                return S.App(f2, a2), c1 + c2
-            case S.EApp(f, a):
-                f2, c1 = self._rewrite_term(f, lhs, lhs_nf, rhs, depth)
-                a2, c2 = self._rewrite_term(a, lhs, lhs_nf, rhs, depth)
-                return S.EApp(f2, a2), c1 + c2
-            case S.TApp(f, ty):
-                f2, c1 = self._rewrite_term(f, lhs, lhs_nf, rhs, depth)
-                t2, c2 = self._rewrite_type(ty, lhs, lhs_nf, rhs, depth)
-                return S.TApp(f2, t2), c1 + c2
-            case S.Pair(l, r):
-                l2, c1 = self._rewrite_term(l, lhs, lhs_nf, rhs, depth)
-                r2, c2 = self._rewrite_term(r, lhs, lhs_nf, rhs, depth)
-                return S.Pair(l2, r2), c1 + c2
-            case S.Proj(sub, which):
-                s2, c = self._rewrite_term(sub, lhs, lhs_nf, rhs, depth)
-                return S.Proj(s2, which), c
-            case S.Beta(wit):
-                w2, c = self._rewrite_term(wit, lhs, lhs_nf, rhs, depth)
-                return S.Beta(w2), c
-            case S.Rho(proof, body, plus):
-                p2, c1 = self._rewrite_term(proof, lhs, lhs_nf, rhs, depth)
-                b2, c2 = self._rewrite_term(body, lhs, lhs_nf, rhs, depth)
-                return S.Rho(p2, b2, plus), c1 + c2
-            case S.Symm(q):
-                q2, c = self._rewrite_term(q, lhs, lhs_nf, rhs, depth)
-                return S.Symm(q2), c
-        raise TypeError(t)
+        return alpha_eq(te, lhs) or alpha_eq(self._nf(te), lhs_nf)
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +456,9 @@ class Checker:
 
 def _check_decl(checker: Checker, decl: Decl) -> None:
     if decl.level == "type":
-        checker.kind_wf([], decl.classifier)
+        checker.classifier_wf([], decl.classifier)
         k = checker.kind_check([], decl.body)
-        if not checker.kind_conv(k, decl.classifier):
+        if not checker.type_conv(k, decl.classifier):
             raise CheckError(
                 "kind",
                 f"body kinds to {print_classifier(k)}, not the ascribed "
@@ -689,6 +548,7 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
             if decl.level == "term":
                 try:
                     nf = normalize(erase(decl.body), sig, fuel)
+                    sig._def_nfs.setdefault(decl.name, nf.term)
                     row.erasure_nf = print_pure(nf.term, ascii_only)
                     row.steps_used += nf.steps_used
                 except FuelExhausted as e:
@@ -703,44 +563,3 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
             if not outcome.ok and rows[i].status == "ok":
                 rows[i].status = "assertion failure"
     return report
-
-
-# ---------------------------------------------------------------------------
-# Post-hoc audit passes over checked bodies
-
-def _walk_terms(node):
-    if not hasattr(node, "__dataclass_fields__"):
-        return
-    if S.is_term(node):
-        yield node
-    for f in node.__dataclass_fields__:
-        sub = getattr(node, f)
-        if hasattr(sub, "__dataclass_fields__"):
-            yield from _walk_terms(sub)
-
-
-def audit_implicit_erasures(sig: Signature) -> list[str]:
-    """Re-scan checked bodies: no implicit binder may survive erasure."""
-    offenders = []
-    for decl in sig.decls:
-        if decl.level != "term" or decl.expect_fail:
-            continue
-        for node in _walk_terms(decl.body):
-            if isinstance(node, S.ILam) and free_in_erasure(0, node.body):
-                offenders.append(decl.name)
-    return offenders
-
-
-def audit_intersections(sig: Signature, fuel: Fuel = Fuel()) -> list[str]:
-    """Re-check that every accepted pair has matching component erasures."""
-    from .normalize import conv
-
-    offenders = []
-    for decl in sig.decls:
-        if decl.level != "term" or decl.expect_fail:
-            continue
-        for node in _walk_terms(decl.body):
-            if isinstance(node, S.Pair):
-                if not conv(erase(node.left), erase(node.right), sig, fuel):
-                    offenders.append(decl.name)
-    return offenders

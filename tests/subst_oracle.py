@@ -4,15 +4,15 @@ This is the kernel's former normalizer: weak-head reduction by
 substitution on de Bruijn terms, call-by-name β, δ through each
 definition's memoized normal form, then η-contraction passes to a
 fixpoint. It shares no evaluation code with the kernel's
-normalization by evaluation, only the η helpers `shift_pure` and
-`_free_in`; the tests require both to reach α-equal normal forms.
+normalization by evaluation, only the de Bruijn helpers `shift` and
+`occurs_index`; the tests require both to reach α-equal normal forms.
 Everything here recurses, so keep its inputs shallow.
 """
 
 from __future__ import annotations
 
 from cedlite.erasure import PApp, PLam, PRef, PVar, PureTerm, erase
-from cedlite.normalize import _free_in, shift_pure
+from cedlite.syntax import occurs_index, shift
 
 
 LIMIT = 100_000     # β/δ steps per normalization, as the kernel's default
@@ -29,7 +29,7 @@ def subst_pure(t: PureTerm, j: int, val: PureTerm) -> PureTerm:
                 return val
             return PVar(idx - 1) if idx > j else t
         case PLam(hint, body):
-            return PLam(hint, subst_pure(body, j + 1, shift_pure(val, 1)))
+            return PLam(hint, subst_pure(body, j + 1, shift(val, 1)))
         case PApp(f, a):
             return PApp(subst_pure(f, j, val), subst_pure(a, j, val))
         case PRef(_):
@@ -99,8 +99,9 @@ def _eta(t: PureTerm) -> PureTerm:
     match t:
         case PLam(hint, body):
             b = _eta(body)
-            if isinstance(b, PApp) and b.arg == PVar(0) and not _free_in(0, b.fn):
-                return shift_pure(b.fn, -1)
+            if isinstance(b, PApp) and b.arg == PVar(0) \
+                    and not occurs_index(b.fn, 0):
+                return shift(b.fn, -1)
             return PLam(hint, b)
         case PApp(f, a):
             return PApp(_eta(f), _eta(a))

@@ -10,10 +10,10 @@ import church_oracle as oracle
 from applicative import applicative_normalize
 from cedlite import syntax as S
 from cedlite.erasure import PApp, PLam, PVar, erase
-from cedlite.normalize import (Fuel, conv, is_identity, normalize,
-                               shift_pure)
+from cedlite.normalize import Fuel, conv, is_identity, normalize
 from cedlite.parser import parse_signature, parse_term, parse_type
 from cedlite.printer import print_decl
+from cedlite.syntax import shift
 from cedlite.typecheck import CheckError, Checker
 from termgen import DUPLICATING_CASES, gen_pure
 
@@ -191,7 +191,7 @@ def test_criterion_8_kernel_properties(corpus_sig):
     sample = [gen_pure(rng) for _ in range(500 - len(DUPLICATING_CASES))]
     sample += DUPLICATING_CASES
     for t in sample:
-        expanded = PLam("fresh", PApp(shift_pure(t, 1), PVar(0)))
+        expanded = PLam("fresh", PApp(shift(t, 1), PVar(0)))
         ok = ok and conv(t, expanded, empty, Fuel(50_000))
     report("8 kernel properties (round-trip, determinism, cross-check, η)",
            ok)

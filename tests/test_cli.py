@@ -1,5 +1,8 @@
 import re
 from importlib import resources
+from pathlib import Path
+
+import pytest
 
 from cedlite.cli import main
 
@@ -11,6 +14,7 @@ def cpath(*names):
 
 
 PREFIX = cpath("nat.ced", "list.ced", "vec.ced")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -31,6 +35,16 @@ def test_porcelain_output_is_stable(capsys):
     _, out1, _ = run(capsys, "corpus", "--porcelain")
     _, out2, _ = run(capsys, "corpus", "--porcelain")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["corpus"], "corpus_report.txt"),
+    (["corpus", "--porcelain"], "corpus_porcelain.txt"),
+])
+def test_corpus_output_is_byte_identical_to_golden(capsys, argv, golden):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_check_files_in_order(capsys):

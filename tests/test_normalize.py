@@ -4,9 +4,9 @@ import pytest
 
 from cedlite.erasure import PApp, PLam, PRef, PVar, erase
 from cedlite.normalize import (Fuel, FuelExhausted, conv, is_identity,
-                               normalize, shift_pure)
+                               normalize)
 from cedlite.parser import parse_term
-from cedlite.syntax import Signature
+from cedlite.syntax import Signature, shift
 from applicative import applicative_normalize
 from termgen import gen_pure
 
@@ -33,7 +33,7 @@ def test_eta_contracts_fold_wrapper_to_identity():
 def test_eta_runs_to_a_fixpoint():
     # λ x . (λ y . f y) x needs a contraction that exposes another
     f_free = PVar(0)
-    t = PLam("x", PApp(PLam("y", PApp(shift_pure(f_free, 2), PVar(0))),
+    t = PLam("x", PApp(PLam("y", PApp(shift(f_free, 2), PVar(0))),
                        PVar(0)))
     assert normalize(t, EMPTY).term == f_free
 
@@ -98,8 +98,8 @@ def test_normal_forms_have_no_redexes(corpus_sig):
         if isinstance(t, PLam):
             if isinstance(t.body, PApp) and t.body.arg == PVar(0):
                 # would be an eta redex unless the head uses the binder
-                from cedlite.normalize import _free_in
-                if not _free_in(0, t.body.fn):
+                from cedlite.syntax import occurs_index
+                if not occurs_index(t.body.fn, 0):
                     return False
             return is_normal(t.body)
         if isinstance(t, PApp):
@@ -117,7 +117,7 @@ def test_eta_expansion_invariance_small_sample():
     rng = random.Random(99)
     sample = [gen_pure(rng) for _ in range(60)] + DUPLICATING_CASES
     for t in sample:
-        expanded = PLam("fresh", PApp(shift_pure(t, 1), PVar(0)))
+        expanded = PLam("fresh", PApp(shift(t, 1), PVar(0)))
         assert conv(t, expanded, EMPTY, Fuel(20_000))
 
 

@@ -1,0 +1,75 @@
+"""De Bruijn laws of the generic traversal, over every corpus declaration
+and over random pure terms."""
+
+import random
+
+import pytest
+
+from cedlite import syntax as S
+from cedlite.syntax import KernelError, occurs_index, shift, subst
+from termgen import gen_pure
+
+RANDOM_TERMS = [gen_pure(random.Random(seed), 6, (0, 1, 2))
+                for seed in range(400)]
+
+
+def _binder_spine(node):
+    """`node`, then the body under each of its leading binders: the latter
+    are open terms whose free indices point at the peeled binders."""
+    while True:
+        yield node
+        bound = [sub for sub, d in S.subtrees(node, 0) if d == 1]
+        if not bound:
+            return
+        node = bound[0]
+
+
+def _samples(sig):
+    for decl in sig.decls:
+        for root in (decl.body, decl.classifier):
+            yield from _binder_spine(root)
+    yield from RANDOM_TERMS
+
+
+def test_shifts_compose(corpus_sig):
+    for t in _samples(corpus_sig):
+        for a, b, c in ((1, 1, 0), (2, 3, 0), (1, 2, 1), (3, 1, 2)):
+            assert shift(shift(t, a, c), b, c) == shift(t, a + b, c), t
+
+
+def test_substituting_into_a_fresh_index_undoes_the_shift(corpus_sig):
+    for t in _samples(corpus_sig):
+        for j in (0, 1, 2):
+            assert subst(shift(t, 1, j), j, S.Var(7)) == t, t
+
+
+def test_shifted_index_does_not_occur(corpus_sig):
+    for t in _samples(corpus_sig):
+        for c in (0, 1, 2):
+            assert not occurs_index(shift(t, 1, c), c), t
+
+
+def test_substituting_an_absent_index_only_renumbers(corpus_sig):
+    for t in _samples(corpus_sig):
+        for j in (0, 1, 2):
+            if not occurs_index(t, j):
+                assert subst(t, j, S.Var(7)) == shift(t, -1, j), t
+
+
+@pytest.mark.parametrize("node, val", [
+    (S.App(S.Var(0), S.Var(1)), S.TRef("Nat")),
+    (S.Lam("x", None, S.Var(1)), S.TVar(0)),
+    (S.AppTm(S.TVar(1), S.Var(0)), S.Pi("x", S.TVar(0), S.TVar(1))),
+    (S.AppT(S.TVar(0), S.TRef("Nat")), S.Var(0)),
+    (S.PApp(S.PVar(0), S.PVar(0)), S.TRef("Nat")),
+])
+def test_substituting_the_wrong_sort_raises(node, val):
+    with pytest.raises(KernelError, match="substituted into"):
+        subst(node, 0, val)
+
+
+def test_every_random_term_with_a_free_index_rejects_a_type():
+    for t in RANDOM_TERMS:
+        if occurs_index(t, 0):
+            with pytest.raises(KernelError):
+                subst(t, 0, S.TRef("Nat"))

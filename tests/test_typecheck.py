@@ -3,8 +3,8 @@ import pytest
 from cedlite import syntax as S
 from cedlite.parser import parse_signature, parse_type
 from cedlite.printer import print_classifier
-from cedlite.typecheck import (CheckError, Checker, CtxEntry, audit_implicit_erasures,
-                               audit_intersections, check_signature)
+from cedlite.typecheck import CheckError, Checker, CtxEntry, check_signature
+from audits import audit_implicit_erasures, audit_intersections
 
 PRELUDE = (
     "Unit ◂ ★ = ∀ X : ★ . X ➔ X .\n"
@@ -47,9 +47,9 @@ def test_kind_of_vecc_and_vecr(corpus_sig):
     assert print_classifier(corpus_sig.lookup("VecC").classifier) \
         == "★ ➔ Nat ➔ ★"
     got = checker.kind_check([], S.TRef("VecC"))
-    assert checker.kind_conv(got, corpus_sig.lookup("VecC").classifier)
+    assert checker.type_conv(got, corpus_sig.lookup("VecC").classifier)
     want = parse_type("Π A : ★ . Π n : Nat . VecC · A n ➔ ★", corpus_sig)
-    assert checker.kind_conv(corpus_sig.lookup("VecR").classifier, want)
+    assert checker.type_conv(corpus_sig.lookup("VecR").classifier, want)
 
 
 def test_star_kinded_type_cannot_be_applied(corpus_sig):
@@ -217,12 +217,12 @@ def test_rho_rewrite_round_trip(corpus_sig):
     goal = S.Eq(S.Var(2), S.Var(2))               # x ≃ x
     body = S.Beta(S.Var(1))                       # β{y}
     lhs, rhs = S.Var(2), S.Var(1)                 # x, y
-    fwd, n1 = checker._rewrite_type(goal, erase(lhs),
-                                    checker._nf(erase(lhs)), rhs, 0)
+    fwd, n1 = checker._rewrite(goal, erase(lhs),
+                               checker._nf(erase(lhs)), rhs, 0)
     assert n1 == 2 and fwd == S.Eq(S.Var(1), S.Var(1))
     checker.check(ctx, body, fwd)
-    back, n2 = checker._rewrite_type(fwd, erase(rhs),
-                                     checker._nf(erase(rhs)), lhs, 0)
+    back, n2 = checker._rewrite(fwd, erase(rhs),
+                                checker._nf(erase(rhs)), lhs, 0)
     assert n2 == 2
     checker.check(ctx, body, back)
 
@@ -261,6 +261,23 @@ def test_checker_reports_are_deterministic(corpus_sig):
 def test_audits_pass_on_corpus(corpus_sig):
     assert audit_implicit_erasures(corpus_sig) == []
     assert audit_intersections(corpus_sig) == []
+
+
+def test_checked_definitions_keep_their_normal_form(fresh_corpus):
+    # a later δ-unfold reuses the normal form the report already computed
+    report = check_signature(fresh_corpus)
+    for decl, row in zip(fresh_corpus.decls, report.decls):
+        if decl.level == "term" and row.ok and not decl.expect_fail:
+            assert decl.name in fresh_corpus._def_nfs, decl.name
+
+
+def test_conv_pure_compares_deep_normal_forms_without_recursion():
+    from cedlite.erasure import PApp
+    from termgen import church
+    # 2^16 and 4^8 share a normal form 65,536 applications deep
+    checker = Checker(S.Signature())
+    assert checker.conv_pure(PApp(church(16), church(2)),
+                             PApp(church(8), church(4)))
 
 
 def test_subject_erasure_scan(corpus_sig):
