@@ -13,8 +13,8 @@ import sys
 
 from .corpus import load_corpus
 from .erasure import erase
-from .normalize import Fuel, FuelExhausted, conv, is_identity, normalize
-from .parser import ParseError, ResolveError, parse_files
+from .normalize import Fuel, conv, is_identity, normalize
+from .parser import ParseError, parse_files
 from .printer import print_pure
 from .syntax import KernelError, Signature
 from .typecheck import CheckReport, check_signature
@@ -22,16 +22,9 @@ from .typecheck import CheckReport, check_signature
 _DEFAULT_FUEL = 100_000
 
 
-def _fuel(args) -> Fuel:
-    if args.fuel is not None:
-        return Fuel(args.fuel)
-    env = os.environ.get("CEDLITE_FUEL")
-    if env:
-        try:
-            return Fuel(int(env))
-        except ValueError:
-            raise SystemExit(2)
-    return Fuel(_DEFAULT_FUEL)
+def fuel(text: str) -> Fuel:
+    """The type of `--fuel` and `CEDLITE_FUEL`: a positive step budget."""
+    return Fuel(int(text))
 
 
 def _render_report(report: CheckReport, porcelain: bool, ascii_only: bool,
@@ -70,16 +63,6 @@ def _oneline(s: str | None) -> str:
     return " ".join((s or "").split())
 
 
-def _split_files_names(args: list[str], n_names: int) -> tuple[list, list]:
-    if len(args) <= n_names:
-        raise SystemExit(2)
-    return args[:-n_names], args[-n_names:]
-
-
-def _load(files) -> Signature:
-    return parse_files(files)
-
-
 def _find_term(sig: Signature, name: str):
     decl = sig.lookup(name)
     if decl is None:
@@ -93,53 +76,47 @@ def _find_term(sig: Signature, name: str):
 
 
 def cmd_check(args) -> int:
-    sig = Signature()
-    if args.bundled_corpus:
-        sig = load_corpus()
-    else:
-        parse_files(args.args, sig=sig)
-    report = check_signature(sig, _fuel(args), ascii_only=args.ascii)
+    sig = load_corpus() if args.files is None else parse_files(args.files)
+    report = check_signature(sig, args.fuel, ascii_only=args.ascii)
     _render_report(report, args.porcelain, args.ascii, sys.stdout)
     return 0 if report.ok else 1
 
 
 def cmd_erase(args) -> int:
-    files, [name] = _split_files_names(args.args, 1)
-    decl = _find_term(_load(files), name)
+    decl = _find_term(parse_files(args.files), args.names[0])
     print(print_pure(erase(decl.body), ascii_only=args.ascii))
     return 0
 
 
 def cmd_norm(args) -> int:
-    files, [name] = _split_files_names(args.args, 1)
-    sig = _load(files)
-    decl = _find_term(sig, name)
-    nf = normalize(erase(decl.body), sig, _fuel(args))
+    sig = parse_files(args.files)
+    decl = _find_term(sig, args.names[0])
+    nf = normalize(erase(decl.body), sig, args.fuel)
     print(print_pure(nf.term, ascii_only=args.ascii))
     return 0
 
 
 def cmd_assert_id(args) -> int:
-    files, [name] = _split_files_names(args.args, 1)
-    sig = _load(files)
-    decl = _find_term(sig, name)
-    verdict = is_identity(erase(decl.body), sig, _fuel(args))
+    sig = parse_files(args.files)
+    decl = _find_term(sig, args.names[0])
+    verdict = is_identity(erase(decl.body), sig, args.fuel)
     print(f"identity: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1
 
 
 def cmd_eq(args) -> int:
-    files, [n1, n2] = _split_files_names(args.args, 2)
-    sig = _load(files)
-    d1, d2 = _find_term(sig, n1), _find_term(sig, n2)
-    verdict = conv(erase(d1.body), erase(d2.body), sig, _fuel(args))
+    sig = parse_files(args.files)
+    d1, d2 = (_find_term(sig, n) for n in args.names)
+    verdict = conv(erase(d1.body), erase(d2.body), sig, args.fuel)
     print(f"convertible: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fuel", type=int, default=None,
+    common.add_argument("--fuel", type=fuel,
+                        default=os.environ.get("CEDLITE_FUEL")
+                        or str(_DEFAULT_FUEL),
                         help=f"reduction step budget per normalization call "
                              f"(default {_DEFAULT_FUEL}, or CEDLITE_FUEL)")
     common.add_argument("--ascii", action="store_true",
@@ -152,46 +129,38 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("check", parents=[common],
                        help="type-check files and run their assertions")
-    p.add_argument("args", nargs="+", metavar="FILE")
-    p.set_defaults(fn=cmd_check, bundled_corpus=False)
+    p.add_argument("files", nargs="+", metavar="FILE")
+    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("erase", parents=[common],
-                       help="print a definition's erasure")
-    p.add_argument("args", nargs="+", metavar="FILE... NAME")
-    p.set_defaults(fn=cmd_erase)
-
-    p = sub.add_parser("norm", parents=[common],
-                       help="print a definition's erasure in normal form")
-    p.add_argument("args", nargs="+", metavar="FILE... NAME")
-    p.set_defaults(fn=cmd_norm)
-
-    p = sub.add_parser("assert-id", parents=[common],
-                       help="is the definition's erasure the identity?")
-    p.add_argument("args", nargs="+", metavar="FILE... NAME")
-    p.set_defaults(fn=cmd_assert_id)
-
-    p = sub.add_parser("eq", parents=[common],
-                       help="are two definitions' erasures convertible?")
-    p.add_argument("args", nargs="+", metavar="FILE... NAME1 NAME2")
-    p.set_defaults(fn=cmd_eq)
+    for command, fn, n_names, help_text in (
+            ("erase", cmd_erase, 1, "print a definition's erasure"),
+            ("norm", cmd_norm, 1,
+             "print a definition's erasure in normal form"),
+            ("assert-id", cmd_assert_id, 1,
+             "is the definition's erasure the identity?"),
+            ("eq", cmd_eq, 2, "are two definitions' erasures convertible?")):
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        p.add_argument("files", nargs="+", metavar="FILE")
+        p.add_argument("names", nargs=n_names, metavar="NAME")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("corpus", parents=[common],
                        help="check the bundled corpus")
-    p.set_defaults(fn=cmd_check, bundled_corpus=True, args=[])
+    p.set_defaults(fn=cmd_check, files=None)
 
-    ns = ap.parse_args(argv)
     try:
+        ns = ap.parse_args(argv)
         return ns.fn(ns)
     except SystemExit as e:
         return int(e.code or 0)
-    except (ParseError, ResolveError) as e:
+    except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except FuelExhausted as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except KernelError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: depth exhausted", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,6 +15,7 @@ followed by `1` or `2` with no space before it is a projection.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -34,11 +35,8 @@ class ParseError(KernelError):
         self.pos = pos
 
 
-class ResolveError(KernelError):
-    def __init__(self, msg: str, pos: Optional[Pos] = None,
-                 filename: Optional[str] = None):
-        super().__init__(_located(msg, pos, filename))
-        self.pos = pos
+class ResolveError(ParseError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -51,162 +49,62 @@ class Token:
     pos: Pos
 
 
-_SINGLE = {
-    "λ": "LAM", "Λ": "BIGLAM", "Π": "PI", "∀": "FORALL", "ι": "IOTA",
-    "★": "STAR", "*": "STAR", "➔": "ARROW", "➾": "FATARROW", "≃": "SIMEQ",
-    "ς": "SIGMA", "~": "SIGMA", "β": "BETA", "·": "CDOT", "@": "CDOT",
-    "◂": "ASCRIBE", "\\": "LAM", "(": "LPAREN", ")": "RPAREN",
-    "[": "LBRACKET", "]": "RBRACKET", "{": "LBRACE", "}": "RBRACE",
-    ",": "COMMA", ":": "COLON",
+# Every spelling of a fixed token, Unicode and ASCII alike.
+_SPELLING = {
+    "λ": "LAM", "\\": "LAM", "Λ": "BIGLAM", "/\\": "BIGLAM",
+    "Π": "PI", "Pi": "PI", "∀": "FORALL", "forall": "FORALL",
+    "ι": "IOTA", "iota": "IOTA", "★": "STAR", "*": "STAR",
+    "➔": "ARROW", "->": "ARROW", "➾": "FATARROW", "=>": "FATARROW",
+    "≃": "SIMEQ", "==": "SIMEQ", "ς": "SIGMA", "~": "SIGMA",
+    "ρ": "RHO", "rho": "RHO", "ρ+": "RHOPLUS", "rho+": "RHOPLUS",
+    "β": "BETA", "beta": "BETA", "·": "CDOT", "@": "CDOT",
+    "◂": "ASCRIBE", "<|": "ASCRIBE", "=": "EQUALS", ".": "DOT",
+    "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
+    "{": "LBRACE", "}": "RBRACE", ",": "COMMA", ":": "COLON",
 }
 
-_KEYWORDS = {"Pi": "PI", "forall": "FORALL", "iota": "IOTA",
-             "rho": "RHO", "beta": "BETA"}
-
-
-def _ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'′"
+# One alternative per token class, tried in order at each offset. Symbols
+# (every spelling but the ASCII keywords, longest first) come before
+# words, because λ Λ Π ι ς β ρ are letters; inside a word they are
+# letters again. `\w` is `isalnum()` or "_"; whether a word may start
+# with its first character is checked in `tokenize`.
+_SYMBOLS = sorted((s for s in _SPELLING
+                   if not (s.isascii() and s.isalpha())),
+                  key=len, reverse=True)
+_TOKEN = re.compile("|".join([
+    r"(?P<NEWLINE>\n)",
+    r"(?P<SKIP>[ \t\r]+|--[^\n]*)",
+    r"(?P<PROJ>(?<=[^ \t\r\n])\.[12])",
+    "(?P<SYMBOL>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    r"(?P<DASH>-(?=[ \t\r\n]|\Z))",
+    r"(?P<ERASED>-)",
+    r"(?P<DIRECTIVE>#(?:[^\W_]|-)*)",
+    r"(?P<WORD>\w[\w'′]*(?:-[\w'′]+)*)",
+    r"(?P<BAD>.)",
+]), re.S)
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def pos() -> Pos:
-        return Pos(line, col)
-
-    def err(msg: str):
-        raise ParseError(msg, pos(), filename)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SKIP":
             continue
-        start = pos()
-        if c == "-":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt == "-":
-                while i < n and text[i] != "\n":
-                    i += 1
-                continue
-            if nxt == ">":
-                toks.append(Token("ARROW", "->", start))
-                i += 2
-                col += 2
-                continue
-            if nxt == "" or nxt in " \t\r\n":
-                toks.append(Token("DASH", "-", start))
-                i += 1
-                col += 1
-                continue
-            toks.append(Token("ERASED", "-", start))
-            i += 1
-            col += 1
-            continue
-        if c == "=":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt == "=":
-                toks.append(Token("SIMEQ", "==", start))
-                i += 2
-                col += 2
-                continue
-            if nxt == ">":
-                toks.append(Token("FATARROW", "=>", start))
-                i += 2
-                col += 2
-                continue
-            toks.append(Token("EQUALS", "=", start))
-            i += 1
-            col += 1
-            continue
-        if c == "/":
-            if i + 1 < n and text[i + 1] == "\\":
-                toks.append(Token("BIGLAM", "/\\", start))
-                i += 2
-                col += 2
-                continue
-            err("stray '/'")
-        if c == "<":
-            if i + 1 < n and text[i + 1] == "|":
-                toks.append(Token("ASCRIBE", "<|", start))
-                i += 2
-                col += 2
-                continue
-            err("stray '<'")
-        if c == ".":
-            tight_left = i > 0 and text[i - 1] not in " \t\r\n"
-            nxt = text[i + 1] if i + 1 < n else ""
-            if tight_left and nxt in "12":
-                toks.append(Token("PROJ", nxt, start))
-                i += 2
-                col += 2
-                continue
-            toks.append(Token("DOT", ".", start))
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "-"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("DIRECTIVE", word, start))
-            col += j - i
-            i = j
-            continue
-        if c in ("ρ",):
-            if i + 1 < n and text[i + 1] == "+":
-                toks.append(Token("RHOPLUS", "ρ+", start))
-                i += 2
-                col += 2
-                continue
-            toks.append(Token("RHO", "ρ", start))
-            i += 1
-            col += 1
-            continue
-        if c in _SINGLE:
-            toks.append(Token(_SINGLE[c], c, start))
-            i += 1
-            col += 1
-            continue
-        if _ident_start(c):
-            j = i + 1
-            while j < n:
-                if _ident_char(text[j]):
-                    j += 1
-                elif text[j] == "-" and j + 1 < n and _ident_char(text[j + 1]):
-                    # interior dash, as in v2l-v2l
-                    j += 1
-                else:
-                    break
-            word = text[i:j]
-            col += j - i
-            i = j
-            if word in _KEYWORDS:
-                kind = _KEYWORDS[word]
-                if kind == "RHO" and i < n and text[i] == "+":
-                    toks.append(Token("RHOPLUS", "rho+", start))
-                    i += 1
-                    col += 1
-                else:
-                    toks.append(Token(kind, word, start))
-            else:
-                toks.append(Token("IDENT", word, start))
-            continue
-        err(f"unexpected character {c!r}")
-    toks.append(Token("EOF", "", Pos(line, col)))
+        pos = Pos(line, m.start() - line_start + 1)
+        if kind in ("SYMBOL", "WORD"):
+            kind = _SPELLING.get(word, "IDENT")
+        if kind == "IDENT" and not (word[0].isalpha() or word[0] == "_"):
+            kind = "BAD"    # a word cannot start with a numeral such as ½
+        if kind == "BAD":
+            raise ParseError(f"stray {word!r}" if word in ("/", "<")
+                             else f"unexpected character {word[0]!r}",
+                             pos, filename)
+        toks.append(Token(kind, word[1] if kind == "PROJ" else word, pos))
+    toks.append(Token("EOF", "", Pos(line, len(text) - line_start + 1)))
     return toks
 
 
@@ -243,17 +141,10 @@ class SBigLam(SNode):
 
 @dataclass
 class SBinder(SNode):
-    head: str  # "all" | "pi" | "iota"
-    binder: str
+    head: str    # "all" | "pi" | "iota"
+    binder: str  # "" for the arrows `A ➔ B` (pi) and `A ➾ B` (all)
     cls: SNode
     body: SNode
-
-
-@dataclass
-class SArrow(SNode):
-    fat: bool
-    lhs: SNode
-    rhs: SNode
 
 
 @dataclass
@@ -300,6 +191,9 @@ class SEq(SNode):
 
 _ATOM_STARTERS = {"IDENT", "LPAREN", "LBRACKET", "BETA", "STAR", "LBRACE"}
 
+_HEADS = {"PI": "pi", "FORALL": "all", "IOTA": "iota",
+          "ARROW": "pi", "FATARROW": "all"}
+
 
 class _Parser:
     def __init__(self, toks: list[Token], filename: str):
@@ -345,12 +239,12 @@ class _Parser:
             return SBigLam(t.pos, binder, self.parse_expr())
         if t.kind in ("PI", "FORALL", "IOTA"):
             self.next()
-            head = {"PI": "pi", "FORALL": "all", "IOTA": "iota"}[t.kind]
             binder = self.expect("IDENT").text
             self.expect("COLON")
             cls = self.parse_expr()
             self.expect("DOT")
-            return SBinder(t.pos, head, binder, cls, self.parse_expr())
+            return SBinder(t.pos, _HEADS[t.kind], binder, cls,
+                           self.parse_expr())
         if t.kind in ("RHO", "RHOPLUS"):
             self.next()
             proof = self.parse_proof()
@@ -365,6 +259,12 @@ class _Parser:
             return SEq(lhs.pos, lhs, self.parse_arrows())
         return lhs
 
+    def parse_whole(self) -> SNode:
+        """One expression that spans the whole input."""
+        node = self.parse_expr()
+        self.expect("EOF")
+        return node
+
     def parse_proof(self) -> SNode:
         t = self.peek()
         if t.kind == "SIGMA":
@@ -378,7 +278,7 @@ class _Parser:
         if t.kind in ("ARROW", "FATARROW"):
             # the codomain extends maximally right and may itself bind
             self.next()
-            return SArrow(lhs.pos, t.kind == "FATARROW", lhs, self.parse_expr())
+            return SBinder(lhs.pos, _HEADS[t.kind], "", lhs, self.parse_expr())
         return lhs
 
     def parse_app(self) -> SNode:
@@ -490,16 +390,17 @@ class _Parser:
 # Elaboration: classify as term/type/kind and resolve names to indices
 
 def _is_kind_syntax(s: SNode) -> bool:
-    if isinstance(s, SStar):
-        return True
-    if isinstance(s, SArrow) and not s.fat:
-        return _is_kind_syntax(s.rhs)
-    if isinstance(s, SBinder) and s.head == "pi":
-        return _is_kind_syntax(s.body)
-    return False
+    while isinstance(s, SBinder) and s.head == "pi":
+        s = s.body
+    return isinstance(s, SStar)
+
+
+_TYPE_BINDERS = {"all": S.All, "pi": S.Pi, "iota": S.Iota}
 
 
 class _Elab:
+    """Elaborates under a stack of binder names; discard it once it raises."""
+
     def __init__(self, sig: Signature, filename: str = "<input>"):
         self.sig = sig
         self.filename = filename
@@ -508,46 +409,38 @@ class _Elab:
     def fail(self, msg: str, pos: Optional[Pos]):
         raise ResolveError(msg, pos, self.filename)
 
-    def _lookup(self, name: str) -> Optional[int]:
-        for depth, bound in enumerate(reversed(self.env)):
-            if bound == name:
-                return depth
-        return None
-
-    def _push(self, name: str):
-        self.env.append(name)
-
-    def _pop(self):
+    def under(self, binder: str, elab, s: SNode):
+        """`elab(s)` with `binder` bound innermost."""
+        self.env.append(binder)
+        out = elab(s)
         self.env.pop()
+        return out
+
+    def resolve(self, s: SVar, level: str, var, ref):
+        """A bound name as `var(index)`, else a `level` definition as `ref`."""
+        for depth, bound in enumerate(reversed(self.env)):
+            if bound == s.name:
+                return var(depth)
+        decl = self.sig.lookup(s.name)
+        if decl is None:
+            self.fail(f"unbound identifier {s.name}", s.pos)
+        if decl.level != level:
+            self.fail(f"{s.name} is a {decl.level}-level definition, "
+                      f"not a {level}", s.pos)
+        return ref(s.name)
 
     def classifier(self, s: SNode) -> Union[S.Type, S.Kind]:
         return self.kind(s) if _is_kind_syntax(s) else self.type(s)
 
     def term(self, s: SNode) -> S.Term:
         match s:
-            case SVar(pos, name):
-                idx = self._lookup(name)
-                if idx is not None:
-                    return S.Var(idx)
-                decl = self.sig.lookup(name)
-                if decl is None:
-                    self.fail(f"unbound identifier {name}", pos)
-                if decl.level != "term":
-                    self.fail(f"{name} is a type-level definition, not a term", pos)
-                return S.Ref(name)
+            case SVar():
+                return self.resolve(s, "term", S.Var, S.Ref)
             case SLam(_, binder, ann, body):
                 a = self.type(ann) if ann is not None else None
-                self._push(binder)
-                try:
-                    return S.Lam(binder, a, self.term(body))
-                finally:
-                    self._pop()
+                return S.Lam(binder, a, self.under(binder, self.term, body))
             case SBigLam(_, binder, body):
-                self._push(binder)
-                try:
-                    return S.ILam(binder, self.term(body))
-                finally:
-                    self._pop()
+                return S.ILam(binder, self.under(binder, self.term, body))
             case SApp(_, style, fn, arg):
                 f = self.term(fn)
                 if style == "explicit":
@@ -565,7 +458,7 @@ class _Elab:
                 return S.Rho(self.term(proof), self.term(body), plus)
             case SSigma(_, proof):
                 return S.Symm(self.term(proof))
-            case SEq(pos, _, _) | SArrow(pos, _, _, _) | SBinder(pos, _, _, _, _):
+            case SEq(pos, _, _) | SBinder(pos, _, _, _, _):
                 self.fail("type syntax in a term position", pos)
             case SStar(pos):
                 self.fail("★ in a term position", pos)
@@ -573,54 +466,19 @@ class _Elab:
 
     def type(self, s: SNode) -> S.Type:
         match s:
-            case SVar(pos, name):
-                idx = self._lookup(name)
-                if idx is not None:
-                    return S.TVar(idx)
-                decl = self.sig.lookup(name)
-                if decl is None:
-                    self.fail(f"unbound identifier {name}", pos)
-                if decl.level != "type":
-                    self.fail(f"{name} is a term-level definition, not a type", pos)
-                return S.TRef(name)
+            case SVar():
+                return self.resolve(s, "type", S.TVar, S.TRef)
             case SBinder(_, head, binder, cls, body):
-                if head == "all":
-                    dom = self.classifier(cls)
-                    self._push(binder)
-                    try:
-                        return S.All(binder, dom, self.type(body))
-                    finally:
-                        self._pop()
-                if head == "pi":
-                    dom = self.type(cls)
-                    self._push(binder)
-                    try:
-                        return S.Pi(binder, dom, self.type(body))
-                    finally:
-                        self._pop()
-                left = self.type(cls)
-                self._push(binder)
-                try:
-                    return S.Iota(binder, left, self.type(body))
-                finally:
-                    self._pop()
-            case SArrow(_, fat, lhs, rhs):
-                dom = self.type(lhs)
-                self._push("")
-                try:
-                    body = self.type(rhs)
-                finally:
-                    self._pop()
-                return S.All("", dom, body) if fat else S.Pi("", dom, body)
+                # ∀ X : κ may bind a type; the arrow A ➾ B takes a type
+                dom = self.classifier(cls) if head == "all" and binder \
+                    else self.type(cls)
+                return _TYPE_BINDERS[head](binder, dom,
+                                           self.under(binder, self.type, body))
             case SLam(pos, binder, ann, body):
                 if ann is None:
                     self.fail("type-level λ binders must be annotated", pos)
                 dom = self.classifier(ann)
-                self._push(binder)
-                try:
-                    return S.TLam(binder, dom, self.type(body))
-                finally:
-                    self._pop()
+                return S.TLam(binder, dom, self.under(binder, self.type, body))
             case SApp(_, style, fn, arg):
                 f = self.type(fn)
                 if style == "type":
@@ -638,42 +496,12 @@ class _Elab:
         raise TypeError(s)
 
     def kind(self, s: SNode) -> S.Kind:
-        match s:
-            case SStar(_):
-                return S.Star()
-            case SArrow(pos, fat, lhs, rhs):
-                if fat:
-                    self.fail("➾ cannot appear in a kind", pos)
-                if _is_kind_syntax(lhs):
-                    dom_k = self.kind(lhs)
-                    self._push("")
-                    try:
-                        return S.KPiK("", dom_k, self.kind(rhs))
-                    finally:
-                        self._pop()
-                dom = self.type(lhs)
-                self._push("")
-                try:
-                    return S.KPi("", dom, self.kind(rhs))
-                finally:
-                    self._pop()
-            case SBinder(pos, head, binder, cls, body):
-                if head != "pi":
-                    self.fail("only Π binders may appear in kinds", pos)
-                if _is_kind_syntax(cls):
-                    dom_k = self.kind(cls)
-                    self._push(binder)
-                    try:
-                        return S.KPiK(binder, dom_k, self.kind(body))
-                    finally:
-                        self._pop()
-                dom = self.type(cls)
-                self._push(binder)
-                try:
-                    return S.KPi(binder, dom, self.kind(body))
-                finally:
-                    self._pop()
-        self.fail("expected a kind", s.pos)
+        """`s` is kind syntax: ★, or a Π (or ➔) ending in ★."""
+        if isinstance(s, SStar):
+            return S.Star()
+        dom = self.classifier(s.cls)
+        return (S.KPiK if S.is_kind(dom) else S.KPi)(
+            s.binder, dom, self.under(s.binder, self.kind, s.body))
 
 
 def _elaborate_items(items, sig: Signature, filename: str) -> None:
@@ -684,14 +512,9 @@ def _elaborate_items(items, sig: Signature, filename: str) -> None:
                     raise ResolveError(f"duplicate definition {name}", pos,
                                        filename)
                 elab = _Elab(sig, filename)
-                if _is_kind_syntax(cls_s):
-                    classifier = elab.kind(cls_s)
-                    body = elab.type(body_s)
-                    level = "type"
-                else:
-                    classifier = elab.type(cls_s)
-                    body = elab.term(body_s)
-                    level = "term"
+                classifier = elab.classifier(cls_s)
+                level = "type" if S.is_kind(classifier) else "term"
+                body = (elab.type if level == "type" else elab.term)(body_s)
                 sig.add(Decl(name, level, classifier, body, pos=pos,
                              expect_fail=expect_fail))
             case ("assert", assertion):
@@ -722,13 +545,22 @@ def _attach(sig: Signature, assertion: Assertion,
 # ---------------------------------------------------------------------------
 # Entry points
 
+def _read(text: str, filename: str, parse, elaborate):
+    """Parse all of `text` with `parse`, then `elaborate` the result.
+    Nesting too deep for Python's recursion limit is a parse error."""
+    try:
+        return elaborate(parse(_Parser(tokenize(text, filename), filename)))
+    except RecursionError:
+        raise ParseError("nesting too deep", None, filename) from None
+
+
 def parse_signature(text: str, filename: str = "<input>",
                     sig: Optional[Signature] = None) -> Signature:
     """Parse and resolve declarations, extending `sig` when given."""
     if sig is None:
         sig = Signature()
-    items = _Parser(tokenize(text, filename), filename).parse_items()
-    _elaborate_items(items, sig, filename)
+    _read(text, filename, _Parser.parse_items,
+          lambda items: _elaborate_items(items, sig, filename))
     return sig
 
 
@@ -743,19 +575,11 @@ def parse_files(paths, sig: Optional[Signature] = None) -> Signature:
 
 def parse_term(text: str, sig: Optional[Signature] = None) -> S.Term:
     """Parse a standalone term (closed up to definitions in `sig`)."""
-    sig = sig if sig is not None else Signature()
-    toks = tokenize(text)
-    p = _Parser(toks, "<term>")
-    node = p.parse_expr()
-    p.expect("EOF")
-    return _Elab(sig).term(node)
+    elab = _Elab(sig if sig is not None else Signature(), "<term>")
+    return _read(text, "<term>", _Parser.parse_whole, elab.term)
 
 
 def parse_type(text: str, sig: Optional[Signature] = None) -> S.Type:
-    sig = sig if sig is not None else Signature()
-    toks = tokenize(text)
-    p = _Parser(toks, "<type>")
-    node = p.parse_expr()
-    p.expect("EOF")
-    elab = _Elab(sig)
-    return elab.kind(node) if _is_kind_syntax(node) else elab.type(node)
+    """Parse a standalone type, or a kind."""
+    elab = _Elab(sig if sig is not None else Signature(), "<type>")
+    return _read(text, "<type>", _Parser.parse_whole, elab.classifier)

@@ -424,6 +424,7 @@ class Signature:
         self._by_name: dict[str, Decl] = {}
         self._erasures: dict[str, object] = {}
         self._def_nfs: dict[str, object] = {}
+        self.rejected: set[str] = set()     # declarations that failed to check
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

@@ -115,6 +115,8 @@ class Checker:
                     decl = self.sig.lookup(name)
                     if decl is None or decl.level != "type":
                         raise CheckError("scope", f"{name} is not a type")
+                    if name in self.sig.rejected:
+                        break   # rejected: only its ascription is trusted
                     self.steps += 1
                     ty = decl.body
                 case S.TLam(_, _, body) if stack:
@@ -505,6 +507,8 @@ def _eval_assertion(sig: Signature, fuel: Fuel, assertion: S.Assertion,
                                                   "convertible")
     except FuelExhausted as e:
         return AssertionOutcome(desc, False, str(e))
+    except RecursionError:
+        return AssertionOutcome(desc, False, "depth exhausted")
     raise ValueError(assertion.kind)
 
 
@@ -513,7 +517,9 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
     """Check declarations in order, then evaluate attached assertions.
 
     A failing declaration is still recorded in the signature (later
-    declarations trust its ascription) and checking continues.
+    declarations trust its ascription, and a type-level one is never
+    unfolded) and checking continues. Running into Python's recursion
+    limit fails only the declaration at hand ("depth exhausted").
     """
     report = CheckReport()
     statuses: dict[str, str] = {}
@@ -522,11 +528,13 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
         checker = Checker(sig, fuel)
         row = DeclReport(decl.name, decl.level, "ok",
                          print_classifier(decl.classifier, ascii_only))
-        error: Optional[CheckError] = None
+        error: Optional[KernelError] = None
         try:
             _check_decl(checker, decl)
-        except (CheckError, FuelExhausted, KernelError) as e:
+        except KernelError as e:
             error = e
+        except RecursionError:
+            error = KernelError("depth exhausted")
         row.steps_used = checker.steps
         row.warnings = checker.warnings
         if decl.expect_fail:
@@ -543,6 +551,7 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
         elif error is not None:
             row.status = "type error"
             row.error = str(error)
+            sig.rejected.add(decl.name)
         else:
             statuses[decl.name] = "ok"
             if decl.level == "term":
@@ -554,6 +563,9 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
                 except FuelExhausted as e:
                     row.status = "type error"
                     row.error = str(e)
+                except RecursionError:
+                    row.status = "type error"
+                    row.error = "depth exhausted"
         rows[i] = row
         report.decls.append(row)
     for i, decl in enumerate(sig.decls):

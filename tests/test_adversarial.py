@@ -1,0 +1,60 @@
+"""Inputs that once hung the checker or ended in a Python traceback.
+
+Each runs through the command line in a fresh interpreter with a
+timeout, so a hang fails the test instead of stalling the suite.
+"""
+
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import cedlite
+
+ADVERSARIAL = Path(__file__).parent / "adversarial"
+NAT = str(resources.files("cedlite.corpus") / "nat.ced")
+SRC = str(Path(cedlite.__file__).parents[1])
+
+
+def cedlite_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("CEDLITE_FUEL", None)
+    return subprocess.run([sys.executable, "-m", "cedlite.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
+
+
+def test_rejected_type_definitions_are_never_unfolded():
+    # W · W unfolds to itself; both are rejected, and `id` must not loop
+    run = cedlite_cli("check", "--fuel", "1000", "--porcelain",
+                      str(ADVERSARIAL / "omega.ced"))
+    lines = run.stdout.splitlines()
+    assert [ln.split()[:2] for ln in lines] == \
+        [["ERR", "W"], ["ERR", "Om"], ["OK", "id"]]
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+
+
+def test_deep_nesting_is_a_parse_error():
+    run = cedlite_cli("check", NAT, str(ADVERSARIAL / "deep_numeral.ced"))
+    assert run.returncode == 2
+    assert "deep_numeral.ced: nesting too deep" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_depth_exhausted_fails_only_its_declaration():
+    # the erasure normal form of c65k is 65,536 applications deep
+    run = cedlite_cli("check", "--porcelain",
+                      str(ADVERSARIAL / "church_65k.ced"))
+    assert run.stdout.splitlines() == [
+        "OK NatC", "OK two", "OK sq", "OK c16", "OK c256",
+        "ERR c65k depth exhausted"]
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+
+
+def test_depth_exhausted_outside_a_report_is_an_error_too():
+    run = cedlite_cli("norm", str(ADVERSARIAL / "church_65k.ced"), "c65k")
+    assert run.returncode == 1
+    assert run.stderr == "error: depth exhausted\n"

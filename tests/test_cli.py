@@ -146,3 +146,30 @@ def test_expected_failures_count_as_success(capsys):
     code, out, _ = run(capsys, "corpus", "--porcelain")
     assert code == 0
     assert "OK badPair" in out
+
+
+def test_tight_dot_ends_the_last_declaration(tmp_path, capsys):
+    f = tmp_path / "dot.ced"
+    f.write_text("c ◂ ★ = ∀ X : ★ . X ➔ X .\n"
+                 "i ◂ c = Λ X . λ x . x.", encoding="utf-8")
+    code, out, _ = run(capsys, "check", "--porcelain", str(f))
+    assert code == 0
+    assert out.splitlines() == ["OK c", "OK i"]
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["corpus", "--fuel", "0"], None, "invalid fuel value: '0'"),
+    (["corpus", "--fuel", "-5"], None, "invalid fuel value: '-5'"),
+    (["corpus"], "abc", "invalid fuel value: 'abc'"),
+    (["corpus"], "0", "invalid fuel value: '0'"),
+    (["erase", PREFIX[0]], None, "required: NAME"),
+    (["eq", PREFIX[0], "zero"], None, "required: NAME"),
+])
+def test_usage_errors_exit_2_with_a_message(capsys, monkeypatch, argv, env,
+                                            message):
+    if env is not None:
+        monkeypatch.setenv("CEDLITE_FUEL", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage: cedlite" in err and message in err

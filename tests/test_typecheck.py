@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cedlite import syntax as S
@@ -5,6 +7,8 @@ from cedlite.parser import parse_signature, parse_type
 from cedlite.printer import print_classifier
 from cedlite.typecheck import CheckError, Checker, CtxEntry, check_signature
 from audits import audit_implicit_erasures, audit_intersections
+
+ADVERSARIAL = Path(__file__).parent / "adversarial"
 
 PRELUDE = (
     "Unit ◂ ★ = ∀ X : ★ . X ➔ X .\n"
@@ -292,7 +296,12 @@ def test_subject_erasure_scan(corpus_sig):
 
 
 def test_fuel_exhaustion_reported_per_declaration():
-    rows = check_text("loop ◂ Unit = (λ x . x x) (λ x . x x) .")
-    # scope note: the body is ill-typed before it loops, so force the
-    # erasure path instead: unannotated self application cannot check
-    assert not rows[0].ok
+    # c65k = sq c256 is well typed, and its normal form needs more than
+    # 300 β/δ steps; every other declaration here needs fewer than 100
+    from cedlite.normalize import Fuel
+    text = (ADVERSARIAL / "church_65k.ced").read_text(encoding="utf-8")
+    sig = parse_signature(text + "after ◂ NatC = two .\n")
+    rows = check_signature(sig, Fuel(300)).decls
+    assert [r.name for r in rows if not r.ok] == ["c65k"]
+    assert "fuel exhausted" in rows[-2].error
+    assert rows[-1].name == "after" and rows[-1].ok
