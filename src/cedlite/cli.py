@@ -15,7 +15,7 @@ from .corpus import load_corpus
 from .erasure import erase
 from .normalize import Fuel, conv, is_identity, normalize
 from .parser import ParseError, parse_files
-from .printer import print_pure
+from .printer import print_classifier, print_pure
 from .syntax import KernelError, Signature
 from .typecheck import CheckReport, check_signature
 
@@ -43,9 +43,10 @@ def _render_report(report: CheckReport, porcelain: bool, ascii_only: bool,
         if d.status == "type error":
             print(f"error  {d.name}: {d.error}", file=out)
         else:
-            line = f"ok     {d.name} : {d.classifier}"
+            cls = print_classifier(d.classifier, ascii_only)
+            line = f"ok     {d.name} : {cls}"
             if d.status == "assertion failure":
-                line = f"assert-fail {d.name} : {d.classifier}"
+                line = f"assert-fail {d.name} : {cls}"
             if d.steps_used:
                 line += f"  (fuel {d.steps_used})"
             print(line, file=out)

@@ -556,11 +556,20 @@ def _read(text: str, filename: str, parse, elaborate):
 
 def parse_signature(text: str, filename: str = "<input>",
                     sig: Optional[Signature] = None) -> Signature:
-    """Parse and resolve declarations, extending `sig` when given."""
+    """Parse and resolve declarations, extending `sig` when given. On a
+    `ParseError`, `sig` is left as it was before the call."""
     if sig is None:
         sig = Signature()
-    _read(text, filename, _Parser.parse_items,
-          lambda items: _elaborate_items(items, sig, filename))
+    n_decls = len(sig.decls)
+    n_assertions = [len(d.assertions) for d in sig.decls]
+    try:
+        _read(text, filename, _Parser.parse_items,
+              lambda items: _elaborate_items(items, sig, filename))
+    except ParseError:
+        sig.truncate(n_decls)
+        for d, n in zip(sig.decls, n_assertions):
+            del d.assertions[n:]
+        raise
     return sig
 
 

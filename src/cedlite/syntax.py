@@ -438,3 +438,10 @@ class Signature:
                 raise KernelError(f"duplicate definition {decl.name}")
             self._by_name[decl.name] = decl
         self.decls.append(decl)
+
+    def truncate(self, n: int) -> None:
+        """Remove every declaration after the first `n`."""
+        for decl in self.decls[n:]:
+            if not decl.expect_fail:
+                del self._by_name[decl.name]
+        del self.decls[n:]

@@ -52,7 +52,7 @@ class DeclReport:
     name: str
     level: str
     status: str                      # "ok" | "type error" | "assertion failure"
-    classifier: str
+    classifier: Union[S.Type, S.Kind]
     erasure_nf: Optional[str] = None
     assertions: list[AssertionOutcome] = field(default_factory=list)
     steps_used: int = 0
@@ -77,6 +77,10 @@ class CheckReport:
             if d.name == name:
                 return d
         return None
+
+
+# Terms whose type is inferred, never built from the expected type.
+_ELIMINATIONS = (S.App, S.EApp, S.TApp, S.Var, S.Ref, S.Proj)
 
 
 class Checker:
@@ -233,7 +237,21 @@ class Checker:
     # --- terms ----------------------------------------------------------------
 
     def check(self, ctx: Context, t: S.Term, ty: S.Type) -> None:
-        w = self.type_whnf(ty)
+        """Check `t` against `ty`. An elimination form's type is inferred
+        once and compared with `ty` as written; `ty` is weak-head
+        normalized only when the two differ."""
+        inferred = None
+        if isinstance(t, _ELIMINATIONS):
+            inferred = self.infer(ctx, t)
+            if inferred == ty:
+                return
+        self._check_whnf(ctx, t, self.type_whnf(ty), inferred)
+
+    def _check_whnf(self, ctx: Context, t: S.Term, w: S.Type,
+                    inferred: Union[S.Type, CheckError, None]) -> None:
+        """Check `t` against the weak-head normal `w`. `inferred` is what
+        inferring `t` gave (its type or its error), or None if not yet
+        inferred."""
         match (t, w):
             case (S.Lam(n, ann, body), S.Pi(_, dom, cod)):
                 if ann is not None and not self.type_conv(ann, dom):
@@ -282,25 +300,22 @@ class Checker:
                                      "ς proof does not match the goal "
                                      "with sides swapped")
                 return
-            case (_, S.All(_, dom, cod)) if not isinstance(t, S.ILam):
-                # non-dependent ∀ (the ➾ form) accepts the body directly
-                inferred = None
-                infer_error: Optional[CheckError] = None
-                try:
-                    inferred = self.infer(ctx, t)
-                except CheckError as e:
-                    infer_error = e
-                if inferred is not None and self.type_conv(inferred, w):
-                    return
-                if not occurs_index(cod, 0):
-                    self.check(ctx, t, shift(cod, -1))
-                    return
-                if inferred is not None:
-                    self._conversion_failure(inferred, w)
-                raise infer_error
-        inferred = self.infer(ctx, t)
-        if not self.type_conv(inferred, w):
-            self._conversion_failure(inferred, w)
+        if inferred is None:
+            try:
+                inferred = self.infer(ctx, t)
+            except CheckError as e:
+                inferred = e
+        if not isinstance(inferred, CheckError) \
+                and self.type_conv(inferred, w):
+            return
+        if isinstance(w, S.All) and not occurs_index(w.body, 0):
+            # non-dependent ∀ (the ➾ form) accepts the body directly
+            self._check_whnf(ctx, t, self.type_whnf(shift(w.body, -1)),
+                             inferred)
+            return
+        if isinstance(inferred, CheckError):
+            raise inferred
+        self._conversion_failure(inferred, w)
 
     def _conversion_failure(self, inferred: S.Type, expected: S.Type):
         raise CheckError(
@@ -526,8 +541,7 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
     rows: dict[int, DeclReport] = {}
     for i, decl in enumerate(sig.decls):
         checker = Checker(sig, fuel)
-        row = DeclReport(decl.name, decl.level, "ok",
-                         print_classifier(decl.classifier, ascii_only))
+        row = DeclReport(decl.name, decl.level, "ok", decl.classifier)
         error: Optional[KernelError] = None
         try:
             _check_decl(checker, decl)

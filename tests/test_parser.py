@@ -38,6 +38,23 @@ def test_duplicate_definition_rejected():
         parse_signature(text)
 
 
+def test_failed_parse_leaves_the_signature_as_it_was():
+    sig = parse_signature("U ◂ ★ = ∀ X : ★ . X ➔ X .\n"
+                          "u ◂ U = Λ X . λ x . x .\n")
+    bad = ("c ◂ ★ = ∀ X : ★ . X ➔ X .\n"
+           "#assert-id u\n"
+           "#assert-fail\n"
+           "f ◂ c = u .\n"
+           "i ◂ c = Λ X . λ x . zz .\n")
+    with pytest.raises(ResolveError, match="unbound identifier zz"):
+        parse_signature(bad, sig=sig)
+    assert [d.name for d in sig.decls] == ["U", "u"]
+    assert "c" not in sig and sig.lookup("u").assertions == []
+    parse_signature(bad.replace("zz", "x"), sig=sig)
+    assert [d.name for d in sig.decls] == ["U", "u", "c", "f", "i"]
+    assert len(sig.lookup("u").assertions) == 1
+
+
 def test_forward_reference_rejected():
     with pytest.raises(ResolveError, match="unbound"):
         parse_signature("a ◂ later ➔ later = λ x . x .\nlater ◂ ★ = later .")

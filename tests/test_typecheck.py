@@ -1,3 +1,4 @@
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,75 @@ def test_fat_arrow_accepts_unwrapped_body():
 def test_implicit_generalization_rejected_when_dependent(corpus_sig):
     assert_fails("k ◂ ∀ n : Nat . Vec · Nat n = zero .",
                  "", base=corpus_sig)
+
+
+# --- comparing folded types before unfolding them ----------------------------
+
+NAT_TYPE = ("ι n : ι nC : ∀ X : ★ . X ➔ (X ➔ X) ➔ X . ∀ X : ★ . "
+            "∀ P : X ➔ ★ . ∀ cZ : X . ∀ cS : X ➔ X . P cZ ➔ "
+            "(∀ n : X . P n ➔ P (cS n)) ➔ P (nC · X cZ cS) . "
+            "n.1 · NatC zeroCN sucCN ≃ n.1")
+# the text of the mismatch error before checking compared folded types
+SUC_NOT_NAT = ("type mismatch:\n"
+               f"  inferred: ({NAT_TYPE}) ➔ ({NAT_TYPE})\n"
+               f"  expected: {NAT_TYPE}")
+
+
+def nat_sig():
+    text = (resources.files("cedlite.corpus") / "nat.ced").read_text(
+        encoding="utf-8")
+    return parse_signature(text, filename="nat.ced")
+
+
+def test_matching_folded_types_are_not_unfolded():
+    checker = Checker(nat_sig())
+    checker.check([], S.Ref("zero"), S.TRef("Nat"))
+    assert checker.steps == 0
+
+
+def test_mismatch_reports_the_unfolded_types():
+    with pytest.raises(CheckError) as exc:
+        Checker(nat_sig()).check([], S.Ref("suc"), S.TRef("Nat"))
+    assert exc.value.kind == "conversion"
+    assert str(exc.value) == SUC_NOT_NAT
+
+
+def test_non_dependent_forall_checks_and_rejects_its_body():
+    rows = check_text("k ◂ Nat ➾ Nat = zero .\n"
+                      "bad ◂ ∀ n : Nat . Nat = suc .\n", base=nat_sig())
+    assert rows[0].ok, rows[0].error
+    assert rows[1].status == "type error"
+    assert rows[1].error == SUC_NOT_NAT
+
+
+def test_each_check_infers_its_term_at_most_once(monkeypatch, fresh_corpus):
+    # counted per term for the outermost `check` of that term, so the
+    # non-dependent ∀ path, which checks the same term again, counts too
+    open_checks: list[list] = []
+    original_check, original_infer = Checker.check, Checker.infer
+
+    def check(self, ctx, t, ty):
+        open_checks.append([t, 0])
+        try:
+            original_check(self, ctx, t, ty)
+        finally:
+            _, n = open_checks.pop()
+            assert n <= 1, f"{type(t).__name__} inferred {n} times"
+
+    def infer(self, ctx, t):
+        outer = next((f for f in open_checks if f[0] is t), None)
+        if outer is not None:
+            outer[1] += 1
+        return original_infer(self, ctx, t)
+
+    monkeypatch.setattr(Checker, "check", check)
+    monkeypatch.setattr(Checker, "infer", infer)
+    rows = check_text("k ◂ Nat ➾ Nat = zero .\n"
+                      "k2 ◂ Nat ➾ Nat ➾ Nat = zero .\n"
+                      "f ◂ Nat ➾ Π x : Nat . Nat = λ x : Nat . x .\n"
+                      "bad ◂ ∀ n : Nat . Nat = suc .\n", base=nat_sig())
+    assert [r.ok for r in rows] == [True, True, True, False]
+    check_signature(fresh_corpus)
 
 
 # --- the three designated negatives ------------------------------------------
