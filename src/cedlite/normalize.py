@@ -2,23 +2,25 @@
 
 Values are weak-head normal forms of two shapes: a λ-closure (the λ's
 hint and body plus the environment it was evaluated in) or a neutral (a
-variable, named by its de Bruijn *level*, applied to a spine of
-arguments). Evaluation is call-by-need: every application argument
-becomes a memoizing thunk, forced at most once and only when it reaches
-head position or is read back, so a term that normal order normalizes
-still normalizes. A free index of an open input evaluates to a neutral
-whose level lies below 0, outside every binder of the term.
+variable, named by its de Bruijn *level*, or a reference to a rejected
+definition, applied to a spine of arguments). Evaluation is call-by-need:
+every application argument becomes a memoizing thunk, forced at most once
+and only when it reaches head position or is read back, so a term that
+normal order normalizes still normalizes. A free index of an open input
+evaluates to a neutral whose level lies below 0, outside every binder of
+the term.
 
 Readback turns a value back into a term with an explicit stack: a
 closure is applied to a fresh neutral and its body read back one level
-deeper, a neutral becomes its head index applied to its read-back
-arguments. Each λ is η-contracted once, as soon as its body is read
-back; a bottom-up pass over a β-normal form is already an η-fixpoint.
+deeper, a neutral becomes its head applied to its read-back arguments.
+Each λ is η-contracted once, as soon as its body is read back; a
+bottom-up pass over a β-normal form is already an η-fixpoint.
 
 A definition reference costs one δ-step and evaluates the definition's
-own normal form, which is memoized on the signature. Fuel bounds the
-β/δ steps of a single normalization call; running out is an error,
-never silent truncation.
+own normal form, which is memoized on the signature. A definition that
+failed to check is never unfolded: its reference is a neutral head. Fuel
+bounds the β/δ steps of a single normalization call; running out is an
+error, never silent truncation.
 """
 
 from __future__ import annotations
@@ -78,10 +80,12 @@ class _Closure:
 
 
 class _Neutral:
-    __slots__ = ("level", "spine")
+    """`head` is a de Bruijn level or the `PRef` of a rejected definition."""
 
-    def __init__(self, level: int, spine: tuple):
-        self.level = level
+    __slots__ = ("head", "spine")
+
+    def __init__(self, head, spine: tuple):
+        self.head = head
         self.spine = spine
 
 
@@ -136,13 +140,16 @@ def _eval(t: PureTerm, env, m: _Meter):
             if type(v) is _Neutral:
                 if args:
                     args.reverse()
-                    return _Neutral(v.level, v.spine + tuple(args))
+                    return _Neutral(v.head, v.spine + tuple(args))
                 return v
             if not args:
                 return v
             m.tick(v.body)
             env, t = (args.pop(), v.env), v.body
         elif kind is PRef:
+            if t.name in m.sig.rejected:
+                args.reverse()
+                return _Neutral(t, tuple(args))
             # The normal form takes the reference's place, so it is
             # evaluated in the environment the reference sits in.
             m.tick(t)
@@ -174,7 +181,9 @@ def _readback(v, m: _Meter) -> PureTerm:
                 todo.append((_eval(item.body, (fresh, item.env), m),
                              depth + 1))
             else:
-                out.append(PVar(depth - 1 - item.level))
+                head = item.head
+                out.append(head if type(head) is PRef
+                           else PVar(depth - 1 - head))
                 for arg in reversed(item.spine):
                     todo.append((_APP, depth))
                     todo.append((arg, depth))
@@ -237,6 +246,23 @@ def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
         elif a.name != b.name:
             return False
     return True
+
+
+def free_indices(t: PureTerm) -> set:
+    """The de Bruijn indices free in `t`, counted at its root."""
+    out = set()
+    todo = [(t, 0)]
+    while todo:
+        t, depth = todo.pop()
+        kind = type(t)
+        if kind is PApp:
+            todo.append((t.fn, depth))
+            todo.append((t.arg, depth))
+        elif kind is PLam:
+            todo.append((t.body, depth + 1))
+        elif kind is PVar and t.idx >= depth:
+            out.add(t.idx - depth)
+    return out
 
 
 def conv(t1: PureTerm, t2: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> bool:

@@ -334,27 +334,36 @@ def shift(node, by: int, cutoff: int = 0):
     return go(node, cutoff)
 
 
-def subst(node, j: int, val):
-    """Replace index j by `val`; decrement frees above j, in any AST.
+def subst(node, j: int, *vals):
+    """Replace indices j, j+1, ... by `vals[-1]`, `vals[-2]`, ... in one
+    walk; decrement the frees above them by `len(vals)`, in any AST.
 
-    A substituend of another sort than the variable (a Type for a term
-    variable, say) means the input confused the flavors; that is an
-    internal error.
+    The values live outside the substituted binders, so `subst(b, 0, a0,
+    a1)` instantiates the body `b` of `Π x0 . Π x1 . b` with `a0` for x0
+    and `a1` for x1. A substituend of another sort than the variable (a
+    Type for a term variable, say) means the input confused the flavors;
+    that is an internal error.
     """
-    shifted = {}        # val under k - j more binders, by k
+    m = len(vals)
+    shifted = {}        # vals[m-1-i] under k - j more binders, by k*m + i
 
     def go(n, k):
         cls = type(n)
         if cls not in _VARS:
             return rebuild(n, go, k)
-        if n.idx != k:
-            return cls(n.idx - 1) if n.idx > k else n
+        i = n.idx - k
+        if i < 0:
+            return n
+        if i >= m:
+            return cls(n.idx - m)
+        val = vals[m - 1 - i]
         got = _SORTS.get(type(val), type(val).__name__)
         if got != _SORTS[cls]:
             raise KernelError(f"{got} substituted into {_SORTS[cls]} position")
-        out = shifted.get(k)
+        key = k * m + i
+        out = shifted.get(key)
         if out is None:
-            out = shifted[k] = shift(val, k - j)
+            out = shifted[key] = shift(val, k - j)
         return out
     return go(node, j)
 

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from . import syntax as S
 from .erasure import PureTerm, embed, erase, free_in_erasure
-from .normalize import Fuel, FuelExhausted, alpha_eq, normalize
+from .normalize import Fuel, FuelExhausted, alpha_eq, free_indices, normalize
 from .printer import print_classifier, print_pure
 from .syntax import (
     Decl, KernelError, Signature, occurs_index, rebuild, shift, subst,
@@ -23,11 +23,17 @@ from .syntax import (
 
 
 class CheckError(KernelError):
-    """Declaration-level failure; `kind` names the error class."""
+    """Declaration-level failure; `kind` names the error class. The message
+    may be a function that builds it; it runs on the first `str`."""
 
-    def __init__(self, kind: str, msg: str):
+    def __init__(self, kind: str, msg):
         super().__init__(msg)
         self.kind = kind
+
+    def __str__(self) -> str:
+        if callable(self.args[0]):
+            self.args = (self.args[0](),)
+        return self.args[0]
 
 
 @dataclass
@@ -80,7 +86,24 @@ class CheckReport:
 
 
 # Terms whose type is inferred, never built from the expected type.
-_ELIMINATIONS = (S.App, S.EApp, S.TApp, S.Var, S.Ref, S.Proj)
+_SPINE = (S.App, S.EApp, S.TApp)
+_ELIMINATIONS = _SPINE + (S.Var, S.Ref, S.Proj)
+
+# The binder each application form consumes, and the sort of its domain.
+_TAKES = {S.App: (S.Pi, None), S.EApp: (S.All, "type"),
+          S.TApp: (S.All, "kind")}
+# The error when the function's type is another binder (None: no binder).
+_MISAPPLIED = {
+    (S.App, S.All): "implicit function applied explicitly; use -arg or · T",
+    (S.App, None): "explicit application of a non-function",
+    (S.EApp, S.All): "this implicit product expects a type argument (· T)",
+    (S.EApp, S.Pi): "erased application to an explicit function",
+    (S.EApp, None): "erased application of a non-function",
+    (S.TApp, S.All): "this implicit product expects an erased term argument "
+                     "(-t)",
+    (S.TApp, S.Pi): "type application to an explicit function",
+    (S.TApp, None): "type application of a non-function",
+}
 
 
 class Checker:
@@ -123,9 +146,14 @@ class Checker:
                         break   # rejected: only its ascription is trusted
                     self.steps += 1
                     ty = decl.body
-                case S.TLam(_, _, body) if stack:
-                    self.steps += 1
-                    ty = subst(body, 0, stack.pop()[1])
+                case S.TLam() if stack:
+                    # one step per λ, one `subst` for all consecutive ones
+                    vals = []
+                    while type(ty) is S.TLam and stack:
+                        self.steps += 1
+                        vals.append(stack.pop()[1])
+                        ty = ty.body
+                    ty = subst(ty, 0, *vals)
                 case _:
                     break
         for app, a in reversed(stack):
@@ -318,11 +346,11 @@ class Checker:
         self._conversion_failure(inferred, w)
 
     def _conversion_failure(self, inferred: S.Type, expected: S.Type):
-        raise CheckError(
-            "conversion",
-            "type mismatch:\n"
-            f"  inferred: {print_classifier(self.type_nf(inferred))}\n"
-            f"  expected: {print_classifier(self.type_nf(expected))}")
+        def message() -> str:
+            return ("type mismatch:\n"
+                    f"  inferred: {print_classifier(self.type_nf(inferred))}\n"
+                    f"  expected: {print_classifier(self.type_nf(expected))}")
+        raise CheckError("conversion", message)
 
     def infer(self, ctx: Context, t: S.Term) -> S.Type:
         match t:
@@ -336,61 +364,8 @@ class Checker:
                 if decl is None or decl.level != "term":
                     raise CheckError("scope", f"{name} is not a term")
                 return decl.classifier
-            case S.App(f, a):
-                ft = self.type_whnf(self.infer(ctx, f))
-                match ft:
-                    case S.Pi(_, dom, cod):
-                        self.check(ctx, a, dom)
-                        return subst(cod, 0, a)
-                    case S.All(_, _, _):
-                        raise CheckError(
-                            "application",
-                            "implicit function applied explicitly; "
-                            "use -arg or · T")
-                    case _:
-                        raise CheckError("application",
-                                         "explicit application of a "
-                                         "non-function")
-            case S.EApp(f, a):
-                ft = self.type_whnf(self.infer(ctx, f))
-                match ft:
-                    case S.All(_, dom, cod) if S.is_type(dom):
-                        self.check(ctx, a, dom)
-                        return subst(cod, 0, a)
-                    case S.All(_, _, _):
-                        raise CheckError("application",
-                                         "this implicit product expects a "
-                                         "type argument (· T)")
-                    case S.Pi(_, _, _):
-                        raise CheckError("application",
-                                         "erased application to an explicit "
-                                         "function")
-                    case _:
-                        raise CheckError("application",
-                                         "erased application of a "
-                                         "non-function")
-            case S.TApp(f, ty_arg):
-                ft = self.type_whnf(self.infer(ctx, f))
-                match ft:
-                    case S.All(_, dom, cod) if S.is_kind(dom):
-                        ka = self.kind_check(ctx, ty_arg)
-                        if not self.type_conv(ka, dom):
-                            raise CheckError("kind",
-                                             "type argument has the wrong "
-                                             "kind")
-                        return subst(cod, 0, ty_arg)
-                    case S.All(_, _, _):
-                        raise CheckError("application",
-                                         "this implicit product expects an "
-                                         "erased term argument (-t)")
-                    case S.Pi(_, _, _):
-                        raise CheckError("application",
-                                         "type application to an explicit "
-                                         "function")
-                    case _:
-                        raise CheckError("application",
-                                         "type application of a "
-                                         "non-function")
+            case S.App(_, _) | S.EApp(_, _) | S.TApp(_, _):
+                return self._infer_spine(ctx, t)
             case S.Proj(sub, which):
                 st = self.type_whnf(self.infer(ctx, sub))
                 if not isinstance(st, S.Iota):
@@ -415,6 +390,53 @@ class Checker:
         raise CheckError("cannot-infer",
                          f"cannot synthesize a type for this "
                          f"{type(t).__name__} term")
+
+    def _infer_spine(self, ctx: Context, t: S.Term) -> S.Type:
+        """The type of an application spine `h a1 ... an`. The head is
+        inferred once; each argument peels one binder off its type, and the
+        consumed arguments stay pending until a domain, a non-binder or the
+        final codomain needs them, which one `subst` then instantiates."""
+        apps = []
+        while isinstance(t, _SPINE):
+            apps.append(t)
+            t = t.fn
+        ty = self.infer(ctx, t)
+        pending: list = []      # the arguments of the binders peeled from ty
+        peeled: list = []       # (binder body, argument) for every argument
+
+        def inst(node):
+            return subst(node, 0, *pending) if pending else node
+
+        try:
+            for app in reversed(apps):
+                if not isinstance(ty, (S.Pi, S.All)):
+                    ty = self.type_whnf(inst(ty))
+                    pending.clear()
+                binder, dom_sort = _TAKES[type(app)]
+                if type(ty) is not binder or (
+                        dom_sort and S.sort_of(ty.dom) != dom_sort):
+                    got = type(ty) if isinstance(ty, (S.Pi, S.All)) else None
+                    raise CheckError("application",
+                                     _MISAPPLIED[type(app), got])
+                if type(app) is S.TApp:
+                    a = app.ty
+                    if not self.type_conv(self.kind_check(ctx, a),
+                                          inst(ty.dom)):
+                        raise CheckError("kind",
+                                         "type argument has the wrong kind")
+                else:
+                    a = app.arg
+                    self.check(ctx, a, inst(ty.dom))
+                pending.append(a)
+                peeled.append((ty.body, a))
+                ty = ty.body
+            return inst(ty)
+        except KernelError:
+            # Instantiating after each argument would have met a sort clash
+            # of an earlier argument before this error: that one is raised.
+            for body, a in peeled:
+                subst(body, 0, a)
+            raise
 
     # --- the ρ rule -------------------------------------------------------
 
@@ -465,7 +487,15 @@ class Checker:
 
     def _matches(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm) -> bool:
         te = erase(t)
-        return alpha_eq(te, lhs) or alpha_eq(self._nf(te), lhs_nf)
+        if alpha_eq(te, lhs):
+            return True
+        # β and η never add a free variable, and δ unfolds only checked
+        # definitions, whose normal forms are closed (a rejected one stays a
+        # neutral head). So `te` can normalize to `lhs_nf` only if every
+        # variable free in `lhs_nf` is free in `te`.
+        if not free_indices(lhs_nf) <= free_indices(te):
+            return False
+        return alpha_eq(self._nf(te), lhs_nf)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +574,12 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
         row = DeclReport(decl.name, decl.level, "ok", decl.classifier)
         error: Optional[KernelError] = None
         try:
-            _check_decl(checker, decl)
-        except KernelError as e:
-            error = e
+            try:
+                _check_decl(checker, decl)
+            except KernelError as e:
+                error = e
+                if not decl.expect_fail:
+                    str(e)      # build a deferred message here, under the guard
         except RecursionError:
             error = KernelError("depth exhausted")
         row.steps_used = checker.steps
@@ -560,8 +593,8 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
             else:
                 kind = getattr(error, "kind", "error")
                 row.assertions.append(AssertionOutcome(
-                    f"fails {decl.name}", True, f"failed as expected ({kind}: "
-                                                f"{error})"))
+                    f"fails {decl.name}", True,
+                    f"failed as expected ({kind})"))
         elif error is not None:
             row.status = "type error"
             row.error = str(error)

@@ -73,3 +73,66 @@ def test_every_random_term_with_a_free_index_rejects_a_type():
         if occurs_index(t, 0):
             with pytest.raises(KernelError):
                 subst(t, 0, S.TRef("Nat"))
+
+
+# --- substituting several values in one walk --------------------------------
+
+_SAMPLE_VALUES = {     # an open value of each variable flavor, by class
+    S.Var: S.App(S.Var(3), S.Var(0)),
+    S.TVar: S.AppT(S.TVar(2), S.TRef("Nat")),
+    S.PVar: S.PApp(S.PVar(0), S.PVar(4)),
+}
+
+
+def _flavors(node):
+    """The variable class of each index free in `node`, by index."""
+    out, todo = {}, [(node, 0)]
+    while todo:
+        n, d = todo.pop()
+        if type(n) in (S.Var, S.TVar, S.PVar):
+            if n.idx >= d:
+                out.setdefault(n.idx - d, type(n))
+        else:
+            todo += S.subtrees(n, d)
+    return out
+
+
+def one_at_a_time(node, j, vals):
+    """`subst(node, j, *vals)` as a sequence of one-value substitutions,
+    outermost index first; each value is lifted over the indices that are
+    still to be substituted."""
+    for i, val in enumerate(vals):
+        r = len(vals) - 1 - i
+        node = subst(node, j + r, shift(val, r, j))
+    return node
+
+
+def test_variadic_subst_equals_one_value_at_a_time(corpus_sig):
+    tried = 0
+    for t in _samples(corpus_sig):
+        flavors = _flavors(t)
+        for j in (0, 1):
+            for m in (1, 2, 3):
+                # vals[i] replaces index j + m - 1 - i
+                vals = [_SAMPLE_VALUES[flavors.get(j + m - 1 - i, S.Var)]
+                        for i in range(m)]
+                assert subst(t, j, *vals) == one_at_a_time(t, j, vals), t
+                tried += 1
+    assert tried > 3000
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("node, good, bad", [
+    (S.App(S.App(S.Var(0), S.Var(1)), S.Var(2)), S.Var(5), S.TRef("Nat")),
+    (S.AppT(S.AppT(S.TVar(0), S.TVar(1)), S.TVar(2)), S.TRef("Nat"),
+     S.Var(5)),
+    (S.PApp(S.PApp(S.PVar(0), S.PVar(1)), S.PVar(2)), S.PVar(5),
+     S.TRef("Nat")),
+])
+def test_a_wrong_sort_at_any_position_of_vals_raises(node, good, bad,
+                                                     position):
+    vals = [good] * 3
+    assert subst(node, 0, *vals) is not None
+    vals[position] = bad
+    with pytest.raises(KernelError, match="substituted into"):
+        subst(node, 0, *vals)

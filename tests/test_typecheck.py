@@ -375,3 +375,131 @@ def test_fuel_exhaustion_reported_per_declaration():
     assert [r.name for r in rows if not r.ok] == ["c65k"]
     assert "fuel exhausted" in rows[-2].error
     assert rows[-1].name == "after" and rows[-1].ok
+
+
+# --- application spines --------------------------------------------------
+
+SPINE_DEFS = (
+    "f ◂ ∀ A : ★ . Π x : A . Π y : A . A = Λ A . λ x . λ y . x .\n"
+    "g ◂ ∀ A : ★ . ∀ n : Nat . Π x : A . A = Λ A . Λ n . λ x . x .\n"
+    "h ◂ ∀ A : ★ . ∀ B : ★ . Π x : A . A = Λ A . Λ B . λ x . x .\n"
+    "k ◂ ∀ A : ★ . Π x : A . A = Λ A . λ x . x .\n"
+    "p ◂ ∀ A : ★ . ∀ F : ★ ➔ ★ . Nat = Λ A . Λ F . zero .\n"
+)
+
+
+@pytest.mark.parametrize("body, message", [
+    # the second argument
+    ("Λ B . λ b . g · Nat zero",
+     "implicit function applied explicitly; use -arg or · T"),
+    ("Λ B . λ b . h · Nat -zero",
+     "this implicit product expects a type argument (· T)"),
+    ("Λ B . λ b . f · Nat -zero",
+     "erased application to an explicit function"),
+    ("Λ B . λ b . p · Nat · Nat", "type argument has the wrong kind"),
+    ("Λ B . λ b . g · Nat · Nat",
+     "this implicit product expects an erased term argument (-t)"),
+    ("Λ B . λ b . f · Nat · Nat", "type application to an explicit function"),
+    # the third argument
+    ("Λ B . λ b . k · B b b", "explicit application of a non-function"),
+    ("Λ B . λ b . k · B b -b", "erased application of a non-function"),
+    ("Λ B . λ b . k · B b · B", "type application of a non-function"),
+    ("Λ B . λ b . f · Nat zero suc", SUC_NOT_NAT),
+])
+def test_application_errors_deep_in_a_spine(body, message):
+    rows = check_text(
+        SPINE_DEFS + f"bad ◂ ∀ B : ★ . Π b : B . Nat = {body} .\n",
+        base=nat_sig())
+    assert all(r.ok for r in rows[:-1]), [r.error for r in rows]
+    assert rows[-1].status == "type error"
+    assert rows[-1].error == message
+
+
+def test_spine_through_a_definition_of_a_function_type():
+    # after `· Nat suc` the remaining type `Endo · A` is not a binder; it
+    # is instantiated and weak-head normalized before `zero` is checked
+    rows = check_text(
+        "Endo ◂ ★ ➔ ★ = λ A : ★ . A ➔ A .\n"
+        "twice ◂ ∀ A : ★ . Endo · A ➔ Endo · A = Λ A . λ f . λ x . f (f x) .\n"
+        "two ◂ Nat = twice · Nat suc zero .\n"
+        "bad ◂ Nat = twice · Nat suc suc .\n", base=nat_sig())
+    assert [r.ok for r in rows] == [True, True, True, False]
+    assert rows[3].error == SUC_NOT_NAT
+
+
+@pytest.mark.parametrize("text, message", [
+    # a type variable named inside an equation is only scope-checked, so
+    # the sort clash of `· Nat` surfaces when its codomain is instantiated,
+    # before the ill-typed second argument is looked at
+    ("E ◂ ★ = ∀ X : ★ . Π x : Nat . {X ≃ X} .\n"
+     "e ◂ E = Λ X . λ x . β .\n"
+     "use ◂ {zero ≃ zero} = e · Nat (zero zero) .\n",
+     "type substituted into term position"),
+    # a rejected ascription is trusted as written
+    ("bad ◂ Π x : Nat . Π y : Nat . x = λ x . λ y . x .\n"
+     "use ◂ Nat = bad zero (zero zero) .\n",
+     "term substituted into type position"),
+])
+def test_a_sort_clash_of_an_earlier_argument_is_raised_first(text, message):
+    rows = check_text(text, base=nat_sig())
+    assert rows[-1].error == message
+
+
+# --- mismatch messages are built only when shown -------------------------
+
+def test_an_expected_mismatch_is_never_printed(monkeypatch):
+    import cedlite.typecheck as tc
+    printed = []
+
+    def counting(node, *args):
+        printed.append(node)
+        return print_classifier(node, *args)
+
+    monkeypatch.setattr(tc, "print_classifier", counting)
+    rows = check_text("#assert-fail bad ◂ ∀ n : Nat . Nat = suc .\n",
+                      base=nat_sig())
+    assert rows[0].ok and rows[0].assertions[0].ok
+    assert rows[0].assertions[0].detail == "failed as expected (conversion)"
+    assert printed == []
+    rows = check_text("bad ◂ ∀ n : Nat . Nat = suc .\n", base=nat_sig())
+    assert rows[0].error == SUC_NOT_NAT
+    assert len(printed) == 2
+
+
+def test_a_mismatch_too_deep_to_print_is_depth_exhausted(monkeypatch):
+    import cedlite.typecheck as tc
+
+    def too_deep(node, *args):
+        raise RecursionError
+
+    monkeypatch.setattr(tc, "print_classifier", too_deep)
+    rows = check_text("bad ◂ ∀ n : Nat . Nat = suc .\n"
+                      "#assert-fail bad2 ◂ ∀ n : Nat . Nat = suc .\n",
+                      base=nat_sig())
+    assert rows[0].error == "depth exhausted"
+    assert rows[1].ok and rows[1].assertions[0].ok
+
+
+# --- rejected definitions -------------------------------------------------
+
+LEAK = ("leak ◂ ∀ A : ★ . ∀ a : A . A = Λ A . Λ a . a .\n"
+        "use ◂ ∀ A : ★ . ∀ a : A . A = Λ A . Λ a . leak · A -a .\n")
+
+
+def test_a_rejected_term_definition_is_not_unfolded():
+    sig = parse_signature(LEAK)
+    leak, use = check_signature(sig).decls
+    assert leak.error == ("implicit binder a occurs in the erasure of its "
+                          "body")
+    assert use.ok and use.erasure_nf == "leak"
+    assert use.steps_used == 0
+
+
+def test_rho_skips_positions_lacking_a_free_variable_of_the_lhs(monkeypatch):
+    # the closed `zero` cannot normalize to the open `PVar(0)`, so it is
+    # not normalized at all
+    from cedlite.erasure import PVar
+    checker = Checker(nat_sig())
+    monkeypatch.setattr(checker, "_nf", lambda p: pytest.fail("normalized"))
+    assert not checker._matches(S.Ref("zero"), PVar(0), PVar(0))
+    assert checker._matches(S.Var(0), PVar(0), PVar(0))
