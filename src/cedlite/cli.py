@@ -76,6 +76,14 @@ def _find_term(sig: Signature, name: str):
     return decl
 
 
+def _checked_terms(args):
+    """The files' checked signature (a rejected definition stays opaque;
+    the report is not shown) and the term definitions named."""
+    sig = parse_files(args.files)
+    check_signature(sig, args.fuel)
+    return sig, [_find_term(sig, name) for name in args.names]
+
+
 def cmd_check(args) -> int:
     sig = load_corpus() if args.files is None else parse_files(args.files)
     report = check_signature(sig, args.fuel, ascii_only=args.ascii)
@@ -90,24 +98,21 @@ def cmd_erase(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    sig = parse_files(args.files)
-    decl = _find_term(sig, args.names[0])
+    sig, (decl,) = _checked_terms(args)
     nf = normalize(erase(decl.body), sig, args.fuel)
     print(print_pure(nf.term, ascii_only=args.ascii))
     return 0
 
 
 def cmd_assert_id(args) -> int:
-    sig = parse_files(args.files)
-    decl = _find_term(sig, args.names[0])
+    sig, (decl,) = _checked_terms(args)
     verdict = is_identity(erase(decl.body), sig, args.fuel)
     print(f"identity: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1
 
 
 def cmd_eq(args) -> int:
-    sig = parse_files(args.files)
-    d1, d2 = (_find_term(sig, n) for n in args.names)
+    sig, (d1, d2) = _checked_terms(args)
     verdict = conv(erase(d1.body), erase(d2.body), sig, args.fuel)
     print(f"convertible: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1

@@ -16,6 +16,7 @@ followed by `1` or `2` with no space before it is a projection.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -42,11 +43,20 @@ class ResolveError(ParseError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    pos: Pos
+class _Source:
+    """A file name and the line starts of its text; the line and column of
+    an offset are found by bisecting them."""
+
+    def __init__(self, text: str, filename: str):
+        self.filename = filename
+        self.starts = [0, *(m.end() for m in re.finditer("\n", text))]
+
+    def pos(self, at: int) -> Pos:
+        line = bisect_right(self.starts, at)
+        return Pos(line, at - self.starts[line - 1] + 1)
+
+    def fail(self, msg: str, at: int, error=ParseError):
+        raise error(msg, self.pos(at), self.filename)
 
 
 # Every spelling of a fixed token, Unicode and ASCII alike.
@@ -72,8 +82,7 @@ _SYMBOLS = sorted((s for s in _SPELLING
                    if not (s.isascii() and s.isalpha())),
                   key=len, reverse=True)
 _TOKEN = re.compile("|".join([
-    r"(?P<NEWLINE>\n)",
-    r"(?P<SKIP>[ \t\r]+|--[^\n]*)",
+    r"(?P<SKIP>[ \t\r\n]+|--[^\n]*)",
     r"(?P<PROJ>(?<=[^ \t\r\n])\.[12])",
     "(?P<SYMBOL>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
     r"(?P<DASH>-(?=[ \t\r\n]|\Z))",
@@ -84,36 +93,35 @@ _TOKEN = re.compile("|".join([
 ]), re.S)
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
+def tokenize(text: str, filename: str = "<input>") -> list[tuple]:
+    """The `(kind, text, offset)` tokens of `text`, ending with `EOF`."""
+    toks = []
     for m in _TOKEN.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-            continue
+        kind = m.lastgroup
         if kind == "SKIP":
             continue
-        pos = Pos(line, m.start() - line_start + 1)
+        word = m.group()
         if kind in ("SYMBOL", "WORD"):
             kind = _SPELLING.get(word, "IDENT")
         if kind == "IDENT" and not (word[0].isalpha() or word[0] == "_"):
             kind = "BAD"    # a word cannot start with a numeral such as ½
+        elif kind == "PROJ":
+            word = word[1]
         if kind == "BAD":
-            raise ParseError(f"stray {word!r}" if word in ("/", "<")
-                             else f"unexpected character {word[0]!r}",
-                             pos, filename)
-        toks.append(Token(kind, word[1] if kind == "PROJ" else word, pos))
-    toks.append(Token("EOF", "", Pos(line, len(text) - line_start + 1)))
+            _Source(text, filename).fail(
+                f"stray {word!r}" if word in ("/", "<")
+                else f"unexpected character {word[0]!r}", m.start())
+        toks.append((kind, word, m.start()))
+    toks.append(("EOF", "", len(text)))
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Surface AST (names unresolved)
+# Surface AST (names unresolved; `at` is the offset of the node's first token)
 
 @dataclass
 class SNode:
-    pos: Pos
+    at: int
 
 
 @dataclass
@@ -194,69 +202,65 @@ _ATOM_STARTERS = {"IDENT", "LPAREN", "LBRACKET", "BETA", "STAR", "LBRACE"}
 _HEADS = {"PI": "pi", "FORALL": "all", "IOTA": "iota",
           "ARROW": "pi", "FATARROW": "all"}
 
+_APP_STYLES = {"ERASED": "erased", "CDOT": "type"}
+_ID_ASSERTIONS = {"#assert-id": "identity", "#assert-not-id": "not-identity"}
+
 
 class _Parser:
-    def __init__(self, toks: list[Token], filename: str):
-        self.toks = toks
-        self.i = 0
-        self.filename = filename
+    def __init__(self, toks: list[tuple], src: _Source):
+        self.toks, self.i, self.src = toks, 0, src
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.toks[self.i][0]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, kind: str) -> Token:
-        t = self.next()
-        if t.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {t.kind} {t.text!r}",
-                t.pos, self.filename)
-        return t
+    def expect(self, kind: str) -> str:
+        """The text of the next token, which must be of `kind`."""
+        got, text, at = self.next()
+        if got != kind:
+            self.src.fail(f"expected {kind}, found {got} {text!r}", at)
+        return text
 
     # expression grammar, loosest first:
     #   expr   := binders | ρ ... | ς expr | arrows (≃ arrows)?
     #   arrows := app ((➔|➾) expr)?
     #   app    := atom (atom | -atom | · atom)*
     def parse_expr(self) -> SNode:
-        t = self.peek()
-        if t.kind == "LAM":
-            self.next()
-            binder = self.expect("IDENT").text
+        kind, _, at = self.next()
+        if kind == "LAM":
+            binder = self.expect("IDENT")
             ann = None
-            if self.peek().kind == "COLON":
-                self.next()
+            if self.peek() == "COLON":
+                self.i += 1
                 ann = self.parse_expr()
             self.expect("DOT")
-            return SLam(t.pos, binder, ann, self.parse_expr())
-        if t.kind == "BIGLAM":
-            self.next()
-            binder = self.expect("IDENT").text
+            return SLam(at, binder, ann, self.parse_expr())
+        if kind == "BIGLAM":
+            binder = self.expect("IDENT")
             self.expect("DOT")
-            return SBigLam(t.pos, binder, self.parse_expr())
-        if t.kind in ("PI", "FORALL", "IOTA"):
-            self.next()
-            binder = self.expect("IDENT").text
+            return SBigLam(at, binder, self.parse_expr())
+        if kind in ("PI", "FORALL", "IOTA"):
+            binder = self.expect("IDENT")
             self.expect("COLON")
             cls = self.parse_expr()
             self.expect("DOT")
-            return SBinder(t.pos, _HEADS[t.kind], binder, cls,
-                           self.parse_expr())
-        if t.kind in ("RHO", "RHOPLUS"):
-            self.next()
+            return SBinder(at, _HEADS[kind], binder, cls, self.parse_expr())
+        if kind in ("RHO", "RHOPLUS"):
             proof = self.parse_proof()
             self.expect("DASH")
-            return SRho(t.pos, t.kind == "RHOPLUS", proof, self.parse_expr())
-        if t.kind == "SIGMA":
-            self.next()
-            return SSigma(t.pos, self.parse_expr())
+            return SRho(at, kind == "RHOPLUS", proof, self.parse_expr())
+        if kind == "SIGMA":
+            return SSigma(at, self.parse_expr())
+        self.i -= 1     # none of the above: the token starts an operand
         lhs = self.parse_arrows()
-        if self.peek().kind == "SIMEQ":
-            self.next()
-            return SEq(lhs.pos, lhs, self.parse_arrows())
+        if self.peek() == "SIMEQ":
+            self.i += 1
+            return SEq(lhs.at, lhs, self.parse_arrows())
         return lhs
 
     def parse_whole(self) -> SNode:
@@ -266,124 +270,114 @@ class _Parser:
         return node
 
     def parse_proof(self) -> SNode:
-        t = self.peek()
-        if t.kind == "SIGMA":
-            self.next()
-            return SSigma(t.pos, self.parse_proof())
+        kind, _, at = self.toks[self.i]
+        if kind == "SIGMA":
+            self.i += 1
+            return SSigma(at, self.parse_proof())
         return self.parse_app()
 
     def parse_arrows(self) -> SNode:
         lhs = self.parse_app()
-        t = self.peek()
-        if t.kind in ("ARROW", "FATARROW"):
+        kind = self.peek()
+        if kind in ("ARROW", "FATARROW"):
             # the codomain extends maximally right and may itself bind
-            self.next()
-            return SBinder(lhs.pos, _HEADS[t.kind], "", lhs, self.parse_expr())
+            self.i += 1
+            return SBinder(lhs.at, _HEADS[kind], "", lhs, self.parse_expr())
         return lhs
 
     def parse_app(self) -> SNode:
         node = self.parse_atom()
         while True:
-            t = self.peek()
-            if t.kind in _ATOM_STARTERS:
-                node = SApp(node.pos, "explicit", node, self.parse_atom())
-            elif t.kind == "ERASED":
-                self.next()
-                node = SApp(node.pos, "erased", node, self.parse_atom())
-            elif t.kind == "CDOT":
-                self.next()
-                node = SApp(node.pos, "type", node, self.parse_atom())
+            kind = self.peek()
+            if kind in _ATOM_STARTERS:
+                node = SApp(node.at, "explicit", node, self.parse_atom())
+            elif kind in _APP_STYLES:
+                self.i += 1
+                node = SApp(node.at, _APP_STYLES[kind], node, self.parse_atom())
             else:
                 return node
 
     def parse_atom(self) -> SNode:
-        t = self.next()
-        if t.kind == "IDENT":
-            return self.postfix(SVar(t.pos, t.text))
-        if t.kind == "LPAREN":
+        kind, text, at = self.next()
+        if kind == "IDENT":
+            return self.postfix(SVar(at, text))
+        if kind == "LPAREN":
             e = self.parse_expr()
             self.expect("RPAREN")
             return self.postfix(e)
-        if t.kind == "LBRACKET":
+        if kind == "LBRACKET":
             left = self.parse_expr()
             self.expect("COMMA")
             right = self.parse_expr()
             self.expect("RBRACKET")
-            return self.postfix(SPair(t.pos, left, right))
-        if t.kind == "BETA":
-            if self.peek().kind == "LBRACE":
-                self.next()
+            return self.postfix(SPair(at, left, right))
+        if kind == "BETA":
+            if self.peek() == "LBRACE":
+                self.i += 1
                 w = self.parse_expr()
                 self.expect("RBRACE")
-                return SBeta(t.pos, w)
-            return SBeta(t.pos, None)
-        if t.kind == "STAR":
-            return SStar(t.pos)
-        if t.kind == "LBRACE":
+                return SBeta(at, w)
+            return SBeta(at, None)
+        if kind == "STAR":
+            return SStar(at)
+        if kind == "LBRACE":
             lhs = self.parse_arrows()
             self.expect("SIMEQ")
             rhs = self.parse_arrows()
             self.expect("RBRACE")
-            return self.postfix(SEq(t.pos, lhs, rhs))
-        raise ParseError(
-            f"expected a term or type, found {t.kind} {t.text!r}",
-            t.pos, self.filename)
+            return self.postfix(SEq(at, lhs, rhs))
+        self.src.fail(f"expected a term or type, found {kind} {text!r}", at)
 
     def postfix(self, node: SNode) -> SNode:
-        while self.peek().kind == "PROJ":
-            t = self.next()
-            node = SProj(t.pos, node, int(t.text))
+        while self.peek() == "PROJ":
+            _, text, at = self.next()
+            node = SProj(at, node, int(text))
         return node
 
     # --- declarations and directives ------------------------------------
 
     def parse_decl_core(self) -> tuple[str, SNode, SNode, Pos]:
-        name_tok = self.expect("IDENT")
+        pos = self.src.pos(self.toks[self.i][2])
+        name = self.expect("IDENT")
         self.expect("ASCRIBE")
         classifier = self.parse_expr()
         self.expect("EQUALS")
         body = self.parse_expr()
         self.expect("DOT")
-        return name_tok.text, classifier, body, name_tok.pos
+        return name, classifier, body, pos
 
     def parse_items(self) -> list:
         items = []
         while True:
-            t = self.peek()
-            if t.kind == "EOF":
+            kind, text, at = self.toks[self.i]
+            if kind == "EOF":
                 return items
-            if t.kind == "DIRECTIVE":
+            if kind == "DIRECTIVE":
                 items.append(self.parse_directive())
-                continue
-            if t.kind == "IDENT":
+            elif kind == "IDENT":
                 items.append(("decl", self.parse_decl_core(), False))
-                continue
-            raise ParseError(
-                f"expected a declaration or directive, "
-                f"found {t.kind} {t.text!r}", t.pos, self.filename)
+            else:
+                self.src.fail(f"expected a declaration or directive, "
+                              f"found {kind} {text!r}", at)
 
     def parse_directive(self):
-        t = self.next()
-        if t.text == "#assert-id":
-            return ("assert", Assertion("identity", self.expect("IDENT").text,
-                                        pos=t.pos))
-        if t.text == "#assert-not-id":
-            return ("assert", Assertion("not-identity",
-                                        self.expect("IDENT").text, pos=t.pos))
-        if t.text == "#assert-eq":
-            a = self.expect("IDENT").text
-            b = self.expect("IDENT").text
-            return ("assert", Assertion("erase-equal", a, other=b, pos=t.pos))
-        if t.text == "#assert-erase":
-            name = self.expect("IDENT").text
+        _, text, at = self.next()
+        pos = self.src.pos(at)
+        if text in _ID_ASSERTIONS:
+            return ("assert", Assertion(_ID_ASSERTIONS[text],
+                                        self.expect("IDENT"), pos=pos))
+        if text == "#assert-eq":
+            a, b = self.expect("IDENT"), self.expect("IDENT")
+            return ("assert", Assertion("erase-equal", a, other=b, pos=pos))
+        if text == "#assert-erase":
+            name = self.expect("IDENT")
             self.expect("EQUALS")
             payload = self.parse_expr()
             self.expect("DOT")
-            return ("assert-erase", name, payload, t.pos)
-        if t.text == "#assert-fail":
+            return ("assert-erase", name, payload, pos)
+        if text == "#assert-fail":
             return ("decl", self.parse_decl_core(), True)
-        raise ParseError(f"unknown directive {t.text}", t.pos,
-                         self.filename)
+        self.src.fail(f"unknown directive {text}", at)
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +393,17 @@ _TYPE_BINDERS = {"all": S.All, "pi": S.Pi, "iota": S.Iota}
 
 
 class _Elab:
-    """Elaborates under a stack of binder names; discard it once it raises."""
+    """Elaborates under a stack of binder names; discard it once it raises.
+    Every node it builds is interned, so equal subterms are one object."""
 
-    def __init__(self, sig: Signature, filename: str = "<input>"):
-        self.sig = sig
-        self.filename = filename
+    def __init__(self, sig: Optional[Signature], src: _Source):
+        self.sig = sig if sig is not None else Signature()
+        self.src = src
         self.env: list[str] = []  # binder names, innermost last
+        self.mk = S.interner()
 
-    def fail(self, msg: str, pos: Optional[Pos]):
-        raise ResolveError(msg, pos, self.filename)
+    def fail(self, msg: str, at: int):
+        self.src.fail(msg, at, ResolveError)
 
     def under(self, binder: str, elab, s: SNode):
         """`elab(s)` with `binder` bound innermost."""
@@ -420,51 +416,53 @@ class _Elab:
         """A bound name as `var(index)`, else a `level` definition as `ref`."""
         for depth, bound in enumerate(reversed(self.env)):
             if bound == s.name:
-                return var(depth)
+                return self.mk(var, depth)
         decl = self.sig.lookup(s.name)
         if decl is None:
-            self.fail(f"unbound identifier {s.name}", s.pos)
+            self.fail(f"unbound identifier {s.name}", s.at)
         if decl.level != level:
             self.fail(f"{s.name} is a {decl.level}-level definition, "
-                      f"not a {level}", s.pos)
-        return ref(s.name)
+                      f"not a {level}", s.at)
+        return self.mk(ref, s.name)
 
     def classifier(self, s: SNode) -> Union[S.Type, S.Kind]:
         return self.kind(s) if _is_kind_syntax(s) else self.type(s)
 
     def term(self, s: SNode) -> S.Term:
+        mk = self.mk
         match s:
             case SVar():
                 return self.resolve(s, "term", S.Var, S.Ref)
             case SLam(_, binder, ann, body):
                 a = self.type(ann) if ann is not None else None
-                return S.Lam(binder, a, self.under(binder, self.term, body))
+                return mk(S.Lam, binder, a, self.under(binder, self.term, body))
             case SBigLam(_, binder, body):
-                return S.ILam(binder, self.under(binder, self.term, body))
+                return mk(S.ILam, binder, self.under(binder, self.term, body))
             case SApp(_, style, fn, arg):
                 f = self.term(fn)
                 if style == "explicit":
-                    return S.App(f, self.term(arg))
+                    return mk(S.App, f, self.term(arg))
                 if style == "erased":
-                    return S.EApp(f, self.term(arg))
-                return S.TApp(f, self.type(arg))
+                    return mk(S.EApp, f, self.term(arg))
+                return mk(S.TApp, f, self.type(arg))
             case SPair(_, left, right):
-                return S.Pair(self.term(left), self.term(right))
+                return mk(S.Pair, self.term(left), self.term(right))
             case SProj(_, sub, which):
-                return S.Proj(self.term(sub), which)
+                return mk(S.Proj, self.term(sub), which)
             case SBeta(_, witness):
-                return S.Beta(self.term(witness) if witness else None)
+                return mk(S.Beta, self.term(witness) if witness else None)
             case SRho(_, plus, proof, body):
-                return S.Rho(self.term(proof), self.term(body), plus)
+                return mk(S.Rho, self.term(proof), self.term(body), plus)
             case SSigma(_, proof):
-                return S.Symm(self.term(proof))
-            case SEq(pos, _, _) | SBinder(pos, _, _, _, _):
-                self.fail("type syntax in a term position", pos)
-            case SStar(pos):
-                self.fail("★ in a term position", pos)
+                return mk(S.Symm, self.term(proof))
+            case SEq(at, _, _) | SBinder(at, _, _, _, _):
+                self.fail("type syntax in a term position", at)
+            case SStar(at):
+                self.fail("★ in a term position", at)
         raise TypeError(s)
 
     def type(self, s: SNode) -> S.Type:
+        mk = self.mk
         match s:
             case SVar():
                 return self.resolve(s, "type", S.TVar, S.TRef)
@@ -472,57 +470,58 @@ class _Elab:
                 # ∀ X : κ may bind a type; the arrow A ➾ B takes a type
                 dom = self.classifier(cls) if head == "all" and binder \
                     else self.type(cls)
-                return _TYPE_BINDERS[head](binder, dom,
-                                           self.under(binder, self.type, body))
-            case SLam(pos, binder, ann, body):
+                return mk(_TYPE_BINDERS[head], binder, dom,
+                          self.under(binder, self.type, body))
+            case SLam(at, binder, ann, body):
                 if ann is None:
-                    self.fail("type-level λ binders must be annotated", pos)
+                    self.fail("type-level λ binders must be annotated", at)
                 dom = self.classifier(ann)
-                return S.TLam(binder, dom, self.under(binder, self.type, body))
+                return mk(S.TLam, binder, dom,
+                          self.under(binder, self.type, body))
             case SApp(_, style, fn, arg):
                 f = self.type(fn)
                 if style == "type":
-                    return S.AppT(f, self.type(arg))
+                    return mk(S.AppT, f, self.type(arg))
                 if style == "explicit":
-                    return S.AppTm(f, self.term(arg))
-                self.fail("erased application in a type position", s.pos)
+                    return mk(S.AppTm, f, self.term(arg))
+                self.fail("erased application in a type position", s.at)
             case SEq(_, lhs, rhs):
-                return S.Eq(self.term(lhs), self.term(rhs))
-            case SStar(pos):
-                self.fail("★ is a kind, not a type", pos)
-            case SBigLam(pos, _, _) | SBeta(pos, _) | SRho(pos, _, _, _) \
-                    | SSigma(pos, _) | SPair(pos, _, _) | SProj(pos, _, _):
-                self.fail("term syntax in a type position", pos)
+                return mk(S.Eq, self.term(lhs), self.term(rhs))
+            case SStar(at):
+                self.fail("★ is a kind, not a type", at)
+            case SBigLam(at, _, _) | SBeta(at, _) | SRho(at, _, _, _) \
+                    | SSigma(at, _) | SPair(at, _, _) | SProj(at, _, _):
+                self.fail("term syntax in a type position", at)
         raise TypeError(s)
 
     def kind(self, s: SNode) -> S.Kind:
         """`s` is kind syntax: ★, or a Π (or ➔) ending in ★."""
         if isinstance(s, SStar):
-            return S.Star()
+            return self.mk(S.Star)
         dom = self.classifier(s.cls)
-        return (S.KPiK if S.is_kind(dom) else S.KPi)(
-            s.binder, dom, self.under(s.binder, self.kind, s.body))
+        return self.mk(S.KPiK if S.is_kind(dom) else S.KPi, s.binder, dom,
+                       self.under(s.binder, self.kind, s.body))
 
 
-def _elaborate_items(items, sig: Signature, filename: str) -> None:
+def _elaborate_items(items, sig: Signature, src: _Source) -> None:
     for item in items:
         match item:
             case ("decl", (name, cls_s, body_s, pos), expect_fail):
                 if not expect_fail and name in sig:
                     raise ResolveError(f"duplicate definition {name}", pos,
-                                       filename)
-                elab = _Elab(sig, filename)
+                                       src.filename)
+                elab = _Elab(sig, src)
                 classifier = elab.classifier(cls_s)
                 level = "type" if S.is_kind(classifier) else "term"
                 body = (elab.type if level == "type" else elab.term)(body_s)
                 sig.add(Decl(name, level, classifier, body, pos=pos,
                              expect_fail=expect_fail))
             case ("assert", assertion):
-                _attach(sig, assertion, filename)
+                _attach(sig, assertion, src.filename)
             case ("assert-erase", name, payload_s, pos):
-                payload = _Elab(sig, filename).term(payload_s)
+                payload = _Elab(sig, src).term(payload_s)
                 _attach(sig, Assertion("erases-to", name, payload=payload,
-                                       pos=pos), filename)
+                                       pos=pos), src.filename)
 
 
 def _attach(sig: Signature, assertion: Assertion,
@@ -546,10 +545,11 @@ def _attach(sig: Signature, assertion: Assertion,
 # Entry points
 
 def _read(text: str, filename: str, parse, elaborate):
-    """Parse all of `text` with `parse`, then `elaborate` the result.
-    Nesting too deep for Python's recursion limit is a parse error."""
+    """`elaborate(parse(...), source)` of all of `text`. Nesting too deep
+    for Python's recursion limit is a parse error."""
+    src = _Source(text, filename)
     try:
-        return elaborate(parse(_Parser(tokenize(text, filename), filename)))
+        return elaborate(parse(_Parser(tokenize(text, filename), src)), src)
     except RecursionError:
         raise ParseError("nesting too deep", None, filename) from None
 
@@ -564,7 +564,7 @@ def parse_signature(text: str, filename: str = "<input>",
     n_assertions = [len(d.assertions) for d in sig.decls]
     try:
         _read(text, filename, _Parser.parse_items,
-              lambda items: _elaborate_items(items, sig, filename))
+              lambda items, src: _elaborate_items(items, sig, src))
     except ParseError:
         sig.truncate(n_decls)
         for d, n in zip(sig.decls, n_assertions):
@@ -584,11 +584,11 @@ def parse_files(paths, sig: Optional[Signature] = None) -> Signature:
 
 def parse_term(text: str, sig: Optional[Signature] = None) -> S.Term:
     """Parse a standalone term (closed up to definitions in `sig`)."""
-    elab = _Elab(sig if sig is not None else Signature(), "<term>")
-    return _read(text, "<term>", _Parser.parse_whole, elab.term)
+    return _read(text, "<term>", _Parser.parse_whole,
+                 lambda s, src: _Elab(sig, src).term(s))
 
 
 def parse_type(text: str, sig: Optional[Signature] = None) -> S.Type:
     """Parse a standalone type, or a kind."""
-    elab = _Elab(sig if sig is not None else Signature(), "<type>")
-    return _read(text, "<type>", _Parser.parse_whole, elab.classifier)
+    return _read(text, "<type>", _Parser.parse_whole,
+                 lambda s, src: _Elab(sig, src).classifier(s))

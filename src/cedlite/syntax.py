@@ -8,9 +8,9 @@ type variables share one index space: the context is a single telescope
 and a binder's classifier decides which flavor it introduces.
 
 `SHAPES` says, for each node class, which fields are data, subtrees, or
-subtrees under the node's binder; `rebuild` and `subtrees` read it, and
-shifting, substitution, occurrence and every other structural walk of
-the kernel are written once on top of them.
+subtrees under the node's binder; `rebuild`, `subtrees` and `interner`
+read it, and shifting, substitution, occurrence and every other
+structural walk of the kernel are written once on top of them.
 """
 
 from __future__ import annotations
@@ -316,6 +316,22 @@ def subtrees(node, depth: int) -> list:
     """The `(subtree, d)` pairs of `node` in field order, `d` as in rebuild."""
     return [(v, depth + role) for f, role in _SUBS[type(node)]
             if (v := getattr(node, f)) is not None]
+
+
+def interner():
+    """A hash-consing `mk(cls, *fields)`: keyed by the class, the data fields
+    (binder hints included) and the subtrees' identities, it builds equal
+    subterms with equal hints as one object."""
+    table = {}
+
+    def mk(cls, *fields):
+        key = (cls, *[v if role is DATA else id(v)
+                      for v, (_, role) in zip(fields, _ROWS[cls])])
+        node = table.get(key)
+        if node is None:
+            node = table[key] = cls(*fields)
+        return node
+    return mk
 
 
 # ---------------------------------------------------------------------------

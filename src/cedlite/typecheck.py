@@ -2,9 +2,9 @@
 
 Definitional equality throughout is conversion of erasures; embedded
 term positions in types are compared that way, equality-type operands
-are required to be in scope but never themselves typed, and the ρ rule
-rewrites every occurrence whose erasure converts with the equation's
-left side.
+are never themselves typed (their free variables need only name term
+and type binders as used), and the ρ rule rewrites every occurrence
+whose erasure converts with the equation's left side.
 """
 
 from __future__ import annotations
@@ -85,6 +85,10 @@ class CheckReport:
         return None
 
 
+# What classifies the context entry of each variable node, and the error.
+_FLAVORS = {S.Var: (S.is_type, "type variable used as a term"),
+            S.TVar: (S.is_kind, "term variable used as a type")}
+
 # Terms whose type is inferred, never built from the expected type.
 _SPINE = (S.App, S.EApp, S.TApp)
 _ELIMINATIONS = _SPINE + (S.Var, S.Ref, S.Proj)
@@ -114,6 +118,7 @@ class Checker:
         self.fuel = fuel
         self.steps = 0
         self.warnings: list[str] = []
+        self._inferred: dict = {}   # see `infer`
 
     # --- conversion plumbing ---------------------------------------------
 
@@ -193,11 +198,14 @@ class Checker:
 
     # --- kinding ------------------------------------------------------------
 
-    def classifier_of(self, ctx: Context, idx: int):
+    def classifier_of(self, ctx: Context, idx: int, var):
+        """The unshifted classifier at `idx` of a `var` (`Var` or `TVar`)."""
         if idx >= len(ctx):
             raise CheckError("scope", f"variable index {idx} out of context")
-        entry = ctx[len(ctx) - 1 - idx]
-        return shift(entry.classifier, idx + 1)
+        is_sort, wrong = _FLAVORS[var]
+        if not is_sort(cls := ctx[len(ctx) - 1 - idx].classifier):
+            raise CheckError("kind", wrong)
+        return cls
 
     def classifier_wf(self, ctx: Context, c) -> None:
         """A binder's classifier is a well-formed kind or a ★-kinded type."""
@@ -216,10 +224,7 @@ class Checker:
     def kind_check(self, ctx: Context, ty: S.Type) -> S.Kind:
         match ty:
             case S.TVar(idx):
-                cls = self.classifier_of(ctx, idx)
-                if not S.is_kind(cls):
-                    raise CheckError("kind", "term variable used as a type")
-                return cls
+                return shift(self.classifier_of(ctx, idx, S.TVar), idx + 1)
             case S.TRef(name):
                 decl = self.sig.lookup(name)
                 if decl is None or decl.level != "type":
@@ -257,8 +262,14 @@ class Checker:
                                              "but its kind is not term-indexed")
                 self.check(ctx, a, kf.dom)
                 return subst(kf.body, 0, a)
-            case S.Eq(_, _):
-                # operands are scope-checked at resolution, never typed
+            case S.Eq(lhs, rhs):
+                # operands stay untyped; only free variables' flavors count
+                todo = [(lhs, 0), (rhs, 0)]
+                while todo:
+                    n, d = todo.pop()
+                    if type(n) in _FLAVORS and n.idx >= d:
+                        self.classifier_of(ctx, n.idx - d, type(n))
+                    todo += subtrees(n, d)
                 return S.Star()
         raise TypeError(ty)
 
@@ -353,43 +364,49 @@ class Checker:
         raise CheckError("conversion", message)
 
     def infer(self, ctx: Context, t: S.Term) -> S.Type:
+        """The type of `t`, memoized by the identities of `t` and `ctx` (kept
+        alive); a hit charges its steps and appends its warnings again."""
+        seen = self._inferred.get((id(t), id(ctx)))
+        if seen is not None:
+            self.steps += seen[3]
+            self.warnings += seen[4]
+            return seen[2]
+        steps, n_warnings = self.steps, len(self.warnings)
         match t:
             case S.Var(idx):
-                cls = self.classifier_of(ctx, idx)
-                if not S.is_type(cls):
-                    raise CheckError("kind", "type variable used as a term")
-                return cls
+                ty = shift(self.classifier_of(ctx, idx, S.Var), idx + 1)
             case S.Ref(name):
                 decl = self.sig.lookup(name)
                 if decl is None or decl.level != "term":
                     raise CheckError("scope", f"{name} is not a term")
-                return decl.classifier
+                ty = decl.classifier
             case S.App(_, _) | S.EApp(_, _) | S.TApp(_, _):
-                return self._infer_spine(ctx, t)
+                ty = self._infer_spine(ctx, t)
             case S.Proj(sub, which):
                 st = self.type_whnf(self.infer(ctx, sub))
                 if not isinstance(st, S.Iota):
                     raise CheckError("projection",
                                      "projection from a non-intersection")
-                if which == 1:
-                    return st.left
-                return subst(st.right, 0, S.Proj(sub, 1))
-            case S.Lam(n, ann, body):
-                if ann is None:
-                    raise CheckError("cannot-infer",
-                                     "unannotated λ binders are only "
-                                     "permitted in checking mode")
+                ty = st.left if which == 1 \
+                    else subst(st.right, 0, S.Proj(sub, 1))
+            case S.Lam(n, ann, body) if ann is not None:
                 self.ensure_star(ctx, ann)
-                body_ty = self.infer(ctx + [CtxEntry(n, ann)], body)
-                return S.Pi(n, ann, body_ty)
+                ty = S.Pi(n, ann, self.infer(ctx + [CtxEntry(n, ann)], body))
+            case S.Lam():
+                raise CheckError("cannot-infer", "unannotated λ binders are "
+                                 "only permitted in checking mode")
             case S.Symm(q):
                 qt = self.type_whnf(self.infer(ctx, q))
                 if not isinstance(qt, S.Eq):
                     raise CheckError("symmetry", "ς applied to a non-equality proof")
-                return S.Eq(qt.rhs, qt.lhs)
-        raise CheckError("cannot-infer",
-                         f"cannot synthesize a type for this "
-                         f"{type(t).__name__} term")
+                ty = S.Eq(qt.rhs, qt.lhs)
+            case _:
+                raise CheckError("cannot-infer",
+                                 f"cannot synthesize a type for this "
+                                 f"{type(t).__name__} term")
+        self._inferred[id(t), id(ctx)] = (
+            t, ctx, ty, self.steps - steps, self.warnings[n_warnings:])
+        return ty
 
     def _infer_spine(self, ctx: Context, t: S.Term) -> S.Type:
         """The type of an application spine `h a1 ... an`. The head is
@@ -469,31 +486,33 @@ class Checker:
         kinds are left alone. `node` sits under `depth` binders. Returns
         the result and the number of positions replaced."""
         count = 0
-        lhs_at: dict[int, tuple] = {}     # lhs and lhs_nf under d binders
+        lhs_at: dict[int, tuple] = {}     # lhs, lhs_nf, its frees under d
 
         def go(n, d):
             nonlocal count
             if S.is_kind(n):
                 return n
             if S.is_term(n):
-                pair = lhs_at.get(d)
-                if pair is None:
-                    pair = lhs_at[d] = (shift(lhs, d), shift(lhs_nf, d))
-                if self._matches(n, *pair):
+                at_d = lhs_at.get(d)
+                if at_d is None:
+                    nf = shift(lhs_nf, d)
+                    at_d = lhs_at[d] = (shift(lhs, d), nf, free_indices(nf))
+                if self._matches(n, *at_d):
                     count += 1
                     return shift(rhs, d)
             return rebuild(n, go, d)
         return go(node, depth), count
 
-    def _matches(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm) -> bool:
+    def _matches(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm,
+                 lhs_free: set) -> bool:
         te = erase(t)
         if alpha_eq(te, lhs):
             return True
         # β and η never add a free variable, and δ unfolds only checked
         # definitions, whose normal forms are closed (a rejected one stays a
         # neutral head). So `te` can normalize to `lhs_nf` only if every
-        # variable free in `lhs_nf` is free in `te`.
-        if not free_indices(lhs_nf) <= free_indices(te):
+        # variable free in `lhs_nf` (`lhs_free`) is free in `te`.
+        if not lhs_free <= free_indices(te):
             return False
         return alpha_eq(self._nf(te), lhs_nf)
 

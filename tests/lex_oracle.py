@@ -13,8 +13,17 @@ from two faults of this lexer that the regex lexer does not share:
 
 from __future__ import annotations
 
-from cedlite.parser import ParseError, Token
+from dataclasses import dataclass
+
+from cedlite.parser import ParseError
 from cedlite.syntax import Pos
+
+
+@dataclass
+class Token:
+    kind: str
+    text: str
+    pos: Pos
 
 _SINGLE = {
     "λ": "LAM", "Λ": "BIGLAM", "Π": "PI", "∀": "FORALL", "ι": "IOTA",

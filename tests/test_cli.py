@@ -173,3 +173,21 @@ def test_usage_errors_exit_2_with_a_message(capsys, monkeypatch, argv, env,
     assert code == 2
     assert out == ""
     assert "usage: cedlite" in err and message in err
+
+
+LEAK = ("leak ◂ ∀ A : ★ . ∀ a : A . A = Λ A . Λ a . a .\n"
+        "use ◂ ∀ A : ★ . ∀ a : A . A = Λ A . Λ a . leak · A -a .\n")
+
+
+@pytest.mark.parametrize("argv, exit_code, output", [
+    (["norm", "use"], 0, "leak"),
+    (["eq", "use", "leak"], 1, "convertible: no"),
+    (["assert-id", "use"], 1, "identity: no"),
+])
+def test_a_rejected_definition_stays_opaque_outside_check(
+        tmp_path, capsys, argv, exit_code, output):
+    f = tmp_path / "leak.ced"
+    f.write_text(LEAK, encoding="utf-8")
+    command, *names = argv
+    code, out, _ = run(capsys, command, str(f), *names)
+    assert (code, out.strip()) == (exit_code, output)

@@ -92,7 +92,7 @@ def test_tight_dash_is_erased_application_inside_rho_proof():
 
 
 def test_dashed_identifiers_lex_as_one_token():
-    kinds = [t.kind for t in tokenize("v2l-v2l xs -ys")]
+    kinds = [kind for kind, _, _ in tokenize("v2l-v2l xs -ys")]
     assert kinds == ["IDENT", "IDENT", "ERASED", "IDENT", "EOF"]
 
 

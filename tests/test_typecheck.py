@@ -428,12 +428,13 @@ def test_spine_through_a_definition_of_a_function_type():
 
 
 @pytest.mark.parametrize("text, message", [
-    # a type variable named inside an equation is only scope-checked, so
-    # the sort clash of `· Nat` surfaces when its codomain is instantiated,
-    # before the ill-typed second argument is looked at
+    # an equation naming a type variable is a kind error, so `E` is
+    # rejected; the same type written as an ascription is trusted once
+    # rejected, so the sort clash of `· Nat` surfaces when its codomain is
+    # instantiated, before the ill-typed second argument is looked at
     ("E ◂ ★ = ∀ X : ★ . Π x : Nat . {X ≃ X} .\n"
-     "e ◂ E = Λ X . λ x . β .\n"
-     "use ◂ {zero ≃ zero} = e · Nat (zero zero) .\n",
+     "bad ◂ ∀ X : ★ . Π x : Nat . {X ≃ X} = Λ X . λ x . β .\n"
+     "use ◂ {zero ≃ zero} = bad · Nat (zero zero) .\n",
      "type substituted into term position"),
     # a rejected ascription is trusted as written
     ("bad ◂ Π x : Nat . Π y : Nat . x = λ x . λ y . x .\n"
@@ -501,5 +502,25 @@ def test_rho_skips_positions_lacking_a_free_variable_of_the_lhs(monkeypatch):
     from cedlite.erasure import PVar
     checker = Checker(nat_sig())
     monkeypatch.setattr(checker, "_nf", lambda p: pytest.fail("normalized"))
-    assert not checker._matches(S.Ref("zero"), PVar(0), PVar(0))
-    assert checker._matches(S.Var(0), PVar(0), PVar(0))
+    assert not checker._matches(S.Ref("zero"), PVar(0), PVar(0), {0})
+    assert checker._matches(S.Var(0), PVar(0), PVar(0), {0})
+
+
+def test_an_equation_operand_naming_a_type_variable_is_a_kind_error():
+    rows = check_text(
+        "E ◂ ★ = ∀ X : ★ . Π x : Nat . {X ≃ X} .\n"
+        "e ◂ E = Λ X . λ x . β .\n"
+        "use ◂ {zero ≃ zero} = e · Nat zero .\n", base=nat_sig())
+    assert [r.status for r in rows] == ["type error"] * 3
+    assert rows[0].error == "type variable used as a term"
+    assert not any("substituted" in r.error for r in rows)
+
+
+def test_an_equation_operand_naming_a_term_variable_as_a_type_is_a_kind_error():
+    # `x · x`: the type argument `x` names the term variable bound by Π
+    rows = check_text(
+        "F ◂ ★ = Π x : Nat . {x · x ≃ x} .\n"
+        "G ◂ ★ = ∀ X : ★ . Π x : Nat . {(λ y : X . y) ≃ x} .\n",
+        base=nat_sig())
+    assert rows[0].error == "term variable used as a type"
+    assert rows[1].ok
