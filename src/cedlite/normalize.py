@@ -16,6 +16,11 @@ deeper, a neutral becomes its head applied to its read-back arguments.
 Each λ is η-contracted once, as soon as its body is read back; a
 bottom-up pass over a β-normal form is already an η-fixpoint.
 
+A term with no redex (no β-redex, no reference to a definition that
+checked, no η-redex) is its own normal form: one scan that builds
+nothing finds that and returns the input itself, in 0 steps, and `conv`
+of two such terms is the single α-comparison it starts with.
+
 A definition reference costs one δ-step and evaluates the definition's
 own normal form, which is memoized on the signature. A definition that
 failed to check is never unfolded: its reference is a neutral head. Fuel
@@ -190,13 +195,18 @@ def _readback(v, m: _Meter) -> PureTerm:
     return out[0]
 
 
+def _eta_body(body: PureTerm) -> bool:
+    """Is a λ over `body` an η-redex: is `body` `f 0` with 0 not free in f?"""
+    return type(body) is PApp and type(body.arg) is PVar \
+        and body.arg.idx == 0 and not occurs_index(body.fn, 0)
+
+
 def _eta(hint: str, body: PureTerm) -> PureTerm:
-    """`λ hint . body`, η-contracted if `body` is `f 0` with 0 not free in f.
+    """`λ hint . body`, η-contracted if it is an η-redex.
 
     `body` is already η-short and β-normal, so the contractum is too.
     """
-    if type(body) is PApp and type(body.arg) is PVar and body.arg.idx == 0 \
-            and not occurs_index(body.fn, 0):
+    if _eta_body(body):
         return shift(body.fn, -1)
     return PLam(hint, body)
 
@@ -212,17 +222,48 @@ def _def_nf(name: str, sig: Signature, fuel: Fuel) -> PureTerm:
     if body is None:
         body = erase(decl.body)
         sig._erasures[name] = body
-    meter = _Meter(fuel, sig)
-    nf = _readback(_eval(body, None, meter), meter)
+    nf = _normal_form(body, sig, fuel).term
     sig._def_nfs[name] = nf
     return nf
 
 
+def _has_redex(t: PureTerm, rejected) -> bool:
+    """Does `t` hold a β-redex, a reference to a definition not in
+    `rejected`, or an η-redex? An iterative scan that builds no term and
+    stops at the first one found."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        while type(t) is PLam:
+            t = t.body
+            if _eta_body(t):
+                return True
+        while type(t) is PApp:
+            todo.append(t.arg)
+            t = t.fn
+            if type(t) is PLam:
+                return True
+        if type(t) is PRef:
+            if t.name not in rejected:
+                return True
+        elif type(t) is not PVar:
+            return True             # not a pure term: `_eval` reports it
+    return False
+
+
+def _normal_form(t: PureTerm, sig: Signature, fuel: Fuel) -> NormalForm:
+    """`normalize` without the public name: a term with no redex is its
+    own normal form, reached in 0 steps; any other is evaluated and read
+    back."""
+    if not _has_redex(t, sig.rejected):
+        return NormalForm(t, 0)
+    meter = _Meter(fuel, sig)
+    return NormalForm(_readback(_eval(t, None, meter), meter), meter.used)
+
+
 def normalize(t: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> NormalForm:
     """The βδη-normal form of `t`, and the β/δ steps it took."""
-    meter = _Meter(fuel, sig)
-    out = _readback(_eval(t, None, meter), meter)
-    return NormalForm(out, meter.used)
+    return _normal_form(t, sig, fuel)
 
 
 def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
@@ -269,8 +310,10 @@ def conv(t1: PureTerm, t2: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> boo
     """Definitional equality: α-equality of βδη-normal forms."""
     if alpha_eq(t1, t2):
         return True
-    return alpha_eq(normalize(t1, sig, fuel).term,
-                    normalize(t2, sig, fuel).term)
+    n1 = normalize(t1, sig, fuel).term
+    n2 = normalize(t2, sig, fuel).term
+    # two inputs that are their own normal forms were compared just above
+    return (n1 is not t1 or n2 is not t2) and alpha_eq(n1, n2)
 
 
 IDENTITY = PLam("x", PVar(0))

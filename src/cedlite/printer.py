@@ -169,8 +169,9 @@ def print_kind(k, ascii_only: bool = False, env: list[str] | None = None) -> str
     return _Printer(ascii_only).kind(k, env or [])
 
 
-def print_classifier(c, ascii_only: bool = False) -> str:
-    return _Printer(ascii_only).node(c, [])
+def print_classifier(c, ascii_only: bool = False,
+                     env: list[str] | None = None) -> str:
+    return _Printer(ascii_only).node(c, env or [])
 
 
 def print_pure(p, ascii_only: bool = False, env: list[str] | None = None) -> str:

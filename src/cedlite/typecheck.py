@@ -128,7 +128,11 @@ class Checker:
         return out.term
 
     def conv_pure(self, p1: PureTerm, p2: PureTerm) -> bool:
-        return alpha_eq(p1, p2) or alpha_eq(self._nf(p1), self._nf(p2))
+        if alpha_eq(p1, p2):
+            return True
+        n1, n2 = self._nf(p1), self._nf(p2)
+        # two inputs that are their own normal forms were compared above
+        return (n1 is not p1 or n2 is not p2) and alpha_eq(n1, n2)
 
     def conv_terms(self, t1: S.Term, t2: S.Term) -> bool:
         return self.conv_pure(erase(t1), erase(t2))
@@ -352,15 +356,30 @@ class Checker:
             self._check_whnf(ctx, t, self.type_whnf(shift(w.body, -1)),
                              inferred)
             return
-        if isinstance(inferred, CheckError):
+        if type(t) is S.Lam and t.ann is None:
+            inferred = None     # no type to infer; `w` is not a Π
+        elif isinstance(inferred, CheckError):
             raise inferred
-        self._conversion_failure(inferred, w)
+        self._conversion_failure(ctx, inferred, w)
 
-    def _conversion_failure(self, inferred: S.Type, expected: S.Type):
+    def _conversion_failure(self, ctx: Context,
+                            inferred: Optional[S.Type], expected: S.Type):
+        """Raise the mismatch of `inferred` (None: an unannotated λ) with
+        `expected`, printed with the names of `ctx` once shown."""
         def message() -> str:
-            return ("type mismatch:\n"
-                    f"  inferred: {print_classifier(self.type_nf(inferred))}\n"
-                    f"  expected: {print_classifier(self.type_nf(expected))}")
+            names: list[str] = []     # innermost first; shadowed ones primed
+            for entry in reversed(ctx):
+                name = entry.name or "_"
+                while name in names:
+                    name += "'"
+                names.append(name)
+            names.reverse()
+
+            def show(ty) -> str:
+                return print_classifier(self.type_nf(ty), False, names)
+            got = ("inferred: " + show(inferred) if inferred is not None
+                   else "a λ abstraction needs a Π type")
+            return f"type mismatch:\n  {got}\n  expected: {show(expected)}"
         raise CheckError("conversion", message)
 
     def infer(self, ctx: Context, t: S.Term) -> S.Type:
@@ -545,27 +564,35 @@ def _eval_assertion(sig: Signature, fuel: Fuel, assertion: S.Assertion,
     if bad:
         return AssertionOutcome(desc, False,
                                 f"declaration {bad[0]} did not check")
-    target = sig.lookup(assertion.target)
+
+    def pure(name: str) -> PureTerm:
+        # A checked definition's normal form is on the signature, unless
+        # computing it ran out of fuel: then its erasure, which `conv`
+        # normalizes again, failing the same way.
+        nf = sig._def_nfs.get(name)
+        return nf if nf is not None else erase(sig.lookup(name).body)
+
     try:
         if assertion.kind == "identity":
-            ok = is_identity(erase(target.body), sig, fuel)
+            ok = is_identity(pure(assertion.target), sig, fuel)
             return AssertionOutcome(desc, ok,
                                     "" if ok else "erasure is not the "
                                                   "identity function")
         if assertion.kind == "not-identity":
-            ident = is_identity(erase(target.body), sig, fuel)
+            ident = is_identity(pure(assertion.target), sig, fuel)
             return AssertionOutcome(desc, not ident,
                                     "" if not ident else "erasure IS the "
                                                          "identity function")
         if assertion.kind == "erases-to":
-            ok = conv(erase(target.body), erase(assertion.payload), sig, fuel)
+            target = pure(assertion.target)
+            ok = conv(target, erase(assertion.payload), sig, fuel)
             detail = "" if ok else \
                 f"normal form is " \
-                f"{print_pure(normalize(erase(target.body), sig, fuel).term)}"
+                f"{print_pure(normalize(target, sig, fuel).term)}"
             return AssertionOutcome(desc, ok, detail)
         if assertion.kind == "erase-equal":
-            other = sig.lookup(assertion.other)
-            ok = conv(erase(target.body), erase(other.body), sig, fuel)
+            ok = conv(pure(assertion.target), pure(assertion.other), sig,
+                      fuel)
             return AssertionOutcome(desc, ok,
                                     "" if ok else "erasures are not "
                                                   "convertible")

@@ -58,3 +58,23 @@ def test_depth_exhausted_outside_a_report_is_an_error_too():
     run = cedlite_cli("norm", str(ADVERSARIAL / "church_65k.ced"), "c65k")
     assert run.returncode == 1
     assert run.stderr == "error: depth exhausted\n"
+
+
+def test_church_20_to_the_20_runs_out_of_fuel_and_checking_goes_on():
+    run = cedlite_cli("check", "--porcelain",
+                      str(ADVERSARIAL / "church_20_20.ced"))
+    assert run.stdout.splitlines() == [
+        "OK NatC", "OK c20", "OK exp",
+        "ERR big fuel exhausted after 100000 reduction steps", "OK after"]
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+
+
+def test_a_thousand_deep_delta_chain_checks():
+    # d{i} = Λ X . λ x . d{i-1} · X x, each unfolding the one before
+    run = cedlite_cli("check", "--porcelain",
+                      str(ADVERSARIAL / "delta_chain_1000.ced"))
+    lines = run.stdout.splitlines()
+    assert lines == ["OK Id"] + [f"OK d{i}" for i in range(1000)]
+    assert run.returncode == 0
+    assert run.stderr == ""

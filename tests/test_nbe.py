@@ -2,15 +2,18 @@
 behaviours NbE must keep: laziness, fuel, and depth without recursion."""
 
 import random
+from importlib import import_module
 
 import pytest
 
-from cedlite.erasure import PApp, PLam, PVar, erase
+import cedlite.typecheck as tc
+from cedlite.erasure import PApp, PLam, PRef, PVar, erase
 from cedlite.normalize import Fuel, conv, normalize
-from cedlite.syntax import Signature
+from cedlite.syntax import KernelError, Signature
 from subst_oracle import subst_normalize
 from termgen import DUPLICATING_CASES, church, gen_pure
 
+N = import_module("cedlite.normalize")   # the package re-exports the function
 EMPTY = Signature()
 SELF_APPLY = PLam("x", PApp(PVar(0), PVar(0)))
 OMEGA = PApp(SELF_APPLY, SELF_APPLY)
@@ -58,3 +61,75 @@ def test_agrees_with_oracle_on_generated_terms():
     open_terms = [gen_pure(rng, depth=5, avail=(0, 1, 2)) for _ in range(200)]
     for t in closed + open_terms + DUPLICATING_CASES:
         assert normalize(t, EMPTY).term == subst_normalize(t, EMPTY), t
+
+
+# --- inputs without a redex are their own normal forms ----------------------
+
+def slow_normal_form(t, sig):
+    """Evaluation and readback, without the scan for a redex."""
+    meter = N._Meter(Fuel(), sig)
+    return N._readback(N._eval(t, None, meter), meter), meter.used
+
+
+def assert_scan_agrees(t, sig):
+    out = normalize(t, sig)
+    slow, steps = slow_normal_form(t, sig)
+    assert repr(out.term) == repr(slow) and out.steps_used == steps, t
+    unchanged = steps == 0 and repr(slow) == repr(t)
+    assert (out.term is t) == unchanged, t
+    return unchanged
+
+
+def test_scan_agrees_with_evaluation_on_generated_terms():
+    rng = random.Random(2018)
+    closed = [gen_pure(rng) for _ in range(300)]
+    open_terms = [gen_pure(rng, depth=5, avail=(0, 1, 2)) for _ in range(300)]
+    inputs = closed + open_terms + DUPLICATING_CASES
+    normal = [normalize(t, EMPTY).term for t in inputs]
+    verdicts = [assert_scan_agrees(t, EMPTY) for t in inputs + normal]
+    assert all(verdicts[len(inputs):])
+    assert not all(verdicts[:len(inputs)])
+
+
+def test_scan_agrees_with_evaluation_on_corpus_definitions(corpus_sig,
+                                                          corpus_report):
+    for decl in corpus_sig.decls:
+        if decl.level != "term":
+            continue
+        t = erase(decl.body)
+        assert_scan_agrees(t, corpus_sig)
+        assert assert_scan_agrees(normalize(t, corpus_sig).term, corpus_sig)
+
+
+def test_a_rejected_reference_is_normal_and_an_unknown_one_raises():
+    sig = Signature()
+    sig.rejected.add("leak")
+    t = PLam("x", PApp(PApp(PRef("leak"), PVar(0)), PVar(0)))
+    out = normalize(t, sig)
+    assert out.term is t and out.steps_used == 0
+    with pytest.raises(KernelError, match="not an unfoldable"):
+        normalize(PApp(PRef("nowhere"), PVar(0)), sig)
+
+
+def test_conversion_of_two_normal_terms_evaluates_nothing(monkeypatch):
+    evals, compares = [], []
+    real_eval, real_alpha_eq = N._eval, N.alpha_eq
+
+    def counting_eval(*args):
+        evals.append(args[0])
+        return real_eval(*args)
+
+    def counting_alpha_eq(*args):
+        compares.append(args)
+        return real_alpha_eq(*args)
+
+    monkeypatch.setattr(N, "_eval", counting_eval)
+    monkeypatch.setattr(N, "alpha_eq", counting_alpha_eq)
+    monkeypatch.setattr(tc, "alpha_eq", counting_alpha_eq)
+    three, four = church(3), church(4)
+    assert not conv(three, four, EMPTY)
+    assert not tc.Checker(EMPTY).conv_pure(three, four)
+    assert evals == [] and len(compares) == 2
+    # the counter sees evaluation where there is a redex
+    assert conv(PApp(PLam("x", PVar(0)), three), three, EMPTY)
+    assert evals

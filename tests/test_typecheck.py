@@ -6,6 +6,7 @@ import pytest
 from cedlite import syntax as S
 from cedlite.parser import parse_signature, parse_type
 from cedlite.printer import print_classifier
+from cedlite.normalize import Fuel
 from cedlite.typecheck import CheckError, Checker, CtxEntry, check_signature
 from audits import audit_implicit_erasures, audit_intersections
 
@@ -479,6 +480,59 @@ def test_a_mismatch_too_deep_to_print_is_depth_exhausted(monkeypatch):
                       base=nat_sig())
     assert rows[0].error == "depth exhausted"
     assert rows[1].ok and rows[1].assertions[0].ok
+
+
+def test_a_mismatch_under_binders_prints_the_context_names():
+    rows = check_text("bad ◂ ∀ X : ★ . Π f : X ➔ X . X ➔ X\n"
+                      "  = Λ Y . λ f . λ x . f .\n")
+    assert rows[0].error == ("type mismatch:\n"
+                             "  inferred: Y ➔ Y\n"
+                             "  expected: Y")
+
+
+def test_a_shadowed_context_name_is_primed_in_a_mismatch():
+    # f expects the outer X, x has the inner one
+    rows = check_text("sh ◂ ∀ X : ★ . Π f : X ➔ X . ∀ X : ★ . X ➔ X\n"
+                      "  = Λ X . λ f . Λ X . λ x . f x .\n")
+    assert rows[0].error == ("type mismatch:\n"
+                             "  inferred: X\n"
+                             "  expected: X'")
+
+
+def test_a_lambda_against_a_non_pi_type_is_a_mismatch():
+    rows = check_text("bad2 ◂ ∀ X : ★ . X = Λ X . λ x . x .\n"
+                      "bad3 ◂ ∀ X : ★ . X ➾ X = Λ X . λ x . x .\n"
+                      "ok4 ◂ ∀ X : ★ . X ➾ X ➔ X = Λ X . λ x . x .\n")
+    assert [r.error for r in rows[:2]] == [
+        "type mismatch:\n  a λ abstraction needs a Π type\n  expected: X"] * 2
+    assert rows[2].ok, rows[2].error
+
+
+# --- assertions read the checked normal forms --------------------------------
+
+def test_assertions_take_the_normal_form_from_the_signature(monkeypatch):
+    import cedlite.typecheck as tc
+    sig = parse_signature(
+        PRELUDE + "c ◂ Unit ➔ Unit = λ u . unit · Unit u .\n"
+                  "#assert-id c\n#assert-erase c = λ x . x .\n"
+                  "#assert-eq c c\n")
+    body = sig.lookup("c").body
+    erased = []
+    real_erase = tc.erase
+    monkeypatch.setattr(tc, "erase",
+                        lambda t: erased.append(t) or real_erase(t))
+    row = check_signature(sig).find("c")
+    assert [a.ok for a in row.assertions] == [True, True, True]
+    # erased once, for the report's normal form; the assertions reuse it
+    assert sum(t is body for t in erased) == 1
+
+
+def test_an_assertion_on_a_fuel_exhausted_target_says_how_far():
+    text = (ADVERSARIAL / "church_20_20.ced").read_text(encoding="utf-8")
+    sig = parse_signature(text + "#assert-id big\n")
+    row = check_signature(sig, Fuel(500)).find("big")
+    assert row.error == "fuel exhausted after 500 reduction steps"
+    assert row.assertions[0].detail == row.error
 
 
 # --- rejected definitions -------------------------------------------------
