@@ -289,23 +289,6 @@ def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
     return True
 
 
-def free_indices(t: PureTerm) -> set:
-    """The de Bruijn indices free in `t`, counted at its root."""
-    out = set()
-    todo = [(t, 0)]
-    while todo:
-        t, depth = todo.pop()
-        kind = type(t)
-        if kind is PApp:
-            todo.append((t.fn, depth))
-            todo.append((t.arg, depth))
-        elif kind is PLam:
-            todo.append((t.body, depth + 1))
-        elif kind is PVar and t.idx >= depth:
-            out.add(t.idx - depth)
-    return out
-
-
 def conv(t1: PureTerm, t2: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> bool:
     """Definitional equality: α-equality of βδη-normal forms."""
     if alpha_eq(t1, t2):

@@ -27,23 +27,37 @@ _ASCII = {
 _EXPR, _ARROW, _APP, _ATOM = 0, 1, 2, 3
 
 
-def _ref_names(node, out: set[str]) -> None:
-    todo = [node]
-    while todo:
-        n = todo.pop()
-        if isinstance(n, (S.Ref, S.TRef)):
-            out.add(n.name)
-        else:
-            todo += [sub for sub, _ in S.subtrees(n, 0)]
-
-
 class _Printer:
     def __init__(self, ascii_only: bool = False):
         self.sym = _ASCII if ascii_only else _UNI
+        # id of a subtree -> its `ref_names`; a printer lives for one print
+        # call, whose tree keeps every keyed node alive
+        self.refs: dict[int, frozenset] = {}
+
+    def ref_names(self, node) -> frozenset:
+        """The definition names referenced in `node`, found once per
+        subtree for all the binders of one print call."""
+        memo, todo = self.refs, [node]
+        while todo:
+            n = todo[-1]
+            if id(n) in memo:
+                todo.pop()
+                continue
+            subs = [sub for sub, _ in S.subtrees(n, 0)]
+            missing = [sub for sub in subs if id(sub) not in memo]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            names = [memo[id(sub)] for sub in subs]
+            if isinstance(n, (S.Ref, S.TRef)):
+                names.append(frozenset((n.name,)))
+            memo[id(n)] = names[0] if len(names) == 1 \
+                else frozenset().union(*names)
+        return memo[id(node)]
 
     def fresh(self, hint: str, env: list[str], below) -> str:
-        taken = set(env)
-        _ref_names(below, taken)
+        taken = set(env) | self.ref_names(below)
         name = hint or "x"
         while name in taken:
             name += "'"

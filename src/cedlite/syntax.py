@@ -9,7 +9,7 @@ and a binder's classifier decides which flavor it introduces.
 
 `SHAPES` says, for each node class, which fields are data, subtrees, or
 subtrees under the node's binder; `rebuild`, `subtrees` and `interner`
-read it, and shifting, substitution, occurrence and every other
+read it, and shifting, substitution, free indices and every other
 structural walk of the kernel are written once on top of them.
 """
 
@@ -283,6 +283,11 @@ for _cls, _row in SHAPES.items():
 _ROWS = {cls: tuple(row.items()) for cls, row in SHAPES.items()}
 _SUBS = {cls: tuple((f, r) for f, r in row.items() if r is not DATA)
          for cls, row in SHAPES.items()}
+# How `interner` keys each class: None if every field is data, () if every
+# field is a subtree, else the role of each field.
+_KEYS = {cls: None if all(r is DATA for r in row.values())
+         else () if DATA not in row.values() else tuple(row.values())
+         for cls, row in SHAPES.items()}
 _VARS = (Var, TVar, PVar)
 
 _TERM_NODES = (Var, Ref, Lam, ILam, App, EApp, TApp, Pair, Proj, Beta, Rho, Symm)
@@ -301,15 +306,21 @@ def sort_of(node) -> str:
 
 def rebuild(node, fn, depth: int):
     """`node` with each subtree `s` replaced by `fn(s, d)`, where `d` is
-    `depth` plus one under the node's binder."""
+    `depth` plus one under the node's binder; `node` itself if every
+    subtree comes back as the same object."""
     cls = type(node)
     if not _SUBS[cls]:
         return node
     args = []
+    changed = False
     for f, role in _ROWS[cls]:
         v = getattr(node, f)
-        args.append(v if role is DATA or v is None else fn(v, depth + role))
-    return cls(*args)
+        if role is not DATA and v is not None:
+            new = fn(v, depth + role)
+            if new is not v:
+                v, changed = new, True
+        args.append(v)
+    return cls(*args) if changed else node
 
 
 def subtrees(node, depth: int) -> list:
@@ -325,8 +336,14 @@ def interner():
     table = {}
 
     def mk(cls, *fields):
-        key = (cls, *[v if role is DATA else id(v)
-                      for v, (_, role) in zip(fields, _ROWS[cls])])
+        roles = _KEYS[cls]
+        if roles is None:           # data fields only
+            key = (cls, *fields)
+        elif not roles:             # subtrees only
+            key = (cls, *map(id, fields))
+        else:
+            key = (cls, *[v if role is DATA else id(v)
+                          for v, role in zip(fields, roles)])
         node = table.get(key)
         if node is None:
             node = table[key] = cls(*fields)
@@ -335,7 +352,7 @@ def interner():
 
 
 # ---------------------------------------------------------------------------
-# Shifting, substitution and occurrence (uniform over the shared index space)
+# Shifting, substitution and free indices (uniform over the shared index space)
 
 def shift(node, by: int, cutoff: int = 0):
     """Add `by` to every free index >= cutoff, in any AST."""
@@ -384,17 +401,38 @@ def subst(node, j: int, *vals):
     return go(node, j)
 
 
-def occurs_index(node, idx: int) -> bool:
-    """Does de Bruijn index `idx` occur anywhere in `node`?"""
-    todo = [(node, idx)]
+def free_mask(node) -> int:
+    """The indices free in `node` as bits: bit i is set exactly when de
+    Bruijn index i is free. Computed bottom-up without recursion and cached
+    on every node it visits; nodes are frozen, so it never goes stale."""
+    mask = getattr(node, "_free", None)
+    if mask is not None:
+        return mask
+    todo = [node]
     while todo:
-        n, i = todo.pop()
-        if type(n) in _VARS:
-            if n.idx == i:
-                return True
-        else:
-            todo += subtrees(n, i)
-    return False
+        n = todo[-1]
+        if getattr(n, "_free", None) is not None:   # shared, done already
+            todo.pop()
+            continue
+        mask, ready = (1 << n.idx if type(n) in _VARS else 0), True
+        for f, role in _SUBS[type(n)]:
+            v = getattr(n, f)
+            if v is not None:
+                m = getattr(v, "_free", None)
+                if m is None:
+                    todo.append(v)
+                    ready = False
+                else:
+                    mask |= m >> role
+        if ready:
+            object.__setattr__(n, "_free", mask)
+            todo.pop()
+    return mask
+
+
+def occurs_index(node, idx: int) -> bool:
+    """Does de Bruijn index `idx` occur free in `node`?"""
+    return free_mask(node) >> idx & 1 == 1
 
 
 def is_term(node) -> bool:

@@ -14,11 +14,11 @@ from typing import Optional, Union
 
 from . import syntax as S
 from .erasure import PureTerm, embed, erase, free_in_erasure
-from .normalize import Fuel, FuelExhausted, alpha_eq, free_indices, normalize
+from .normalize import Fuel, FuelExhausted, alpha_eq, normalize
 from .printer import print_classifier, print_pure
 from .syntax import (
-    Decl, KernelError, Signature, occurs_index, rebuild, shift, subst,
-    subtrees,
+    Decl, KernelError, Signature, free_mask, occurs_index, rebuild, shift,
+    subst, subtrees,
 )
 
 
@@ -503,19 +503,25 @@ class Checker:
         """Replace by `rhs` every term position of the type or term `node`
         whose erasure converts with `lhs` (whose normal form is `lhs_nf`);
         kinds are left alone. `node` sits under `depth` binders. Returns
-        the result and the number of positions replaced."""
+        the result and the number of positions replaced.
+
+        A subtree lacking a variable free in `lhs_nf` is kept as it is,
+        unvisited: β, η and δ add no free variable (see `_matches`), and
+        neither does erasure, except where a Λ-bound variable survives it,
+        which checking rejects in terms but not in equation operands."""
         count = 0
-        lhs_at: dict[int, tuple] = {}     # lhs, lhs_nf, its frees under d
+        mask = free_mask(lhs_nf)
+        lhs_at: dict[int, tuple] = {}     # lhs, lhs_nf, its mask under d
 
         def go(n, d):
             nonlocal count
-            if S.is_kind(n):
+            if S.is_kind(n) or mask << d & ~free_mask(n):
                 return n
             if S.is_term(n):
                 at_d = lhs_at.get(d)
                 if at_d is None:
-                    nf = shift(lhs_nf, d)
-                    at_d = lhs_at[d] = (shift(lhs, d), nf, free_indices(nf))
+                    at_d = lhs_at[d] = (shift(lhs, d), shift(lhs_nf, d),
+                                        mask << d)
                 if self._matches(n, *at_d):
                     count += 1
                     return shift(rhs, d)
@@ -523,15 +529,15 @@ class Checker:
         return go(node, depth), count
 
     def _matches(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm,
-                 lhs_free: set) -> bool:
+                 lhs_mask: int) -> bool:
         te = erase(t)
         if alpha_eq(te, lhs):
             return True
         # β and η never add a free variable, and δ unfolds only checked
         # definitions, whose normal forms are closed (a rejected one stays a
         # neutral head). So `te` can normalize to `lhs_nf` only if every
-        # variable free in `lhs_nf` (`lhs_free`) is free in `te`.
-        if not lhs_free <= free_indices(te):
+        # variable free in `lhs_nf` (the bits of `lhs_mask`) is free in `te`.
+        if lhs_mask & ~free_mask(te):
             return False
         return alpha_eq(self._nf(te), lhs_nf)
 
@@ -562,36 +568,31 @@ def _eval_assertion(sig: Signature, fuel: Fuel, assertion: S.Assertion,
                                      else [])
     bad = [n for n in involved if statuses.get(n) != "ok"]
     if bad:
-        return AssertionOutcome(desc, False,
-                                f"declaration {bad[0]} did not check")
+        return AssertionOutcome(desc, False, statuses.get(
+            bad[0], f"declaration {bad[0]} did not check"))
 
-    def pure(name: str) -> PureTerm:
-        # A checked definition's normal form is on the signature, unless
-        # computing it ran out of fuel: then its erasure, which `conv`
-        # normalizes again, failing the same way.
-        nf = sig._def_nfs.get(name)
-        return nf if nf is not None else erase(sig.lookup(name).body)
+    nfs = sig._def_nfs      # holds the normal form of every ok term definition
 
     try:
         if assertion.kind == "identity":
-            ok = is_identity(pure(assertion.target), sig, fuel)
+            ok = is_identity(nfs[assertion.target], sig, fuel)
             return AssertionOutcome(desc, ok,
                                     "" if ok else "erasure is not the "
                                                   "identity function")
         if assertion.kind == "not-identity":
-            ident = is_identity(pure(assertion.target), sig, fuel)
+            ident = is_identity(nfs[assertion.target], sig, fuel)
             return AssertionOutcome(desc, not ident,
                                     "" if not ident else "erasure IS the "
                                                          "identity function")
         if assertion.kind == "erases-to":
-            target = pure(assertion.target)
+            target = nfs[assertion.target]
             ok = conv(target, erase(assertion.payload), sig, fuel)
             detail = "" if ok else \
                 f"normal form is " \
                 f"{print_pure(normalize(target, sig, fuel).term)}"
             return AssertionOutcome(desc, ok, detail)
         if assertion.kind == "erase-equal":
-            ok = conv(pure(assertion.target), pure(assertion.other), sig,
+            ok = conv(nfs[assertion.target], nfs[assertion.other], sig,
                       fuel)
             return AssertionOutcome(desc, ok,
                                     "" if ok else "erasures are not "
@@ -613,7 +614,7 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
     limit fails only the declaration at hand ("depth exhausted").
     """
     report = CheckReport()
-    statuses: dict[str, str] = {}
+    statuses: dict[str, str] = {}   # "ok", or why the normal form failed
     rows: dict[int, DeclReport] = {}
     for i, decl in enumerate(sig.decls):
         checker = Checker(sig, fuel)
@@ -646,19 +647,25 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
             row.error = str(error)
             sig.rejected.add(decl.name)
         else:
-            statuses[decl.name] = "ok"
             if decl.level == "term":
+                # ok only once its normal form is stored; one that cannot
+                # be computed makes the definition rejected, so no later
+                # use pays for it again
                 try:
                     nf = normalize(erase(decl.body), sig, fuel)
                     sig._def_nfs.setdefault(decl.name, nf.term)
                     row.erasure_nf = print_pure(nf.term, ascii_only)
                     row.steps_used += nf.steps_used
                 except FuelExhausted as e:
-                    row.status = "type error"
                     row.error = str(e)
                 except RecursionError:
-                    row.status = "type error"
                     row.error = "depth exhausted"
+            if row.error is None:
+                statuses[decl.name] = "ok"
+            else:   # its assertions repeat the error
+                statuses[decl.name] = row.error
+                row.status = "type error"
+                sig.rejected.add(decl.name)
         rows[i] = row
         report.decls.append(row)
     for i, decl in enumerate(sig.decls):

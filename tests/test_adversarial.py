@@ -70,6 +70,27 @@ def test_church_20_to_the_20_runs_out_of_fuel_and_checking_goes_on():
     assert "Traceback" not in run.stderr
 
 
+
+def test_a_definition_out_of_fuel_is_rejected_and_stays_opaque(tmp_path):
+    # `big` is rejected once; its uses see an opaque head instead of
+    # paying the whole budget again, and an assertion on it repeats the
+    # error without normalizing again
+    text = (ADVERSARIAL / "church_20_20.ced").read_text(encoding="utf-8")
+    path = tmp_path / "uses.ced"
+    path.write_text(text + "use1 ◂ NatC = big .\nuse2 ◂ NatC = big .\n"
+                    "#assert-id big\n", encoding="utf-8")
+    run = cedlite_cli("check", "--porcelain", str(path))
+    assert run.stdout.splitlines() == [
+        "OK NatC", "OK c20", "OK exp",
+        "ERR big fuel exhausted after 100000 reduction steps", "OK after",
+        "OK use1", "OK use2"]
+    assert run.returncode == 1
+    report = cedlite_cli("check", str(path)).stdout.splitlines()
+    assert "       assert identity big: FAIL (fuel exhausted after 100000 " \
+        "reduction steps)" in report
+    assert report[-4:] == ["ok     use1 : NatC", "       erasure: big",
+                           "ok     use2 : NatC", "       erasure: big"]
+
 def test_a_thousand_deep_delta_chain_checks():
     # d{i} = Λ X . λ x . d{i-1} · X x, each unfolding the one before
     run = cedlite_cli("check", "--porcelain",

@@ -1,3 +1,4 @@
+from cedlite import syntax as S
 from cedlite.erasure import erase
 from cedlite.parser import parse_term
 from cedlite.printer import print_classifier, print_erased, print_term
@@ -41,3 +42,34 @@ def test_arrow_sugar_for_unused_binders():
 def test_erased_application_spacing():
     t = parse_term("λ f . λ x . f -x x")
     assert print_term(t) == "λ f . λ x . f -x x"
+
+
+def lam_nest(depth):
+    """`λ x . λ x . ... f x`, `depth` binders, every hint `x`."""
+    body = S.App(S.Ref("f"), S.Var(0))
+    for _ in range(depth):
+        body = S.Lam("x", None, body)
+    return body
+
+
+def visits_to_print(term, monkeypatch):
+    """How many nodes printing `term` visits for its binders' fresh names."""
+    calls = []
+    subtrees = S.subtrees
+
+    def counted(node, depth):
+        calls.append(node)
+        return subtrees(node, depth)
+    monkeypatch.setattr(S, "subtrees", counted)
+    text = print_term(term)
+    monkeypatch.setattr(S, "subtrees", subtrees)
+    return len(calls), text
+
+
+def test_fresh_names_cost_linear_visits_in_binder_nesting(monkeypatch):
+    n150, _ = visits_to_print(lam_nest(150), monkeypatch)
+    n300, text = visits_to_print(lam_nest(300), monkeypatch)
+    assert text.startswith("λ x . λ x' . λ x'' . ")
+    assert text.endswith(" . f " + "x" + "'" * 299)
+    # each of the 302 nodes is visited at most twice, not once per binder
+    assert n300 <= 2 * 302 and n300 <= 2 * n150 + 2

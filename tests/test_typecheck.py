@@ -556,8 +556,8 @@ def test_rho_skips_positions_lacking_a_free_variable_of_the_lhs(monkeypatch):
     from cedlite.erasure import PVar
     checker = Checker(nat_sig())
     monkeypatch.setattr(checker, "_nf", lambda p: pytest.fail("normalized"))
-    assert not checker._matches(S.Ref("zero"), PVar(0), PVar(0), {0})
-    assert checker._matches(S.Var(0), PVar(0), PVar(0), {0})
+    assert not checker._matches(S.Ref("zero"), PVar(0), PVar(0), 1)
+    assert checker._matches(S.Var(0), PVar(0), PVar(0), 1)
 
 
 def test_an_equation_operand_naming_a_type_variable_is_a_kind_error():
