@@ -29,6 +29,12 @@ def fuel(text: str) -> Fuel:
 
 def _render_report(report: CheckReport, porcelain: bool, ascii_only: bool,
                    out) -> None:
+    def show(p) -> str:
+        try:
+            return print_pure(p, ascii_only)
+        except RecursionError:      # too deep to print; the verdict stands
+            return "depth exhausted"
+
     for d in report.decls:
         failed_asserts = [a for a in d.assertions if not a.ok]
         if porcelain:
@@ -50,14 +56,15 @@ def _render_report(report: CheckReport, porcelain: bool, ascii_only: bool,
             if d.steps_used:
                 line += f"  (fuel {d.steps_used})"
             print(line, file=out)
-            if d.erasure_nf is not None:
-                print(f"       erasure: {d.erasure_nf}", file=out)
+            if d.normal_form is not None:
+                print(f"       erasure: {show(d.normal_form)}", file=out)
         for w in d.warnings:
             print(f"       warning: {w}", file=out)
         for a in d.assertions:
-            mark = "ok" if a.ok else "FAIL"
-            detail = f" ({a.detail})" if a.detail and not a.ok else ""
-            print(f"       assert {a.description}: {mark}{detail}", file=out)
+            detail = a.detail if a.normal_form is None \
+                else f"normal form is {show(a.normal_form)}"
+            mark = "ok" if a.ok else f"FAIL ({detail})" if detail else "FAIL"
+            print(f"       assert {a.description}: {mark}", file=out)
 
 
 def _oneline(s: str | None) -> str:
@@ -86,7 +93,7 @@ def _checked_terms(args):
 
 def cmd_check(args) -> int:
     sig = load_corpus() if args.files is None else parse_files(args.files)
-    report = check_signature(sig, args.fuel, ascii_only=args.ascii)
+    report = check_signature(sig, args.fuel)
     _render_report(report, args.porcelain, args.ascii, sys.stdout)
     return 0 if report.ok else 1
 
@@ -119,6 +126,10 @@ def cmd_eq(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Diagnostics keep their Unicode text, so a stdout that cannot encode
+    # it escapes it, as Python does for stderr.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--fuel", type=fuel,
                         default=os.environ.get("CEDLITE_FUEL")

@@ -218,11 +218,7 @@ def _def_nf(name: str, sig: Signature, fuel: Fuel) -> PureTerm:
     decl = sig.lookup(name)
     if decl is None or decl.level != "term":
         raise KernelError(f"{name} is not an unfoldable term definition")
-    body = sig._erasures.get(name)
-    if body is None:
-        body = erase(decl.body)
-        sig._erasures[name] = body
-    nf = _normal_form(body, sig, fuel).term
+    nf = _normal_form(erase(decl.body), sig, fuel).term
     sig._def_nfs[name] = nf
     return nf
 

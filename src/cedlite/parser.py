@@ -503,7 +503,9 @@ class _Elab:
                        self.under(s.binder, self.kind, s.body))
 
 
-def _elaborate_items(items, sig: Signature, src: _Source) -> None:
+def _elaborate_items(items, sig: Signature, src: _Source) -> list:
+    """Add `items` to `sig`; return the `(declaration, assertion)` pairs."""
+    attached = []
     for item in items:
         match item:
             case ("decl", (name, cls_s, body_s, pos), expect_fail):
@@ -517,15 +519,16 @@ def _elaborate_items(items, sig: Signature, src: _Source) -> None:
                 sig.add(Decl(name, level, classifier, body, pos=pos,
                              expect_fail=expect_fail))
             case ("assert", assertion):
-                _attach(sig, assertion, src.filename)
+                attached.append(_attach(sig, assertion, src.filename))
             case ("assert-erase", name, payload_s, pos):
                 payload = _Elab(sig, src).term(payload_s)
-                _attach(sig, Assertion("erases-to", name, payload=payload,
-                                       pos=pos), src.filename)
+                attached.append(_attach(sig, Assertion(
+                    "erases-to", name, payload=payload, pos=pos),
+                    src.filename))
+    return attached
 
 
-def _attach(sig: Signature, assertion: Assertion,
-            filename: Optional[str] = None) -> None:
+def _attach(sig: Signature, assertion: Assertion, filename: Optional[str]):
     decl = sig.lookup(assertion.target)
     if decl is None:
         raise ResolveError(f"assertion names unknown definition "
@@ -538,7 +541,7 @@ def _attach(sig: Signature, assertion: Assertion,
         if other is None or other.level != "term":
             raise ResolveError(f"assertion names unknown term definition "
                                f"{assertion.other}", assertion.pos, filename)
-    decl.assertions.append(assertion)
+    return decl, assertion
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +559,17 @@ def _read(text: str, filename: str, parse, elaborate):
 
 def parse_signature(text: str, filename: str = "<input>",
                     sig: Optional[Signature] = None) -> Signature:
-    """Parse and resolve declarations, extending `sig` when given. On a
-    `ParseError`, `sig` is left as it was before the call."""
+    """Parse and resolve declarations, extending `sig` when given, only
+    once the whole file resolves: on a `ParseError`, `sig` is unchanged."""
     if sig is None:
         sig = Signature()
-    n_decls = len(sig.decls)
-    n_assertions = [len(d.assertions) for d in sig.decls]
-    try:
-        _read(text, filename, _Parser.parse_items,
-              lambda items, src: _elaborate_items(items, sig, src))
-    except ParseError:
-        sig.truncate(n_decls)
-        for d, n in zip(sig.decls, n_assertions):
-            del d.assertions[n:]
-        raise
+    staged = sig.staged()
+    attached = _read(text, filename, _Parser.parse_items,
+                     lambda items, src: _elaborate_items(items, staged, src))
+    for decl in staged.decls:
+        sig.add(decl)
+    for decl, assertion in attached:
+        decl.assertions.append(assertion)
     return sig
 
 

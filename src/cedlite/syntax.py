@@ -476,16 +476,15 @@ class Decl:
 
 
 class Signature:
-    """Ordered top-level definitions plus caches keyed by this instance.
+    """Ordered top-level definitions plus a cache keyed by this instance.
 
-    The caches memoize per-definition erasures and normal forms; they are
-    write-once per name, so concurrent readers are safe.
+    The cache memoizes per-definition normal forms; it is write-once per
+    name, so concurrent readers are safe.
     """
 
     def __init__(self) -> None:
         self.decls: list[Decl] = []
         self._by_name: dict[str, Decl] = {}
-        self._erasures: dict[str, object] = {}
         self._def_nfs: dict[str, object] = {}
         self.rejected: set[str] = set()     # declarations that failed to check
 
@@ -495,16 +494,15 @@ class Signature:
     def lookup(self, name: str) -> Optional[Decl]:
         return self._by_name.get(name)
 
+    def staged(self) -> Signature:
+        """An empty signature that resolves the names of this one too."""
+        staged = Signature()
+        staged._by_name = dict(self._by_name)
+        return staged
+
     def add(self, decl: Decl) -> None:
         if not decl.expect_fail:
             if decl.name in self._by_name:
                 raise KernelError(f"duplicate definition {decl.name}")
             self._by_name[decl.name] = decl
         self.decls.append(decl)
-
-    def truncate(self, n: int) -> None:
-        """Remove every declaration after the first `n`."""
-        for decl in self.decls[n:]:
-            if not decl.expect_fail:
-                del self._by_name[decl.name]
-        del self.decls[n:]

@@ -3,8 +3,9 @@
 Definitional equality throughout is conversion of erasures; embedded
 term positions in types are compared that way, equality-type operands
 are never themselves typed (their free variables need only name term
-and type binders as used), and the ρ rule rewrites every occurrence
-whose erasure converts with the equation's left side.
+and type binders as used, and no Λ-bound variable may survive their
+erasure), and the ρ rule rewrites every occurrence whose erasure
+converts with the equation's left side.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Optional, Union
 
 from . import syntax as S
 from .erasure import PureTerm, embed, erase, free_in_erasure
-from .normalize import Fuel, FuelExhausted, alpha_eq, normalize
+from .normalize import Fuel, FuelExhausted, alpha_eq, conv, is_identity, \
+    normalize
 from .printer import print_classifier, print_pure
 from .syntax import (
     Decl, KernelError, Signature, free_mask, occurs_index, rebuild, shift,
@@ -40,7 +42,6 @@ class CheckError(KernelError):
 class CtxEntry:
     name: str
     classifier: Union[S.Type, S.Kind]
-    erased: bool = False
 
 
 Context = list  # of CtxEntry, innermost binding last
@@ -51,6 +52,7 @@ class AssertionOutcome:
     description: str
     ok: bool
     detail: str = ""
+    normal_form: Optional[PureTerm] = None  # of a failed erases-to's target
 
 
 @dataclass
@@ -59,7 +61,7 @@ class DeclReport:
     level: str
     status: str                      # "ok" | "type error" | "assertion failure"
     classifier: Union[S.Type, S.Kind]
-    erasure_nf: Optional[str] = None
+    normal_form: Optional[PureTerm] = None  # of an ok term definition
     assertions: list[AssertionOutcome] = field(default_factory=list)
     steps_used: int = 0
     warnings: list[str] = field(default_factory=list)
@@ -68,6 +70,10 @@ class DeclReport:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def erasure_nf(self) -> Optional[str]:      # `normal_form`, in Unicode
+        return self.normal_form and print_pure(self.normal_form)
 
 
 @dataclass
@@ -108,6 +114,13 @@ _MISAPPLIED = {
     (S.TApp, S.Pi): "type application to an explicit function",
     (S.TApp, None): "type application of a non-function",
 }
+
+
+def _implicit_binder_erased(lam: S.ILam) -> None:
+    """The side condition of `Λ x . t`: x is not free in the erasure of t."""
+    if free_in_erasure(0, lam.body):
+        raise CheckError("implicit-free", f"implicit binder {lam.name} "
+                                          f"occurs in the erasure of its body")
 
 
 class Checker:
@@ -236,7 +249,7 @@ class Checker:
                 return decl.classifier
             case S.All(n, dom, body):
                 self.classifier_wf(ctx, dom)
-                self.ensure_star(ctx + [CtxEntry(n, dom, erased=True)], body)
+                self.ensure_star(ctx + [CtxEntry(n, dom)], body)
                 return S.Star()
             case S.Pi(n, dom, body):
                 self.ensure_star(ctx, dom)
@@ -267,12 +280,15 @@ class Checker:
                 self.check(ctx, a, kf.dom)
                 return subst(kf.body, 0, a)
             case S.Eq(lhs, rhs):
-                # operands stay untyped; only free variables' flavors count
+                # operands stay untyped: only free variables' flavors count,
+                # and that no Λ-bound variable survives erasure
                 todo = [(lhs, 0), (rhs, 0)]
                 while todo:
                     n, d = todo.pop()
                     if type(n) in _FLAVORS and n.idx >= d:
                         self.classifier_of(ctx, n.idx - d, type(n))
+                    elif type(n) is S.ILam:
+                        _implicit_binder_erased(n)
                     todo += subtrees(n, d)
                 return S.Star()
         raise TypeError(ty)
@@ -305,12 +321,8 @@ class Checker:
                 self.check(ctx + [CtxEntry(n, dom)], body, cod)
                 return
             case (S.ILam(n, body), S.All(_, dom, cod)):
-                if free_in_erasure(0, body):
-                    raise CheckError(
-                        "implicit-free",
-                        f"implicit binder {n} occurs in the erasure of its "
-                        f"body")
-                self.check(ctx + [CtxEntry(n, dom, erased=True)], body, cod)
+                _implicit_binder_erased(t)
+                self.check(ctx + [CtxEntry(n, dom)], body, cod)
                 return
             case (S.Pair(l, r), S.Iota(_, t1, t2)):
                 self.check(ctx, l, t1)
@@ -508,7 +520,7 @@ class Checker:
         A subtree lacking a variable free in `lhs_nf` is kept as it is,
         unvisited: β, η and δ add no free variable (see `_matches`), and
         neither does erasure, except where a Λ-bound variable survives it,
-        which checking rejects in terms but not in equation operands."""
+        which checking rejects in terms and kinding in equation operands."""
         count = 0
         mask = free_mask(lhs_nf)
         lhs_at: dict[int, tuple] = {}     # lhs, lhs_nf, its mask under d
@@ -561,8 +573,6 @@ def _check_decl(checker: Checker, decl: Decl) -> None:
 
 def _eval_assertion(sig: Signature, fuel: Fuel, assertion: S.Assertion,
                     statuses: dict) -> AssertionOutcome:
-    from .normalize import conv, is_identity
-
     desc = assertion.describe()
     involved = [assertion.target] + ([assertion.other] if assertion.other
                                      else [])
@@ -587,10 +597,8 @@ def _eval_assertion(sig: Signature, fuel: Fuel, assertion: S.Assertion,
         if assertion.kind == "erases-to":
             target = nfs[assertion.target]
             ok = conv(target, erase(assertion.payload), sig, fuel)
-            detail = "" if ok else \
-                f"normal form is " \
-                f"{print_pure(normalize(target, sig, fuel).term)}"
-            return AssertionOutcome(desc, ok, detail)
+            return AssertionOutcome(desc, ok,
+                                    normal_form=None if ok else target)
         if assertion.kind == "erase-equal":
             ok = conv(nfs[assertion.target], nfs[assertion.other], sig,
                       fuel)
@@ -604,8 +612,7 @@ def _eval_assertion(sig: Signature, fuel: Fuel, assertion: S.Assertion,
     raise ValueError(assertion.kind)
 
 
-def check_signature(sig: Signature, fuel: Fuel = Fuel(),
-                    ascii_only: bool = False) -> CheckReport:
+def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
     """Check declarations in order, then evaluate attached assertions.
 
     A failing declaration is still recorded in the signature (later
@@ -615,10 +622,8 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
     """
     report = CheckReport()
     statuses: dict[str, str] = {}   # "ok", or why the normal form failed
-    rows: dict[int, DeclReport] = {}
-    for i, decl in enumerate(sig.decls):
+    for decl in sig.decls:
         checker = Checker(sig, fuel)
-        row = DeclReport(decl.name, decl.level, "ok", decl.classifier)
         error: Optional[KernelError] = None
         try:
             try:
@@ -629,8 +634,8 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
                     str(e)      # build a deferred message here, under the guard
         except RecursionError:
             error = KernelError("depth exhausted")
-        row.steps_used = checker.steps
-        row.warnings = checker.warnings
+        row = DeclReport(decl.name, decl.level, "ok", decl.classifier,
+                         steps_used=checker.steps, warnings=checker.warnings)
         if decl.expect_fail:
             if error is None:
                 row.status = "assertion failure"
@@ -654,7 +659,7 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
                 try:
                     nf = normalize(erase(decl.body), sig, fuel)
                     sig._def_nfs.setdefault(decl.name, nf.term)
-                    row.erasure_nf = print_pure(nf.term, ascii_only)
+                    row.normal_form = nf.term
                     row.steps_used += nf.steps_used
                 except FuelExhausted as e:
                     row.error = str(e)
@@ -666,12 +671,11 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel(),
                 statuses[decl.name] = row.error
                 row.status = "type error"
                 sig.rejected.add(decl.name)
-        rows[i] = row
         report.decls.append(row)
-    for i, decl in enumerate(sig.decls):
+    for decl, row in zip(sig.decls, report.decls):
         for assertion in decl.assertions:
             outcome = _eval_assertion(sig, fuel, assertion, statuses)
-            rows[i].assertions.append(outcome)
-            if not outcome.ok and rows[i].status == "ok":
-                rows[i].status = "assertion failure"
+            row.assertions.append(outcome)
+            if not outcome.ok and row.status == "ok":
+                row.status = "assertion failure"
     return report

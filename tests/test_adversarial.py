@@ -17,8 +17,8 @@ NAT = str(resources.files("cedlite.corpus") / "nat.ced")
 SRC = str(Path(cedlite.__file__).parents[1])
 
 
-def cedlite_cli(*argv):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def cedlite_cli(*argv, **environ):
+    env = dict(os.environ, PYTHONPATH=SRC, **environ)
     env.pop("CEDLITE_FUEL", None)
     return subprocess.run([sys.executable, "-m", "cedlite.cli", *argv],
                           capture_output=True, text=True, timeout=60,
@@ -44,20 +44,43 @@ def test_deep_nesting_is_a_parse_error():
 
 
 def test_depth_exhausted_fails_only_its_declaration():
-    # the erasure normal form of c65k is 65,536 applications deep
+    # the erasure normal form of c65k is 65,536 applications deep: too
+    # deep to print, which does not change its verdict
     run = cedlite_cli("check", "--porcelain",
                       str(ADVERSARIAL / "church_65k.ced"))
     assert run.stdout.splitlines() == [
-        "OK NatC", "OK two", "OK sq", "OK c16", "OK c256",
-        "ERR c65k depth exhausted"]
-    assert run.returncode == 1
+        "OK NatC", "OK two", "OK sq", "OK c16", "OK c256", "OK c65k"]
+    assert run.returncode == 0
     assert "Traceback" not in run.stderr
+    report = cedlite_cli("check", str(ADVERSARIAL / "church_65k.ced"))
+    assert report.stdout.splitlines()[-2:] == [
+        "ok     c65k : NatC  (fuel 773)", "       erasure: depth exhausted"]
+    assert report.returncode == 0
+    assert "Traceback" not in report.stderr
 
 
 def test_depth_exhausted_outside_a_report_is_an_error_too():
     run = cedlite_cli("norm", str(ADVERSARIAL / "church_65k.ced"), "c65k")
     assert run.returncode == 1
     assert run.stderr == "error: depth exhausted\n"
+
+
+def test_an_ascii_only_stdout_ends_in_a_report_not_a_traceback(tmp_path):
+    # diagnostics keep their Unicode text (here the ➔ of a mismatch),
+    # which an ASCII stdout escapes
+    path = tmp_path / "ascii.ced"
+    path.write_text("Nat ◂ ★ = ∀ X : ★ . X ➔ (X ➔ X) ➔ X .\n"
+                    "two ◂ Nat = Λ X . λ z . λ s . s (s z) .\n"
+                    "#assert-erase two = λ z . λ s . s z .\n"
+                    "bad ◂ Nat ➔ Nat = two .\n", encoding="utf-8")
+    for flags in ([], ["--ascii"]):
+        run = cedlite_cli("check", *flags, str(path),
+                          PYTHONIOENCODING="ascii")
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert "error  bad: type mismatch:" in run.stdout
+    assert "       assert erases-to two: FAIL (normal form is " \
+        "\\ z . \\ s . s (s z))" in run.stdout.splitlines()
 
 
 def test_church_20_to_the_20_runs_out_of_fuel_and_checking_goes_on():

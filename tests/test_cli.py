@@ -40,6 +40,7 @@ def test_porcelain_output_is_stable(capsys):
 @pytest.mark.parametrize("argv, golden", [
     (["corpus"], "corpus_report.txt"),
     (["corpus", "--porcelain"], "corpus_porcelain.txt"),
+    (["corpus", "--ascii"], "corpus_report_ascii.txt"),
 ])
 def test_corpus_output_is_byte_identical_to_golden(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)

@@ -284,7 +284,7 @@ def test_rho_rewrite_round_trip(corpus_sig):
     from cedlite.erasure import erase
     checker = Checker(corpus_sig)
     ctx = [
-        CtxEntry("A", S.Star(), erased=True),
+        CtxEntry("A", S.Star()),
         CtxEntry("x", S.TVar(0)),
         CtxEntry("y", S.TVar(1)),
         CtxEntry("q", S.Eq(S.Var(1), S.Var(0))),  # x ≃ y
@@ -578,3 +578,37 @@ def test_an_equation_operand_naming_a_term_variable_as_a_type_is_a_kind_error():
         base=nat_sig())
     assert rows[0].error == "term variable used as a type"
     assert rows[1].ok
+
+
+def test_an_equation_operand_whose_lambda_bound_variable_survives_erasure():
+    # `Λ a . a` erases to a free index: under `∀ X` it would name X, and
+    # under `Π x` it would name x and let ρ rewrite it to `zero`
+    rows = check_text(
+        "u ◂ ★ = ∀ X : ★ . {(Λ a . a) ≃ (Λ b . b)} .\n"
+        "t ◂ Π x : Nat . Π q : {x ≃ zero} . {(Λ b . Λ a . a) ≃ zero}\n"
+        "  = λ x . λ q . ρ q - β .\n"
+        "ok ◂ ★ = ∀ X : ★ . {(Λ a . λ x . x) ≃ (λ x . x)} .\n",
+        base=nat_sig())
+    assert [r.error for r in rows] == [
+        "implicit binder b occurs in the erasure of its body",
+        "implicit binder a occurs in the erasure of its body", None]
+
+
+# --- the kernel decides, the command line renders ----------------------------
+
+def test_checking_prints_nothing_for_accepted_term_definitions(monkeypatch):
+    import cedlite.typecheck as tc
+
+    def no_printing(*args, **kwargs):
+        raise AssertionError("the kernel printed")
+
+    text = ("idU ◂ Unit ➔ Unit = λ u . u .\n"
+            "pair ◂ ∀ X : ★ . X ➔ X ➔ X = Λ X . λ a . λ b . b .\n"
+            "app ◂ Unit = unit · Unit unit .\n")
+    with monkeypatch.context() as patched:
+        patched.setattr(tc, "print_pure", no_printing)
+        patched.setattr(tc, "print_classifier", no_printing)
+        rows = check_text(text)
+    assert all(r.ok for r in rows)
+    assert [r.erasure_nf for r in rows] == [
+        "λ u . u", "λ a . λ b . b", "λ x . x"]
