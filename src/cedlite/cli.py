@@ -29,12 +29,6 @@ def fuel(text: str) -> Fuel:
 
 def _render_report(report: CheckReport, porcelain: bool, ascii_only: bool,
                    out) -> None:
-    def show(p) -> str:
-        try:
-            return print_pure(p, ascii_only)
-        except RecursionError:      # too deep to print; the verdict stands
-            return "depth exhausted"
-
     for d in report.decls:
         failed_asserts = [a for a in d.assertions if not a.ok]
         if porcelain:
@@ -57,12 +51,13 @@ def _render_report(report: CheckReport, porcelain: bool, ascii_only: bool,
                 line += f"  (fuel {d.steps_used})"
             print(line, file=out)
             if d.normal_form is not None:
-                print(f"       erasure: {show(d.normal_form)}", file=out)
+                print(f"       erasure: "
+                      f"{print_pure(d.normal_form, ascii_only)}", file=out)
         for w in d.warnings:
             print(f"       warning: {w}", file=out)
         for a in d.assertions:
             detail = a.detail if a.normal_form is None \
-                else f"normal form is {show(a.normal_form)}"
+                else f"normal form is {print_pure(a.normal_form, ascii_only)}"
             mark = "ok" if a.ok else f"FAIL ({detail})" if detail else "FAIL"
             print(f"       assert {a.description}: {mark}", file=out)
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from . import syntax as S
 from .syntax import Assertion, Decl, KernelError, Pos, Signature
@@ -55,8 +54,8 @@ class _Source:
         line = bisect_right(self.starts, at)
         return Pos(line, at - self.starts[line - 1] + 1)
 
-    def fail(self, msg: str, at: int, error=ParseError):
-        raise error(msg, self.pos(at), self.filename)
+    def fail(self, msg: str, at: int):
+        raise ParseError(msg, self.pos(at), self.filename)
 
 
 # Every spelling of a fixed token, Unicode and ASCII alike.
@@ -117,445 +116,447 @@ def tokenize(text: str, filename: str = "<input>") -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Surface AST (names unresolved; `at` is the offset of the node's first token)
+# The reader: parse and elaborate in one pass
+#
+#   expr  := λ x (: expr)? . expr | Λ x . expr | (Π|∀|ι) x : expr . expr
+#          | (ρ|ρ+) proof - expr | ς expr | arrows (≃ arrows)?
+#   proof := ς proof | app              arrows := app ((➔|➾) expr)?
+#   app   := atom (atom | -atom | · atom)*
+#   atom  := (x | (expr) | [expr , expr] | {arrows ≃ arrows}) .n* | β{expr}? | ★
+# Each expression is read in a sort: term, type, kind, or classifier (a
+# kind if it is ★ or a Π or ➔ ending in ★, through parentheses, else a
+# type). A construct of the wrong sort fails at its first token before
+# any name inside it resolves; where that shows only later (a ➔ or ≃
+# after a term, a `.n` after a type), the error replaces those recorded
+# since the construct began. Resolve errors wait for EOF: parse errors win.
 
-@dataclass
-class SNode:
-    at: int
-
-
-@dataclass
-class SVar(SNode):
-    name: str
-
-
-@dataclass
-class SStar(SNode):
-    pass
-
-
-@dataclass
-class SLam(SNode):
-    binder: str
-    ann: Optional[SNode]
-    body: SNode
-
-
-@dataclass
-class SBigLam(SNode):
-    binder: str
-    body: SNode
-
-
-@dataclass
-class SBinder(SNode):
-    head: str    # "all" | "pi" | "iota"
-    binder: str  # "" for the arrows `A ➔ B` (pi) and `A ➾ B` (all)
-    cls: SNode
-    body: SNode
-
-
-@dataclass
-class SApp(SNode):
-    style: str  # "explicit" | "erased" | "type"
-    fn: SNode
-    arg: SNode
-
-
-@dataclass
-class SPair(SNode):
-    left: SNode
-    right: SNode
-
-
-@dataclass
-class SProj(SNode):
-    sub: SNode
-    which: int
-
-
-@dataclass
-class SBeta(SNode):
-    witness: Optional[SNode]
-
-
-@dataclass
-class SRho(SNode):
-    plus: bool
-    proof: SNode
-    body: SNode
-
-
-@dataclass
-class SSigma(SNode):
-    proof: SNode
-
-
-@dataclass
-class SEq(SNode):
-    lhs: SNode
-    rhs: SNode
-
-
-_ATOM_STARTERS = {"IDENT", "LPAREN", "LBRACKET", "BETA", "STAR", "LBRACE"}
-
-_HEADS = {"PI": "pi", "FORALL": "all", "IOTA": "iota",
-          "ARROW": "pi", "FATARROW": "all"}
-
-_APP_STYLES = {"ERASED": "erased", "CDOT": "type"}
+_TYPE_BINDERS = {"PI": S.Pi, "FORALL": S.All, "IOTA": S.Iota,
+                 "ARROW": S.Pi, "FATARROW": S.All}
+_PREFIXES = {"LAM", "BIGLAM", "RHO", "RHOPLUS", "SIGMA", "PI", "FORALL",
+             "IOTA"}
+_BRACKETS = {"LPAREN", "LBRACKET", "LBRACE"}
+_OPENERS = {*_PREFIXES, *_BRACKETS} - {"RHO", "RHOPLUS", "SIGMA"}
+_CLOSERS = {"RPAREN", "RBRACKET", "RBRACE", "DOT"}
+_ATOM_STARTERS = {"IDENT", "BETA", "STAR", *_BRACKETS}
+# The application node in a term (True) or a type, by the argument's joint.
+_APPS = {True: {"": S.App, "ERASED": S.EApp, "CDOT": S.TApp},
+         False: {"": S.AppTm, "ERASED": S.AppTm, "CDOT": S.AppT}}
 _ID_ASSERTIONS = {"#assert-id": "identity", "#assert-not-id": "not-identity"}
 
+# What the machine does next, and what a pending construct waits for.
+_EXPR, _ARROWS, _PROOF, _ATOM, _JOIN, _DONE = range(6)
+(_APP, _OPERAND, _PAREN, _BODY, _DOM, _EQ_RHS, _WRAP, _PAIR, _PAIR_R,
+ _BRACE, _BRACE_R, _RHO_PROOF, _RHO) = range(13)
+# The token between the two parts of `[l , r]`, `{l ≃ r}` and `ρ q - t`;
+# the tag of each second part is one above its first part's.
+_SEPARATOR = {_PAIR: "COMMA", _BRACE: "SIMEQ", _RHO_PROOF: "DASH"}
 
-class _Parser:
-    def __init__(self, toks: list[tuple], src: _Source):
-        self.toks, self.i, self.src = toks, 0, src
 
-    def peek(self) -> str:
-        """The kind of the next token."""
-        return self.toks[self.i][0]
+class _Reader:
+    """Reads one input with no recursion: pending constructs wait on an
+    explicit stack, and each node is built through the declaration's
+    interner once its construct completes, until the first resolve error."""
 
-    def next(self) -> tuple:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def __init__(self, text: str, filename: str, sig: Optional[Signature]):
+        self.src = _Source(text, filename)
+        self.toks = tokenize(text, filename)
+        self.sig = sig if sig is not None else Signature()
+        self.i = 0
+        self.env: list[str] = []      # binder names, innermost last
+        self.mk = S.interner()
+        self.err = None               # (message, offset)
+        self.attached = []            # (declaration, assertion) pairs
+        self.close: dict[int, int] = {}
 
-    def expect(self, kind: str) -> str:
-        """The text of the next token, which must be of `kind`."""
-        got, text, at = self.next()
+    def expect(self, kind: str, i: int) -> int:
+        """The index after token `i`, which must be of `kind`."""
+        got, text, at = self.toks[i]
         if got != kind:
             self.src.fail(f"expected {kind}, found {got} {text!r}", at)
-        return text
+        return i + 1
 
-    # expression grammar, loosest first:
-    #   expr   := binders | ρ ... | ς expr | arrows (≃ arrows)?
-    #   arrows := app ((➔|➾) expr)?
-    #   app    := atom (atom | -atom | · atom)*
-    def parse_expr(self) -> SNode:
-        kind, _, at = self.next()
-        if kind == "LAM":
-            binder = self.expect("IDENT")
-            ann = None
-            if self.peek() == "COLON":
-                self.i += 1
-                ann = self.parse_expr()
-            self.expect("DOT")
-            return SLam(at, binder, ann, self.parse_expr())
-        if kind == "BIGLAM":
-            binder = self.expect("IDENT")
-            self.expect("DOT")
-            return SBigLam(at, binder, self.parse_expr())
-        if kind in ("PI", "FORALL", "IOTA"):
-            binder = self.expect("IDENT")
-            self.expect("COLON")
-            cls = self.parse_expr()
-            self.expect("DOT")
-            return SBinder(at, _HEADS[kind], binder, cls, self.parse_expr())
-        if kind in ("RHO", "RHOPLUS"):
-            proof = self.parse_proof()
-            self.expect("DASH")
-            return SRho(at, kind == "RHOPLUS", proof, self.parse_expr())
-        if kind == "SIGMA":
-            return SSigma(at, self.parse_expr())
-        self.i -= 1     # none of the above: the token starts an operand
-        lhs = self.parse_arrows()
-        if self.peek() == "SIMEQ":
-            self.i += 1
-            return SEq(lhs.at, lhs, self.parse_arrows())
-        return lhs
+    def fail(self, msg: str, at, before=False):
+        """Record `msg` at `at` if it is the first resolve error; or, given
+        `before`, the first error when the failing construct began, if that
+        was None: the construct's error precedes those recorded inside it."""
+        if (self.err if before is False else before) is None:
+            self.err, self.mk = (msg, at), lambda *_: None
 
-    def parse_whole(self) -> SNode:
-        """One expression that spans the whole input."""
-        node = self.parse_expr()
-        self.expect("EOF")
-        return node
+    def raise_first(self):
+        if self.err is not None:
+            msg, at = self.err
+            raise ResolveError(msg, self.src.pos(at), self.src.filename)
 
-    def parse_proof(self) -> SNode:
-        kind, _, at = self.toks[self.i]
-        if kind == "SIGMA":
-            self.i += 1
-            return SSigma(at, self.parse_proof())
-        return self.parse_app()
+    # --- lookahead, for the two sorts the first token cannot tell --------
 
-    def parse_arrows(self) -> SNode:
-        lhs = self.parse_app()
-        kind = self.peek()
-        if kind in ("ARROW", "FATARROW"):
-            # the codomain extends maximally right and may itself bind
-            self.i += 1
-            return SBinder(lhs.at, _HEADS[kind], "", lhs, self.parse_expr())
-        return lhs
+    def closer(self, i: int) -> int:
+        """The token that closes the bracket, or the binder (at its `.`),
+        opened at token `i`; one left open closes before EOF. A scan
+        records the pairs inside it, so no token is scanned twice."""
+        close, toks = self.close, self.toks
+        opened, j = [i], i
+        while i not in close:
+            j += 1
+            kind = toks[j][0]
+            if kind == "EOF":
+                close.update(dict.fromkeys(opened, j - 1))
+            elif kind in _CLOSERS:
+                close[opened.pop()] = j
+            elif j in close:        # an opener scanned before
+                j = close[j]
+            elif kind in _OPENERS:
+                opened.append(j)
+        return close[i]
 
-    def parse_app(self) -> SNode:
-        node = self.parse_atom()
+    def app_end(self, i: int) -> int:
+        """The index of the token after the application at token `i` (read
+        `β{t}` as `β` applied to `{t}`: same end)."""
+        toks = self.toks
         while True:
-            kind = self.peek()
-            if kind in _ATOM_STARTERS:
-                node = SApp(node.at, "explicit", node, self.parse_atom())
-            elif kind in _APP_STYLES:
-                self.i += 1
-                node = SApp(node.at, _APP_STYLES[kind], node, self.parse_atom())
+            kind = toks[i][0]
+            if kind in _BRACKETS:
+                i = self.closer(i) + 1
+            elif kind in _ATOM_STARTERS:
+                i += 1
             else:
-                return node
+                return i
+            while toks[i][0] == "PROJ":
+                i += 1
+            kind = toks[i][0]
+            if kind == "ERASED" or kind == "CDOT":
+                i += 1
+            elif kind not in _ATOM_STARTERS:
+                return i
 
-    def parse_atom(self) -> SNode:
-        kind, text, at = self.next()
-        if kind == "IDENT":
-            return self.postfix(SVar(at, text))
+    def kind_at(self, i: int, app_only: bool = False) -> bool:
+        """Is the expression (or with `app_only`, the application) at token
+        `i` kind syntax?"""
+        toks = self.toks
+        while True:
+            kind = toks[i][0]
+            if kind == "PI" and not app_only:
+                i = self.closer(i) + 1
+                continue
+            end = self.app_end(i)
+            if not app_only:
+                after = toks[end][0]
+                if after == "ARROW":
+                    i = end + 1
+                    continue
+                if after == "FATARROW" or after == "SIMEQ":
+                    return False
+            if kind == "STAR" and end == i + 1:
+                return True
+            if kind != "LPAREN" or end != self.closer(i) + 1:
+                return False
+            i, app_only = i + 1, False
+
+    # --- expressions ------------------------------------------------------
+
+    def expr(self, sort: str):
+        """The node of the expression of `sort` at the next token."""
+        toks, env, stack, lookup = self.toks, self.env, [], self.sig.lookup
+        i, state = self.i, _EXPR
+        fn = fn_at = app_sort = joint = None
+        while True:
+            if state is _EXPR:
+                kind, _, at = toks[i]
+                if sort == "classifier":
+                    sort = "kind" if self.kind_at(i) else "type"
+                if kind in _PREFIXES:
+                    i, sort, state = self.prefix(kind, at, i + 1, sort, stack)
+                    continue
+                eq, state = True, _ARROWS
+            if state is _ARROWS:    # `arrows`, then `≃ arrows` if `eq`
+                app_sort = sort
+                if sort == "type":
+                    if eq and toks[self.app_end(i)][0] == "SIMEQ":
+                        app_sort = "term"
+                elif sort == "kind" and \
+                        toks[self.app_end(i)][0] == "ARROW" and \
+                        not self.kind_at(i, True):
+                    app_sort = "type"
+                stack.append((_OPERAND, sort, app_sort, self.err, eq))
+                joint, state = None, _ATOM
+            elif state is _PROOF:
+                if toks[i][0] == "SIGMA":
+                    stack.append((_WRAP, toks[i][2], S.Symm, None))
+                    i += 1
+                    continue
+                app_sort, joint, state = "term", None, _ATOM
+            while state is _ATOM or state is _JOIN:     # an application
+                if state is _ATOM:
+                    kind, text, at = toks[i]
+                    asort = app_sort if joint is None else \
+                        "type" if joint == "CDOT" else "term"
+                    before = self.err
+                    if kind == "IDENT":
+                        term = asort == "term"
+                        if text in env:     # bound: its de Bruijn index
+                            depth = 0
+                            while env[-1 - depth] != text:
+                                depth += 1
+                            val = self.mk(S.Var if term else S.TVar, depth)
+                        else:
+                            decl, level = lookup(text), "term" if term else "type"
+                            if decl is None:
+                                self.fail(f"unbound identifier {text}", at)
+                            elif decl.level != level:
+                                self.fail(f"{text} is a {decl.level}-level "
+                                          f"definition, not a {level}", at)
+                            val = self.mk(S.Ref if term else S.TRef, text)
+                        i += 1
+                        if toks[i][0] == "PROJ":
+                            i, val, at = self.postfix(i, val, at, asort,
+                                                      before)
+                    else:
+                        stack.append((_APP, fn, fn_at, app_sort, joint))
+                        i, sort, state, val = self.atom(kind, at, i, asort,
+                                                        before, stack)
+                        eq = False
+                        break
+                if joint is None:
+                    fn, fn_at = val, at
+                else:
+                    fn = self.mk(_APPS[app_sort == "term"][joint], fn, val)
+                kind = toks[i][0]
+                if kind in _ATOM_STARTERS:
+                    joint, state = "", _ATOM
+                elif kind == "ERASED" or kind == "CDOT":
+                    if kind == "ERASED" and app_sort != "term":
+                        self.fail("erased application in a type position",
+                                  fn_at)
+                    joint, state = kind, _ATOM
+                    i += 1
+                else:
+                    val, at, state = fn, fn_at, _DONE
+            while state is _DONE:   # `val` at `at` completes the top construct
+                if not stack:
+                    self.i = i
+                    return val
+                frame = stack.pop()
+                tag = frame[0]
+                if tag is _APP:
+                    _, fn, fn_at, app_sort, joint = frame
+                    state = _JOIN
+                elif tag is _OPERAND:
+                    _, sort, app_sort, before, eq = frame
+                    kind = toks[i][0]
+                    if kind == "ARROW" or kind == "FATARROW":
+                        if sort == "term":
+                            self.fail("type syntax in a term position", at,
+                                      before)
+                        if eq:      # an arrow as the left side of ≃
+                            stack.append((_OPERAND, sort, "", before, eq))
+                        cls = (S.KPiK if S.is_kind(val) else S.KPi) \
+                            if sort == "kind" else _TYPE_BINDERS[kind]
+                        stack.append((_BODY, at, cls, "", val))
+                        env.append("")
+                        i, state = i + 1, _EXPR
+                    elif eq and kind == "SIMEQ":
+                        if sort == "term" or app_sort != "term":
+                            self.fail("type syntax in a term position", at,
+                                      before)
+                        stack.append((_EQ_RHS, at, val))
+                        i, sort, eq, state = i + 1, "term", False, _ARROWS
+                elif tag is _PAREN:
+                    _, asort, before = frame
+                    i, val, at = self.postfix(self.expect("RPAREN", i), val,
+                                              at, asort, before)
+                elif tag is _BODY:
+                    _, at, cls, binder, dom = frame
+                    env.pop()
+                    val = self.mk(cls, binder, val) if cls is S.ILam \
+                        else self.mk(cls, binder, dom, val)
+                elif tag is _DOM:
+                    _, d_at, cls, binder, sort = frame
+                    i = self.expect("DOT", i)
+                    if cls is None:
+                        cls = S.KPiK if S.is_kind(val) else S.KPi
+                    stack.append((_BODY, d_at, cls, binder, val))
+                    env.append(binder)
+                    state = _EXPR
+                elif tag is _EQ_RHS:
+                    val, at = self.mk(S.Eq, frame[2], val), frame[1]
+                elif tag in _SEPARATOR:     # the first part of a pair
+                    _, b_at, data, before = frame
+                    i = self.expect(_SEPARATOR[tag], i)
+                    stack.append((tag + 1, b_at, val, data, before))
+                    sort, eq = "term", False
+                    state = _ARROWS if tag is _BRACE else _EXPR
+                elif tag is _PAIR_R or tag is _BRACE_R:
+                    _, at, left, asort, before = frame
+                    pair = tag is _PAIR_R
+                    i = self.expect("RBRACKET" if pair else "RBRACE", i)
+                    val = self.mk(S.Pair if pair else S.Eq, left, val)
+                    i, val, at = self.postfix(i, val, at, asort, before)
+                elif tag is _RHO:
+                    _, at, proof, plus, _ = frame
+                    val = self.mk(S.Rho, proof, val, plus)
+                else:   # _WRAP: ς t, or β{t} once its `}` is read
+                    _, at, cls, closing = frame
+                    if closing:
+                        i = self.expect(closing, i)
+                    val = self.mk(cls, val)
+
+    def prefix(self, kind: str, at: int, i: int, sort: str, stack: list):
+        """Push the construct that `kind` at `at` begins in `sort`, with
+        token `i` next; the index, sort and state to go on with."""
+        if kind not in _OPENERS:        # ς, ρ or ρ+
+            if sort != "term":
+                self.fail("term syntax in a type position", at)
+            stack.append((_WRAP, at, S.Symm, None) if kind == "SIGMA"
+                         else (_RHO_PROOF, at, kind == "RHOPLUS", None))
+            return i, "term", _EXPR if kind == "SIGMA" else _PROOF
+        i = self.expect("IDENT", i)
+        binder, colon = self.toks[i - 1][1], self.toks[i][0] == "COLON"
+        if kind == "BIGLAM":
+            if sort != "term":
+                self.fail("term syntax in a type position", at)
+            cls, sort, colon = S.ILam, "term", False
+        elif kind == "LAM":
+            if sort != "term" and not colon:
+                self.fail("type-level λ binders must be annotated", at)
+            cls, dom, sort = (S.Lam, "type", "term") if sort == "term" \
+                else (S.TLam, "classifier", "type")
+        elif kind == "PI" and sort == "kind":
+            cls, dom, colon = None, "classifier", True
+        else:
+            if sort == "term":
+                self.fail("type syntax in a term position", at)
+            cls, sort, colon = _TYPE_BINDERS[kind], "type", True
+            dom = "classifier" if kind == "FORALL" else "type"
+        if not colon:
+            stack.append((_BODY, at, cls, binder, None))
+            self.env.append(binder)
+            return self.expect("DOT", i), sort, _EXPR
+        stack.append((_DOM, at, cls, binder, sort))
+        return self.expect("COLON", i), dom, _EXPR
+
+    def atom(self, kind: str, at: int, i: int, sort: str, before,
+             stack: list):
+        """Begin the atom other than a name at token `i`, in `sort`: the
+        index, sort and state to go on with, and the atom if it is whole."""
         if kind == "LPAREN":
-            e = self.parse_expr()
-            self.expect("RPAREN")
-            return self.postfix(e)
-        if kind == "LBRACKET":
-            left = self.parse_expr()
-            self.expect("COMMA")
-            right = self.parse_expr()
-            self.expect("RBRACKET")
-            return self.postfix(SPair(at, left, right))
-        if kind == "BETA":
-            if self.peek() == "LBRACE":
-                self.i += 1
-                w = self.parse_expr()
-                self.expect("RBRACE")
-                return SBeta(at, w)
-            return SBeta(at, None)
+            stack.append((_PAREN, sort, before))
+            return i + 1, sort, _EXPR, None
         if kind == "STAR":
-            return SStar(at)
+            if sort != "kind":
+                self.fail("★ in a term position" if sort == "term"
+                          else "★ is a kind, not a type", at)
+            return i + 1, sort, _DONE, self.mk(S.Star)
         if kind == "LBRACE":
-            lhs = self.parse_arrows()
-            self.expect("SIMEQ")
-            rhs = self.parse_arrows()
-            self.expect("RBRACE")
-            return self.postfix(SEq(at, lhs, rhs))
-        self.src.fail(f"expected a term or type, found {kind} {text!r}", at)
+            if sort == "term":
+                self.fail("type syntax in a term position", at)
+            stack.append((_BRACE, at, sort, before))
+            return i + 1, "term", _ARROWS, None
+        if kind not in _ATOM_STARTERS:
+            self.src.fail(f"expected a term or type, found {kind} "
+                          f"{self.toks[i][1]!r}", at)
+        if sort != "term":
+            self.fail("term syntax in a type position", at)
+        if kind == "LBRACKET":
+            stack.append((_PAIR, at, sort, before))
+        elif self.toks[i + 1][0] != "LBRACE":
+            return i + 1, sort, _DONE, self.mk(S.Beta, None)
+        else:
+            stack.append((_WRAP, at, S.Beta, "RBRACE"))
+            i += 1
+        return i + 1, "term", _EXPR, None
 
-    def postfix(self, node: SNode) -> SNode:
-        while self.peek() == "PROJ":
-            _, text, at = self.next()
-            node = SProj(at, node, int(text))
-        return node
+    def postfix(self, i: int, val, at: int, sort: str, before):
+        """`val` under the projections from token `i` on; a projection is
+        term syntax, so in a type it is an error at its last `.n`."""
+        toks = self.toks
+        while toks[i][0] == "PROJ":
+            _, which, at = toks[i]
+            if sort == "term":
+                val = self.mk(S.Proj, val, int(which))
+            else:
+                self.fail("term syntax in a type position", at, before)
+            i += 1
+        return i, val, at
 
     # --- declarations and directives ------------------------------------
 
-    def parse_decl_core(self) -> tuple[str, SNode, SNode, Pos]:
-        pos = self.src.pos(self.toks[self.i][2])
-        name = self.expect("IDENT")
-        self.expect("ASCRIBE")
-        classifier = self.parse_expr()
-        self.expect("EQUALS")
-        body = self.parse_expr()
-        self.expect("DOT")
-        return name, classifier, body, pos
-
-    def parse_items(self) -> list:
-        items = []
+    def items(self) -> None:
+        """Read declarations and directives up to EOF into `sig`."""
         while True:
             kind, text, at = self.toks[self.i]
             if kind == "EOF":
-                return items
-            if kind == "DIRECTIVE":
-                items.append(self.parse_directive())
-            elif kind == "IDENT":
-                items.append(("decl", self.parse_decl_core(), False))
-            else:
+                return self.raise_first()
+            if self.err is None:    # each declaration has its own interner
+                self.mk = S.interner()
+            if kind == "IDENT":
+                self.decl(False)
+                continue
+            if kind != "DIRECTIVE":
                 self.src.fail(f"expected a declaration or directive, "
                               f"found {kind} {text!r}", at)
+            pos = self.src.pos(at)
+            self.i += 1
+            if text in _ID_ASSERTIONS:
+                self.attach(Assertion(_ID_ASSERTIONS[text], self.ident(),
+                                      pos=pos), at)
+            elif text == "#assert-eq":
+                a, b = self.ident(), self.ident()
+                self.attach(Assertion("erase-equal", a, other=b, pos=pos), at)
+            elif text == "#assert-erase":
+                name = self.ident()
+                self.i = self.expect("EQUALS", self.i)
+                payload = self.expr("term")
+                self.i = self.expect("DOT", self.i)
+                self.attach(Assertion("erases-to", name, payload=payload,
+                                      pos=pos), at)
+            elif text == "#assert-fail":
+                self.decl(True)
+            else:
+                self.src.fail(f"unknown directive {text}", at)
 
-    def parse_directive(self):
-        _, text, at = self.next()
-        pos = self.src.pos(at)
-        if text in _ID_ASSERTIONS:
-            return ("assert", Assertion(_ID_ASSERTIONS[text],
-                                        self.expect("IDENT"), pos=pos))
-        if text == "#assert-eq":
-            a, b = self.expect("IDENT"), self.expect("IDENT")
-            return ("assert", Assertion("erase-equal", a, other=b, pos=pos))
-        if text == "#assert-erase":
-            name = self.expect("IDENT")
-            self.expect("EQUALS")
-            payload = self.parse_expr()
-            self.expect("DOT")
-            return ("assert-erase", name, payload, pos)
-        if text == "#assert-fail":
-            return ("decl", self.parse_decl_core(), True)
-        self.src.fail(f"unknown directive {text}", at)
+    def ident(self) -> str:
+        self.i = self.expect("IDENT", self.i)
+        return self.toks[self.i - 1][1]
 
+    def decl(self, expect_fail: bool) -> None:
+        at = self.toks[self.i][2]
+        name = self.ident()
+        if not expect_fail and name in self.sig:
+            self.fail(f"duplicate definition {name}", at)
+        self.i = self.expect("ASCRIBE", self.i)
+        level = "type" if self.kind_at(self.i) else "term"
+        classifier = self.expr("kind" if level == "type" else "type")
+        self.i = self.expect("EQUALS", self.i)
+        body = self.expr(level)
+        self.i = self.expect("DOT", self.i)
+        if self.err is None:
+            self.sig.add(Decl(name, level, classifier, body,
+                              pos=self.src.pos(at), expect_fail=expect_fail))
 
-# ---------------------------------------------------------------------------
-# Elaboration: classify as term/type/kind and resolve names to indices
-
-def _is_kind_syntax(s: SNode) -> bool:
-    while isinstance(s, SBinder) and s.head == "pi":
-        s = s.body
-    return isinstance(s, SStar)
-
-
-_TYPE_BINDERS = {"all": S.All, "pi": S.Pi, "iota": S.Iota}
-
-
-class _Elab:
-    """Elaborates under a stack of binder names; discard it once it raises.
-    Every node it builds is interned, so equal subterms are one object."""
-
-    def __init__(self, sig: Optional[Signature], src: _Source):
-        self.sig = sig if sig is not None else Signature()
-        self.src = src
-        self.env: list[str] = []  # binder names, innermost last
-        self.mk = S.interner()
-
-    def fail(self, msg: str, at: int):
-        self.src.fail(msg, at, ResolveError)
-
-    def under(self, binder: str, elab, s: SNode):
-        """`elab(s)` with `binder` bound innermost."""
-        self.env.append(binder)
-        out = elab(s)
-        self.env.pop()
-        return out
-
-    def resolve(self, s: SVar, level: str, var, ref):
-        """A bound name as `var(index)`, else a `level` definition as `ref`."""
-        for depth, bound in enumerate(reversed(self.env)):
-            if bound == s.name:
-                return self.mk(var, depth)
-        decl = self.sig.lookup(s.name)
+    def attach(self, assertion: Assertion, at: int) -> None:
+        target, other = assertion.target, assertion.other
+        decl = self.sig.lookup(target)
         if decl is None:
-            self.fail(f"unbound identifier {s.name}", s.at)
-        if decl.level != level:
-            self.fail(f"{s.name} is a {decl.level}-level definition, "
-                      f"not a {level}", s.at)
-        return self.mk(ref, s.name)
+            msg = f"assertion names unknown definition {target}"
+        elif decl.level != "term":
+            msg = f"assertion target {target} has no erasure (type-level)"
+        elif other is not None and \
+                getattr(self.sig.lookup(other), "level", None) != "term":
+            msg = f"assertion names unknown term definition {other}"
+        else:
+            self.attached.append((decl, assertion))
+            return
+        self.fail(msg, at)
 
-    def classifier(self, s: SNode) -> Union[S.Type, S.Kind]:
-        return self.kind(s) if _is_kind_syntax(s) else self.type(s)
-
-    def term(self, s: SNode) -> S.Term:
-        mk = self.mk
-        match s:
-            case SVar():
-                return self.resolve(s, "term", S.Var, S.Ref)
-            case SLam(_, binder, ann, body):
-                a = self.type(ann) if ann is not None else None
-                return mk(S.Lam, binder, a, self.under(binder, self.term, body))
-            case SBigLam(_, binder, body):
-                return mk(S.ILam, binder, self.under(binder, self.term, body))
-            case SApp(_, style, fn, arg):
-                f = self.term(fn)
-                if style == "explicit":
-                    return mk(S.App, f, self.term(arg))
-                if style == "erased":
-                    return mk(S.EApp, f, self.term(arg))
-                return mk(S.TApp, f, self.type(arg))
-            case SPair(_, left, right):
-                return mk(S.Pair, self.term(left), self.term(right))
-            case SProj(_, sub, which):
-                return mk(S.Proj, self.term(sub), which)
-            case SBeta(_, witness):
-                return mk(S.Beta, self.term(witness) if witness else None)
-            case SRho(_, plus, proof, body):
-                return mk(S.Rho, self.term(proof), self.term(body), plus)
-            case SSigma(_, proof):
-                return mk(S.Symm, self.term(proof))
-            case SEq(at, _, _) | SBinder(at, _, _, _, _):
-                self.fail("type syntax in a term position", at)
-            case SStar(at):
-                self.fail("★ in a term position", at)
-        raise TypeError(s)
-
-    def type(self, s: SNode) -> S.Type:
-        mk = self.mk
-        match s:
-            case SVar():
-                return self.resolve(s, "type", S.TVar, S.TRef)
-            case SBinder(_, head, binder, cls, body):
-                # ∀ X : κ may bind a type; the arrow A ➾ B takes a type
-                dom = self.classifier(cls) if head == "all" and binder \
-                    else self.type(cls)
-                return mk(_TYPE_BINDERS[head], binder, dom,
-                          self.under(binder, self.type, body))
-            case SLam(at, binder, ann, body):
-                if ann is None:
-                    self.fail("type-level λ binders must be annotated", at)
-                dom = self.classifier(ann)
-                return mk(S.TLam, binder, dom,
-                          self.under(binder, self.type, body))
-            case SApp(_, style, fn, arg):
-                f = self.type(fn)
-                if style == "type":
-                    return mk(S.AppT, f, self.type(arg))
-                if style == "explicit":
-                    return mk(S.AppTm, f, self.term(arg))
-                self.fail("erased application in a type position", s.at)
-            case SEq(_, lhs, rhs):
-                return mk(S.Eq, self.term(lhs), self.term(rhs))
-            case SStar(at):
-                self.fail("★ is a kind, not a type", at)
-            case SBigLam(at, _, _) | SBeta(at, _) | SRho(at, _, _, _) \
-                    | SSigma(at, _) | SPair(at, _, _) | SProj(at, _, _):
-                self.fail("term syntax in a type position", at)
-        raise TypeError(s)
-
-    def kind(self, s: SNode) -> S.Kind:
-        """`s` is kind syntax: ★, or a Π (or ➔) ending in ★."""
-        if isinstance(s, SStar):
-            return self.mk(S.Star)
-        dom = self.classifier(s.cls)
-        return self.mk(S.KPiK if S.is_kind(dom) else S.KPi, s.binder, dom,
-                       self.under(s.binder, self.kind, s.body))
-
-
-def _elaborate_items(items, sig: Signature, src: _Source) -> list:
-    """Add `items` to `sig`; return the `(declaration, assertion)` pairs."""
-    attached = []
-    for item in items:
-        match item:
-            case ("decl", (name, cls_s, body_s, pos), expect_fail):
-                if not expect_fail and name in sig:
-                    raise ResolveError(f"duplicate definition {name}", pos,
-                                       src.filename)
-                elab = _Elab(sig, src)
-                classifier = elab.classifier(cls_s)
-                level = "type" if S.is_kind(classifier) else "term"
-                body = (elab.type if level == "type" else elab.term)(body_s)
-                sig.add(Decl(name, level, classifier, body, pos=pos,
-                             expect_fail=expect_fail))
-            case ("assert", assertion):
-                attached.append(_attach(sig, assertion, src.filename))
-            case ("assert-erase", name, payload_s, pos):
-                payload = _Elab(sig, src).term(payload_s)
-                attached.append(_attach(sig, Assertion(
-                    "erases-to", name, payload=payload, pos=pos),
-                    src.filename))
-    return attached
-
-
-def _attach(sig: Signature, assertion: Assertion, filename: Optional[str]):
-    decl = sig.lookup(assertion.target)
-    if decl is None:
-        raise ResolveError(f"assertion names unknown definition "
-                           f"{assertion.target}", assertion.pos, filename)
-    if decl.level != "term":
-        raise ResolveError(f"assertion target {assertion.target} has no "
-                           f"erasure (type-level)", assertion.pos, filename)
-    if assertion.other is not None:
-        other = sig.lookup(assertion.other)
-        if other is None or other.level != "term":
-            raise ResolveError(f"assertion names unknown term definition "
-                               f"{assertion.other}", assertion.pos, filename)
-    return decl, assertion
+    def whole(self, sort: str):
+        """One expression of `sort` that spans the whole input."""
+        node = self.expr(sort)
+        self.expect("EOF", self.i)
+        self.raise_first()
+        return node
 
 
 # ---------------------------------------------------------------------------
 # Entry points
-
-def _read(text: str, filename: str, parse, elaborate):
-    """`elaborate(parse(...), source)` of all of `text`. Nesting too deep
-    for Python's recursion limit is a parse error."""
-    src = _Source(text, filename)
-    try:
-        return elaborate(parse(_Parser(tokenize(text, filename), src)), src)
-    except RecursionError:
-        raise ParseError("nesting too deep", None, filename) from None
-
 
 def parse_signature(text: str, filename: str = "<input>",
                     sig: Optional[Signature] = None) -> Signature:
@@ -564,11 +565,11 @@ def parse_signature(text: str, filename: str = "<input>",
     if sig is None:
         sig = Signature()
     staged = sig.staged()
-    attached = _read(text, filename, _Parser.parse_items,
-                     lambda items, src: _elaborate_items(items, staged, src))
+    reader = _Reader(text, filename, staged)
+    reader.items()
     for decl in staged.decls:
         sig.add(decl)
-    for decl, assertion in attached:
+    for decl, assertion in reader.attached:
         decl.assertions.append(assertion)
     return sig
 
@@ -584,11 +585,9 @@ def parse_files(paths, sig: Optional[Signature] = None) -> Signature:
 
 def parse_term(text: str, sig: Optional[Signature] = None) -> S.Term:
     """Parse a standalone term (closed up to definitions in `sig`)."""
-    return _read(text, "<term>", _Parser.parse_whole,
-                 lambda s, src: _Elab(sig, src).term(s))
+    return _Reader(text, "<term>", sig).whole("term")
 
 
 def parse_type(text: str, sig: Optional[Signature] = None) -> S.Type:
     """Parse a standalone type, or a kind."""
-    return _read(text, "<type>", _Parser.parse_whole,
-                 lambda s, src: _Elab(sig, src).classifier(s))
+    return _Reader(text, "<type>", sig).whole("classifier")

@@ -8,6 +8,8 @@ way back in.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import erasure as E
 from . import syntax as S
 
@@ -50,7 +52,7 @@ class _Printer:
                 continue
             todo.pop()
             names = [memo[id(sub)] for sub in subs]
-            if isinstance(n, (S.Ref, S.TRef)):
+            if isinstance(n, (S.Ref, S.TRef, S.PRef)):
                 names.append(frozenset((n.name,)))
             memo[id(n)] = names[0] if len(names) == 1 \
                 else frozenset().union(*names)
@@ -189,8 +191,40 @@ def print_classifier(c, ascii_only: bool = False,
 
 
 def print_pure(p, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    """A pure term prints as its embedding (a λ without annotation)."""
-    return _Printer(ascii_only).term(E.embed(p), env or [])
+    """A pure term, printed as its embedding (a λ without annotation)
+    prints, on an explicit stack: any depth prints. A binder's name is
+    fresh by `_Printer.fresh`'s rule, with the names in scope counted, so
+    the cost is linear in binder nesting too."""
+    printer = _Printer(ascii_only)
+    lam, names = printer.sym["lam"], list(env or [])
+    in_scope = Counter(names)
+    out, todo = [], [(p, _EXPR)]
+    while todo:
+        item = todo.pop()
+        if item is None:            # the end of a λ's body
+            in_scope[names.pop()] -= 1
+        elif type(item) is str:
+            out.append(item)
+        elif type(item[0]) is S.PVar:
+            idx, depth = item[0].idx, len(names)
+            out.append(names[depth - 1 - idx] if idx < depth
+                       else f"?{idx - depth}")
+        elif type(item[0]) is S.PRef:
+            out.append(item[0].name)
+        elif type(item[0]) is S.PLam:
+            n, wrap = item[0], item[1] > _EXPR
+            refs, x = printer.ref_names(n.body), n.hint or "x"
+            while in_scope[x] or x in refs:
+                x += "'"
+            out.append(f"({lam} {x} . " if wrap else f"{lam} {x} . ")
+            todo += [")" if wrap else "", None, (n.body, _EXPR)]
+            names.append(x)
+            in_scope[x] += 1
+        else:                       # PApp
+            n, wrap = item[0], item[1] > _APP
+            out.append("(" if wrap else "")
+            todo += [")" if wrap else "", (n.arg, _ATOM), " ", (n.fn, _APP)]
+    return "".join(out)
 
 
 def print_erased(t, ascii_only: bool = False) -> str:

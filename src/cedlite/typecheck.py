@@ -328,19 +328,14 @@ class Checker:
                 self.check(ctx, l, t1)
                 self.check(ctx, r, subst(t2, 0, l))
                 if not self.conv_pure(erase(l), erase(r)):
-                    raise CheckError(
-                        "erasure-mismatch",
-                        "intersection components have different erasures: "
-                        f"{print_pure(self._nf(erase(l)))} vs "
-                        f"{print_pure(self._nf(erase(r)))}")
+                    raise CheckError("erasure-mismatch", self._sides(
+                        "intersection components have different erasures",
+                        l, r))
                 return
             case (S.Beta(_), S.Eq(l, r)):
                 if not self.conv_terms(l, r):
-                    raise CheckError(
-                        "beta-nonconv",
-                        "β requires convertible equands: "
-                        f"{print_pure(self._nf(erase(l)))} vs "
-                        f"{print_pure(self._nf(erase(r)))}")
+                    raise CheckError("beta-nonconv", self._sides(
+                        "β requires convertible equands", l, r))
                 return
             case (S.Rho(_, _, _), _):
                 self._check_rho(ctx, t, w)
@@ -373,6 +368,11 @@ class Checker:
         elif isinstance(inferred, CheckError):
             raise inferred
         self._conversion_failure(ctx, inferred, w)
+
+    def _sides(self, what: str, l: S.Term, r: S.Term):
+        """The message `what: l vs r`, erased and normalized once shown."""
+        return lambda: (f"{what}: {print_pure(self._nf(erase(l)))} vs "
+                        f"{print_pure(self._nf(erase(r)))}")
 
     def _conversion_failure(self, ctx: Context,
                             inferred: Optional[S.Type], expected: S.Type):

@@ -36,33 +36,53 @@ def test_rejected_type_definitions_are_never_unfolded():
     assert "Traceback" not in run.stderr
 
 
-def test_deep_nesting_is_a_parse_error():
-    run = cedlite_cli("check", NAT, str(ADVERSARIAL / "deep_numeral.ced"))
-    assert run.returncode == 2
-    assert "deep_numeral.ced: nesting too deep" in run.stderr
-    assert "Traceback" not in run.stderr
+def test_deep_nesting_parses_and_the_checker_reports_its_depth():
+    # the reader has no nesting limit; the checker's recursion still has
+    # one, and it fails only the declaration at hand
+    run = cedlite_cli("check", "--porcelain", NAT,
+                      str(ADVERSARIAL / "deep_numeral.ced"))
+    assert run.stdout.splitlines()[-1] == "ERR n400 depth exhausted"
+    assert run.returncode == 1
+    assert run.stderr == ""
 
 
-def test_depth_exhausted_fails_only_its_declaration():
-    # the erasure normal form of c65k is 65,536 applications deep: too
-    # deep to print, which does not change its verdict
+def test_ten_thousand_deep_inputs_end_in_verdicts(tmp_path):
+    n = 10_000
+    path = tmp_path / "deep.ced"
+    path.write_text("T ◂ ★ = " + "(" * n + "Nat" + ")" * n + " .\n"
+                    "n ◂ Nat = " + "suc (" * n + "zero" + ")" * n + " .\n"
+                    "c ◂ NatC = Λ X . λ z . λ s . " + "s (" * n + "z"
+                    + ")" * n + " .\n", encoding="utf-8")
+    run = cedlite_cli("check", "--porcelain", NAT, str(path))
+    assert run.stdout.splitlines()[-3:] == [
+        "OK T", "ERR n depth exhausted", "ERR c depth exhausted"]
+    assert run.returncode == 1
+    assert run.stderr == ""
+
+
+C65K = "λ z . λ s . " + "s (" * 65_535 + "s z" + ")" * 65_535
+
+
+def test_c65k_checks_and_prints_its_erasure():
+    # the erasure normal form of c65k is 65,536 applications deep
     run = cedlite_cli("check", "--porcelain",
                       str(ADVERSARIAL / "church_65k.ced"))
     assert run.stdout.splitlines() == [
         "OK NatC", "OK two", "OK sq", "OK c16", "OK c256", "OK c65k"]
     assert run.returncode == 0
-    assert "Traceback" not in run.stderr
+    assert run.stderr == ""
     report = cedlite_cli("check", str(ADVERSARIAL / "church_65k.ced"))
     assert report.stdout.splitlines()[-2:] == [
-        "ok     c65k : NatC  (fuel 773)", "       erasure: depth exhausted"]
+        "ok     c65k : NatC  (fuel 773)", "       erasure: " + C65K]
     assert report.returncode == 0
-    assert "Traceback" not in report.stderr
+    assert report.stderr == ""
 
 
-def test_depth_exhausted_outside_a_report_is_an_error_too():
+def test_c65k_normalizes_and_prints_outside_a_report():
     run = cedlite_cli("norm", str(ADVERSARIAL / "church_65k.ced"), "c65k")
-    assert run.returncode == 1
-    assert run.stderr == "error: depth exhausted\n"
+    assert run.stdout == C65K + "\n"
+    assert run.returncode == 0
+    assert run.stderr == ""
 
 
 def test_an_ascii_only_stdout_ends_in_a_report_not_a_traceback(tmp_path):

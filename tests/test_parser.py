@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cedlite import syntax as S
@@ -172,3 +174,29 @@ def test_nilcv_listing_parses_to_expected_classifier(corpus_sig):
     assert d.classifier == S.All(
         "A", S.Star(),
         S.AppTm(S.AppT(S.TRef("VecC"), S.TVar(0)), S.Ref("zero")))
+
+
+DEPTH = 10_000
+LIMIT = sys.getrecursionlimit()
+
+
+def spine(node, field: str) -> int:
+    """How many times `field` nests, read without recursion."""
+    depth = 0
+    while hasattr(node, field):
+        node, depth = getattr(node, field), depth + 1
+    return depth
+
+
+def test_ten_thousand_deep_nesting_reads_at_the_default_limit(corpus_sig):
+    assert DEPTH > LIMIT
+    sig = parse_signature(
+        "n ◂ Nat = " + "suc (" * DEPTH + "zero" + ")" * DEPTH + " .\n"
+        "T ◂ ★ = " + "(" * DEPTH + "Nat" + ")" * DEPTH + " .\n",
+        sig=corpus_sig.staged())
+    assert spine(sig.lookup("n").body, "arg") == DEPTH
+    assert sig.lookup("T").body == S.TRef("Nat")
+    body = parse_term("Λ X . λ z . λ s . " + "s (" * DEPTH + "z"
+                      + ")" * DEPTH).body.body.body
+    assert spine(body, "arg") == DEPTH and body.fn == S.Var(0)
+    assert sys.getrecursionlimit() == LIMIT

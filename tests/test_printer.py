@@ -1,7 +1,8 @@
 from cedlite import syntax as S
 from cedlite.erasure import erase
 from cedlite.parser import parse_term
-from cedlite.printer import print_classifier, print_erased, print_term
+from cedlite.printer import (print_classifier, print_erased, print_pure,
+                             print_term)
 
 
 def test_identity_prints_verbatim():
@@ -73,3 +74,17 @@ def test_fresh_names_cost_linear_visits_in_binder_nesting(monkeypatch):
     assert text.endswith(" . f " + "x" + "'" * 299)
     # each of the 302 nodes is visited at most twice, not once per binder
     assert n300 <= 2 * 302 and n300 <= 2 * n150 + 2
+
+
+def test_pure_terms_print_at_any_depth():
+    n = 20_000
+    spine = S.PVar(1)
+    for _ in range(n):
+        spine = S.PApp(S.PVar(0), spine)
+    assert print_pure(S.PLam("z", S.PLam("s", spine))) == \
+        "λ z . λ s . " + "s (" * (n - 1) + "s z" + ")" * (n - 1)
+    lams = S.PApp(S.PRef("f"), S.PVar(0))
+    for k in range(n):
+        lams = S.PLam(f"x{k}", lams)
+    assert print_pure(lams, ascii_only=True) == "".join(
+        f"\\ x{k} . " for k in reversed(range(n))) + "f x0"
