@@ -130,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                         default=os.environ.get("CEDLITE_FUEL")
                         or str(_DEFAULT_FUEL),
                         help=f"reduction step budget per normalization call "
+                             f"and per declaration's check "
                              f"(default {_DEFAULT_FUEL}, or CEDLITE_FUEL)")
     common.add_argument("--ascii", action="store_true",
                         help="print ASCII token spellings")

@@ -23,40 +23,67 @@ from .syntax import (
 # absent witness (plain `β`) erases to the identity.
 _KEPT = {EApp: "fn", TApp: "fn", Pair: "left", Proj: "sub", Rho: "body",
          Symm: "proof", Beta: "witness"}
+# Markers on `erase`'s stack: a Λ's body is done; apply the result below
+# to the top one.
+_ERASED_DONE, _APP = object(), object()
 
 
-def erase(t: Term) -> PureTerm:
-    """Total on resolved terms.
+def erase(t: Term, free=None) -> PureTerm:
+    """Total on resolved terms, on an explicit stack.
 
     A variable whose binder is erased (only reachable from code the
     checker rejects) comes out as a free index past the result's depth.
+    A variable free in `t`, index `j` under `d` λs of the result, comes
+    out as `PVar(d + j)`, or as `free(j, d)` when `free` is given.
     """
-    return _erase(t, [], 0)
-
-
-def _erase(t: Term, env: list[Optional[int]], pure_depth: int) -> PureTerm:
-    while (kept := _KEPT.get(type(t))) is not None:
-        t = getattr(t, kept)
-        if t is None:
-            return PLam("x", PVar(0))
-    match t:
-        case Var(idx):
-            if idx < len(env):
-                level = env[len(env) - 1 - idx]
-                if level is None:
-                    # erased binder; expose as a free variable
-                    return PVar(pure_depth + (len(env) - 1 - idx))
-                return PVar(pure_depth - 1 - level)
-            return PVar(pure_depth + (idx - len(env)))
-        case Ref(name):
-            return PRef(name)
-        case Lam(name, _, body):
-            return PLam(name, _erase(body, env + [pure_depth], pure_depth + 1))
-        case ILam(_, body):
-            return _erase(body, env + [None], pure_depth)
-        case App(f, a):
-            return PApp(_erase(f, env, pure_depth), _erase(a, env, pure_depth))
-    raise TypeError(t)
+    env: list[Optional[int]] = []   # per binder of t: its λ's level, or None
+    depth = 0                       # λs of the result around the focus
+    out: list[PureTerm] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is str:             # the hint of a λ whose body is done
+            env.pop()
+            depth -= 1
+            out[-1] = PLam(t, out[-1])
+            continue
+        if t is _ERASED_DONE:
+            env.pop()
+            continue
+        if t is _APP:
+            arg = out.pop()
+            out[-1] = PApp(out[-1], arg)
+            continue
+        while (kept := _KEPT.get(kind)) is not None:
+            t = getattr(t, kept)
+            kind = type(t)
+        if kind is Var:
+            idx, n = t.idx, len(env)
+            if idx >= n:
+                out.append(PVar(depth + idx - n) if free is None
+                           else free(idx - n, depth))
+            elif (level := env[n - 1 - idx]) is None:
+                # erased binder; expose as a free variable
+                out.append(PVar(depth + (n - 1 - idx)))
+            else:
+                out.append(PVar(depth - 1 - level))
+        elif kind is Ref:
+            out.append(PRef(t.name))
+        elif kind is Lam:
+            env.append(depth)
+            depth += 1
+            todo += (t.name, t.body)
+        elif kind is ILam:
+            env.append(None)
+            todo += (_ERASED_DONE, t.body)
+        elif kind is App:
+            todo += (_APP, t.arg, t.fn)
+        elif t is None:             # plain `β`
+            out.append(PLam("x", PVar(0)))
+        else:
+            raise TypeError(t)
+    return out[0]
 
 
 def free_in_erasure(idx: int, t: Term) -> bool:

@@ -304,6 +304,12 @@ def sort_of(node) -> str:
     return _SORTS[type(node)]
 
 
+def sort_clash(got: str, position: str) -> KernelError:
+    """The error of putting a `got` (a sort) where a variable of sort
+    `position` is used."""
+    return KernelError(f"{got} substituted into {position} position")
+
+
 def rebuild(node, fn, depth: int):
     """`node` with each subtree `s` replaced by `fn(s, d)`, where `d` is
     `depth` plus one under the node's binder; `node` itself if every
@@ -392,7 +398,7 @@ def subst(node, j: int, *vals):
         val = vals[m - 1 - i]
         got = _SORTS.get(type(val), type(val).__name__)
         if got != _SORTS[cls]:
-            raise KernelError(f"{got} substituted into {_SORTS[cls]} position")
+            raise sort_clash(got, _SORTS[cls])
         key = k * m + i
         out = shifted.get(key)
         if out is None:
@@ -401,33 +407,56 @@ def subst(node, j: int, *vals):
     return go(node, j)
 
 
-def free_mask(node) -> int:
-    """The indices free in `node` as bits: bit i is set exactly when de
-    Bruijn index i is free. Computed bottom-up without recursion and cached
-    on every node it visits; nodes are frozen, so it never goes stale."""
-    mask = getattr(node, "_free", None)
-    if mask is not None:
-        return mask
+def _fold_masks(node, attr: str, leaf, width: int) -> int:
+    """A mask of `node`'s free variables, folded bottom-up without
+    recursion and cached on every node visited under `attr` (nodes are
+    frozen, so it never goes stale): `leaf(n)` is a variable's own bits,
+    and a subtree's bits move down by `width` per binder."""
     todo = [node]
     while todo:
         n = todo[-1]
-        if getattr(n, "_free", None) is not None:   # shared, done already
+        if getattr(n, attr, None) is not None:     # shared, done already
             todo.pop()
             continue
-        mask, ready = (1 << n.idx if type(n) in _VARS else 0), True
+        mask, ready = leaf(n), True
         for f, role in _SUBS[type(n)]:
             v = getattr(n, f)
             if v is not None:
-                m = getattr(v, "_free", None)
+                m = getattr(v, attr, None)
                 if m is None:
                     todo.append(v)
                     ready = False
                 else:
-                    mask |= m >> role
+                    mask |= m >> role * width
         if ready:
-            object.__setattr__(n, "_free", mask)
+            object.__setattr__(n, attr, mask)
             todo.pop()
     return mask
+
+
+def _free_bit(n) -> int:
+    return 1 << n.idx if type(n) in _VARS else 0
+
+
+def _sort_bits(n) -> int:
+    return 1 << 2 * n.idx if type(n) is Var \
+        else 2 << 2 * n.idx if type(n) is TVar else 0
+
+
+def free_mask(node) -> int:
+    """The indices free in `node` as bits: bit i is set exactly when de
+    Bruijn index i is free."""
+    mask = getattr(node, "_free", None)
+    return _fold_masks(node, "_free", _free_bit, 1) if mask is None else mask
+
+
+def sort_mask(node) -> int:
+    """How the indices free in `node` are used: bit 2i is set when index i
+    occurs as a term variable, bit 2i + 1 when it occurs as a type
+    variable."""
+    mask = getattr(node, "_sorts", None)
+    return _fold_masks(node, "_sorts", _sort_bits, 2) if mask is None \
+        else mask
 
 
 def occurs_index(node, idx: int) -> bool:

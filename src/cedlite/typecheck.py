@@ -6,6 +6,11 @@ are never themselves typed (their free variables need only name term
 and type binders as used, and no Λ-bound variable may survive their
 erasure), and the ρ rule rewrites every occurrence whose erasure
 converts with the equation's left side.
+
+Types and kinds are checked as values (`values.py`): instantiating a
+binder extends an environment instead of substituting, and syntax is
+read back only to print a type, to build the goal of ρ and for
+`type_nf`.
 """
 
 from __future__ import annotations
@@ -14,13 +19,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import syntax as S
-from .erasure import PureTerm, embed, erase, free_in_erasure
+from .erasure import PureTerm, PVar, embed, erase, free_in_erasure
 from .normalize import Fuel, FuelExhausted, alpha_eq, conv, is_identity, \
     normalize
 from .printer import print_classifier, print_pure
 from .syntax import (
     Decl, KernelError, Signature, free_mask, occurs_index, rebuild, shift,
-    subst, subtrees,
+    subtrees,
+)
+from .values import (
+    EMPTY, STAR, Ctx, VBind, VEq, VNe, VTm, enter, evaluate,
+    instantiate, is_kind, is_var, same_env,
 )
 
 
@@ -40,11 +49,10 @@ class CheckError(KernelError):
 
 @dataclass
 class CtxEntry:
+    """A context entry as syntax: its classifier is written in the context
+    of the entries before it. `Checker.check` takes a list of these."""
     name: str
     classifier: Union[S.Type, S.Kind]
-
-
-Context = list  # of CtxEntry, innermost binding last
 
 
 @dataclass
@@ -91,17 +99,19 @@ class CheckReport:
         return None
 
 
-# What classifies the context entry of each variable node, and the error.
-_FLAVORS = {S.Var: (S.is_type, "type variable used as a term"),
-            S.TVar: (S.is_kind, "term variable used as a type")}
+# Whether a kind classifies the context entry of each variable node, and
+# the error if not so.
+_FLAVORS = {S.Var: (False, "type variable used as a term"),
+            S.TVar: (True, "term variable used as a type")}
 
 # Terms whose type is inferred, never built from the expected type.
 _SPINE = (S.App, S.EApp, S.TApp)
 _ELIMINATIONS = _SPINE + (S.Var, S.Ref, S.Proj)
 
-# The binder each application form consumes, and the sort of its domain.
-_TAKES = {S.App: (S.Pi, None), S.EApp: (S.All, "type"),
-          S.TApp: (S.All, "kind")}
+# The binder each application form consumes, and whether its domain is a
+# kind (None: either).
+_TAKES = {S.App: (S.Pi, None), S.EApp: (S.All, False),
+          S.TApp: (S.All, True)}
 # The error when the function's type is another binder (None: no binder).
 _MISAPPLIED = {
     (S.App, S.All): "implicit function applied explicitly; use -arg or · T",
@@ -124,7 +134,12 @@ def _implicit_binder_erased(lam: S.ILam) -> None:
 
 
 class Checker:
-    """Checks one declaration; accumulates reduction steps and warnings."""
+    """Checks one declaration; accumulates reduction steps and warnings.
+
+    Steps are the declaration's fuel: every step of its check is charged
+    (each type-level δ-unfold and β-step, each term normalization's steps,
+    each memo replay), and a charge past `fuel.max_steps` raises
+    `FuelExhausted`."""
 
     def __init__(self, sig: Signature, fuel: Fuel = Fuel()):
         self.sig = sig
@@ -132,12 +147,13 @@ class Checker:
         self.steps = 0
         self.warnings: list[str] = []
         self._inferred: dict = {}   # see `infer`
+        self._closed: dict = {}     # id of closed syntax -> its value
 
     # --- conversion plumbing ---------------------------------------------
 
     def _nf(self, p: PureTerm) -> PureTerm:
         out = normalize(p, self.sig, self.fuel)
-        self.steps += out.steps_used
+        self._charge(out.steps_used)
         return out.term
 
     def conv_pure(self, p1: PureTerm, p2: PureTerm) -> bool:
@@ -147,360 +163,483 @@ class Checker:
         # two inputs that are their own normal forms were compared above
         return (n1 is not p1 or n2 is not p2) and alpha_eq(n1, n2)
 
-    def conv_terms(self, t1: S.Term, t2: S.Term) -> bool:
-        return self.conv_pure(erase(t1), erase(t2))
+    def _charge(self, steps: int = 1) -> None:
+        """Add `steps` to the declaration's count; past the budget, raise."""
+        self.steps += steps
+        if self.steps > self.fuel.max_steps:
+            raise FuelExhausted(None, self.fuel.max_steps)
+
+    # --- evaluation and readback ---------------------------------------------
+
+    def _value(self, node):
+        """The value of a declaration's closed classifier or body,
+        evaluated once per checker."""
+        v = self._closed.get(id(node))
+        if v is None:
+            v = self._closed[id(node)] = evaluate(node, [])
+        return v
+
+    def _quote(self, v, lvl: int, nf: bool = False):
+        """The syntax of the value `v` at level `lvl`. With `nf`, every
+        type node is forced first: the full normal form of `type_nf`."""
+        k = type(v)
+        if nf and k is VNe:
+            v = self.type_whnf(v)
+            k = type(v)
+        if k is VNe:
+            h = v.head
+            out = S.TVar(lvl - 1 - h) if type(h) is int \
+                else h if type(h) is S.TRef else self._quote(h, lvl, nf)
+            for a in v.spine:
+                out = S.AppTm(out, self._quote_tm(a, lvl)) if type(a) is VTm \
+                    else S.AppT(out, self._quote(a, lvl, nf))
+            return out
+        if k is VBind:
+            dom = self._quote(v.dom, lvl, nf)
+            body = self._quote(enter(v, VNe(lvl, ())), lvl + 1, nf)
+            return v.cls(v.name, dom, body)
+        if k is VEq:
+            return S.Eq(self._quote_tm(v.lhs, lvl), self._quote_tm(v.rhs, lvl))
+        return v
+
+    def _quote_tm(self, tm: VTm, lvl: int) -> S.Term:
+        """The embedded term with its environment substituted, at `lvl`."""
+        env, n = tm.env, len(tm.env)
+
+        def go(node, d):
+            cls = type(node)
+            if cls is S.Var or cls is S.TVar:
+                j = node.idx - d
+                if j < 0:
+                    return node
+                v = env[-1 - j] if j < n else VNe(n - 1 - j, ())
+                if is_var(v):
+                    idx = lvl + d - 1 - v.head
+                    return node if idx == node.idx else cls(idx)
+                return self._quote_tm(v, lvl + d) if type(v) is VTm \
+                    else self._quote(v, lvl + d)
+            if not free_mask(node) >> d:
+                return node
+            return rebuild(node, go, d)
+        return go(tm.term, 0)
+
+    def _erased(self, tm: VTm, lvl: int) -> PureTerm:
+        """The erasure of an embedded term, its free variables read back
+        at level `lvl` (the erasure of `_quote_tm`, without building the
+        parts that erasure drops)."""
+        env, n = tm.env, len(tm.env)
+
+        def free(j: int, d: int) -> PureTerm:
+            if j >= n:
+                return PVar(lvl + d - n + j)
+            v = env[-1 - j]
+            if type(v) is VTm:
+                return self._erased(v, lvl + d)
+            return PVar(lvl + d - 1 - v.head)
+        return erase(tm.term, free)
 
     # --- type-level normalization -----------------------------------------
 
-    def type_whnf(self, ty: S.Type) -> S.Type:
-        """Unfold definition heads and reduce type-level redexes."""
-        stack: list[tuple[type, object]] = []    # (AppT or AppTm, argument)
-        while True:
-            match ty:
-                case S.AppT(f, a) | S.AppTm(f, a):
-                    stack.append((type(ty), a))
-                    ty = f
-                case S.TRef(name):
-                    decl = self.sig.lookup(name)
-                    if decl is None or decl.level != "type":
-                        raise CheckError("scope", f"{name} is not a type")
-                    if name in self.sig.rejected:
-                        break   # rejected: only its ascription is trusted
-                    self.steps += 1
-                    ty = decl.body
-                case S.TLam() if stack:
-                    # one step per λ, one `subst` for all consecutive ones
-                    vals = []
-                    while type(ty) is S.TLam and stack:
-                        self.steps += 1
-                        vals.append(stack.pop()[1])
-                        ty = ty.body
-                    ty = subst(ty, 0, *vals)
-                case _:
+    def type_whnf(self, v):
+        """Force a classifier value: unfold definition heads and β-reduce
+        type-level redexes, one step each, until the head is a variable, a
+        rejected definition or a binder."""
+        w = v
+        while type(w) is VNe:
+            head = w.head
+            if type(head) is S.TRef:
+                decl = self.sig.lookup(head.name)
+                if decl is None or decl.level != "type":
+                    raise CheckError("scope", f"{head.name} is not a type")
+                if head.name in self.sig.rejected:
+                    break   # rejected: only its ascription is trusted
+                self._charge()
+                f = self._value(decl.body)
+            elif type(head) is VBind and head.cls is S.TLam:
+                f = head
+            else:
+                break
+            spine = w.spine
+            for i, a in enumerate(spine):
+                if type(f) is not VBind or f.cls is not S.TLam:
+                    f = VNe(f.head, f.spine + spine[i:]) if type(f) is VNe \
+                        else VNe(f, spine[i:])
                     break
-        for app, a in reversed(stack):
-            ty = app(ty, a)
-        return ty
+                self._charge()
+                f = instantiate(f, a)
+            w = f
+        return w
 
-    def type_nf(self, node, depth: int = 0):
-        """Normalize the structure of a type or kind fully; embedded terms
-        are left untouched. (`depth` lets `rebuild` call this directly.)"""
+    def type_nf(self, node):
+        """Normalize the structure of a type or kind fully; embedded terms,
+        and a term given as `node`, are left untouched. Syntax in, syntax
+        out; free indices stay."""
         if S.is_term(node):
             return node
-        if S.is_type(node):
-            node = self.type_whnf(node)
-        return rebuild(node, self.type_nf, depth)
+        return self._quote(evaluate(node, []), 0, True)
 
     # --- conversion of types and kinds -------------------------------------
 
-    def type_conv(self, t1, t2) -> bool:
-        """Convertibility of two types or two kinds: weak-head normal
-        forms agree node by node, and embedded terms by erasure."""
-        if t1 == t2:
+    def type_conv(self, t1, t2, lvl: int = 0, unfold: bool = True) -> bool:
+        """Convertibility at level `lvl` of two classifier values, or of two
+        embedded terms (by erasure). Two applications of one head compare
+        their arguments first; a definition head is unfolded only when the
+        heads differ or the arguments do not convert. Without `unfold`
+        nothing is reduced and embedded terms are compared by α-equality
+        of their erasures: the answer costs no step, and a yes is final."""
+        if t1 is t2:
             return True
-        sort = S.sort_of(t1)
-        if sort != S.sort_of(t2):
+        k1, k2 = type(t1), type(t2)
+        if k1 is VTm or k2 is VTm:
+            return k1 is k2 and self._conv_tm(t1, t2, lvl, unfold)
+        if k1 is VNe and k2 is VNe and self._conv_ne(t1, t2, lvl, False):
+            return True
+        if not unfold:
+            if k1 is VNe or k2 is VNe:
+                return False
+        else:
+            if k1 is VNe:
+                t1 = self.type_whnf(t1)
+                k1 = type(t1)
+            if k2 is VNe:
+                t2 = self.type_whnf(t2)
+                k2 = type(t2)
+        if k1 is not k2:
             return False
-        if sort == "term":
-            return self.conv_terms(t1, t2)
-        if sort == "type":
-            t1, t2 = self.type_whnf(t1), self.type_whnf(t2)
-        if type(t1) is not type(t2):
+        if k1 is VNe:
+            return self._conv_ne(t1, t2, lvl, unfold)
+        if k1 is VBind:
+            if t1.cls is not t2.cls \
+                    or not self.type_conv(t1.dom, t2.dom, lvl, unfold):
+                return False
+            if t1.body is t2.body and same_env(t1.body, t1.env, t2.env, 1):
+                return True
+            x = VNe(lvl, ())
+            return self.type_conv(enter(t1, x), enter(t2, x),
+                                  lvl + 1, unfold)
+        if k1 is VEq:
+            return self._conv_tm(t1.lhs, t2.lhs, lvl, unfold) \
+                and self._conv_tm(t1.rhs, t2.rhs, lvl, unfold)
+        return True         # ★
+
+    def _conv_ne(self, n1: VNe, n2: VNe, lvl: int, unfold: bool) -> bool:
+        """Same head, and convertible arguments (read as in `type_conv`)."""
+        h1, h2 = n1.head, n2.head
+        if type(h1) is VBind:
+            if type(h2) is not VBind or not self.type_conv(h1, h2, lvl,
+                                                           unfold):
+                return False
+        elif type(h1) is not type(h2) or (
+                h1 != h2 if type(h1) is int else h1.name != h2.name):
             return False
-        subs1, subs2 = subtrees(t1, 0), subtrees(t2, 0)
-        if not subs1:
-            return t1 == t2
-        return all(self.type_conv(a, b)
-                   for (a, _), (b, _) in zip(subs1, subs2))
+        s1, s2 = n1.spine, n2.spine
+        if len(s1) != len(s2):
+            return False
+        for a, b in zip(s1, s2):
+            if not self.type_conv(a, b, lvl, unfold):
+                return False
+        return True
+
+    def _conv_tm(self, a: VTm, b: VTm, lvl: int, unfold: bool = True) -> bool:
+        pa, pb = self._erased(a, lvl), self._erased(b, lvl)
+        return self.conv_pure(pa, pb) if unfold else alpha_eq(pa, pb)
 
     # --- kinding ------------------------------------------------------------
 
-    def classifier_of(self, ctx: Context, idx: int, var):
-        """The unshifted classifier at `idx` of a `var` (`Var` or `TVar`)."""
-        if idx >= len(ctx):
+    def classifier_of(self, ctx: Ctx, idx: int, var):
+        """The classifier value at `idx` of a `var` (`Var` or `TVar`)."""
+        if idx >= len(ctx.types):
             raise CheckError("scope", f"variable index {idx} out of context")
-        is_sort, wrong = _FLAVORS[var]
-        if not is_sort(cls := ctx[len(ctx) - 1 - idx].classifier):
+        kind, wrong = _FLAVORS[var]
+        if is_kind(cls := ctx.types[-1 - idx]) is not kind:
             raise CheckError("kind", wrong)
         return cls
 
-    def classifier_wf(self, ctx: Context, c) -> None:
+    def classifier_wf(self, ctx: Ctx, c) -> None:
         """A binder's classifier is a well-formed kind or a ★-kinded type."""
         if not S.is_kind(c):
             self.ensure_star(ctx, c)
         elif not isinstance(c, S.Star):
             self.classifier_wf(ctx, c.dom)
-            self.classifier_wf(ctx + [CtxEntry(c.name, c.dom)], c.body)
+            self.classifier_wf(ctx.bind(c.name, evaluate(c.dom, ctx.env)),
+                               c.body)
 
-    def ensure_star(self, ctx: Context, ty: S.Type) -> None:
+    def ensure_star(self, ctx: Ctx, ty: S.Type) -> None:
         k = self.kind_check(ctx, ty)
-        if not isinstance(k, S.Star):
-            raise CheckError("kind", f"expected a ★-kinded type, got kind "
-                                     f"{print_classifier(k)}")
+        if type(k) is not S.Star:
+            shown = print_classifier(self._quote(k, len(ctx.env)))
+            raise CheckError("kind",
+                             f"expected a ★-kinded type, got kind {shown}")
 
-    def kind_check(self, ctx: Context, ty: S.Type) -> S.Kind:
-        match ty:
-            case S.TVar(idx):
-                return shift(self.classifier_of(ctx, idx, S.TVar), idx + 1)
-            case S.TRef(name):
-                decl = self.sig.lookup(name)
-                if decl is None or decl.level != "type":
-                    raise CheckError("scope", f"{name} is not a type")
-                return decl.classifier
-            case S.All(n, dom, body):
-                self.classifier_wf(ctx, dom)
-                self.ensure_star(ctx + [CtxEntry(n, dom)], body)
-                return S.Star()
-            case S.Pi(n, dom, body):
-                self.ensure_star(ctx, dom)
-                self.ensure_star(ctx + [CtxEntry(n, dom)], body)
-                return S.Star()
-            case S.Iota(n, left, right):
-                self.ensure_star(ctx, left)
-                self.ensure_star(ctx + [CtxEntry(n, left)], right)
-                return S.Star()
-            case S.TLam(n, dom, body):
-                self.classifier_wf(ctx, dom)
-                inner = self.kind_check(ctx + [CtxEntry(n, dom)], body)
-                return (S.KPiK if S.is_kind(dom) else S.KPi)(n, dom, inner)
-            case S.AppT(f, a):
-                kf = self.kind_check(ctx, f)
-                if not isinstance(kf, S.KPiK):
-                    raise CheckError("kind", "type applied to a type argument "
-                                             "but its kind is not Π over a kind")
-                ka = self.kind_check(ctx, a)
-                if not self.type_conv(ka, kf.dom):
-                    raise CheckError("kind", "type argument has the wrong kind")
-                return subst(kf.body, 0, a)
-            case S.AppTm(f, a):
-                kf = self.kind_check(ctx, f)
-                if not isinstance(kf, S.KPi):
-                    raise CheckError("kind", "type applied to a term argument "
-                                             "but its kind is not term-indexed")
-                self.check(ctx, a, kf.dom)
-                return subst(kf.body, 0, a)
-            case S.Eq(lhs, rhs):
-                # operands stay untyped: only free variables' flavors count,
-                # and that no Λ-bound variable survives erasure
-                todo = [(lhs, 0), (rhs, 0)]
-                while todo:
-                    n, d = todo.pop()
-                    if type(n) in _FLAVORS and n.idx >= d:
-                        self.classifier_of(ctx, n.idx - d, type(n))
-                    elif type(n) is S.ILam:
-                        _implicit_binder_erased(n)
-                    todo += subtrees(n, d)
-                return S.Star()
+    def kind_check(self, ctx: Ctx, ty: S.Type):
+        """The kind value of the type syntax `ty` written in `ctx`."""
+        cls = type(ty)
+        if cls is S.TVar:
+            return self.classifier_of(ctx, ty.idx, S.TVar)
+        if cls is S.TRef:
+            decl = self.sig.lookup(ty.name)
+            if decl is None or decl.level != "type":
+                raise CheckError("scope", f"{ty.name} is not a type")
+            return self._value(decl.classifier)
+        if cls is S.Iota:
+            self.ensure_star(ctx, ty.left)
+            self.ensure_star(ctx.bind(ty.name, evaluate(ty.left, ctx.env)),
+                             ty.right)
+            return STAR
+        if cls is S.All or cls is S.Pi or cls is S.TLam:
+            if cls is S.Pi:
+                self.ensure_star(ctx, ty.dom)
+            else:
+                self.classifier_wf(ctx, ty.dom)
+            inner = ctx.bind(ty.name, evaluate(ty.dom, ctx.env))
+            if cls is not S.TLam:
+                self.ensure_star(inner, ty.body)
+                return STAR
+            body = self._quote(self.kind_check(inner, ty.body),
+                               len(inner.env))
+            return VBind(S.KPiK if S.is_kind(ty.dom) else S.KPi, ty.name,
+                         inner.types[-1], body, ctx.env)
+        if cls is S.AppT:
+            kf = self.kind_check(ctx, ty.fn)
+            if type(kf) is not VBind or kf.cls is not S.KPiK:
+                raise CheckError("kind", "type applied to a type argument "
+                                         "but its kind is not Π over a kind")
+            ka = self.kind_check(ctx, ty.arg)
+            if not self.type_conv(ka, kf.dom, len(ctx.env)):
+                raise CheckError("kind", "type argument has the wrong kind")
+            return instantiate(kf, evaluate(ty.arg, ctx.env))
+        if cls is S.AppTm:
+            kf = self.kind_check(ctx, ty.fn)
+            if type(kf) is not VBind or kf.cls is not S.KPi:
+                raise CheckError("kind", "type applied to a term argument "
+                                         "but its kind is not term-indexed")
+            self._check(ctx, ty.arg, kf.dom)
+            return instantiate(kf, VTm(ty.arg, ctx.env))
+        if cls is S.Eq:
+            # operands stay untyped: only free variables' flavors count,
+            # and that no Λ-bound variable survives erasure
+            todo = [(ty.lhs, 0), (ty.rhs, 0)]
+            while todo:
+                n, d = todo.pop()
+                if type(n) in _FLAVORS and n.idx >= d:
+                    self.classifier_of(ctx, n.idx - d, type(n))
+                elif type(n) is S.ILam:
+                    _implicit_binder_erased(n)
+                todo += subtrees(n, d)
+            return STAR
         raise TypeError(ty)
 
     # --- terms ----------------------------------------------------------------
 
-    def check(self, ctx: Context, t: S.Term, ty: S.Type) -> None:
-        """Check `t` against `ty`. An elimination form's type is inferred
-        once and compared with `ty` as written; `ty` is weak-head
-        normalized only when the two differ."""
+    def check(self, entries: list[CtxEntry], t: S.Term, ty: S.Type) -> None:
+        """Check the term `t` against the type `ty`, both syntax written in
+        the context of `entries`."""
+        ctx = EMPTY
+        for e in entries:
+            ctx = ctx.bind(e.name, evaluate(e.classifier, ctx.env))
+        self._check(ctx, t, evaluate(ty, ctx.env))
+
+    def _check(self, ctx: Ctx, t: S.Term, ty) -> None:
+        """Check `t` against the value `ty`. An elimination form's type is
+        inferred once and compared with `ty` without reducing; `ty` is
+        weak-head normalized only when that fails."""
         inferred = None
         if isinstance(t, _ELIMINATIONS):
             inferred = self.infer(ctx, t)
-            if inferred == ty:
+            if self.type_conv(inferred, ty, len(ctx.env), False):
                 return
-        self._check_whnf(ctx, t, self.type_whnf(ty), inferred)
+        if type(ty) is VNe:
+            ty = self.type_whnf(ty)
+        self._check_whnf(ctx, t, ty, inferred)
 
-    def _check_whnf(self, ctx: Context, t: S.Term, w: S.Type,
-                    inferred: Union[S.Type, CheckError, None]) -> None:
+    def _check_whnf(self, ctx: Ctx, t: S.Term, w,
+                    inferred: Union[VNe, VBind, CheckError, None]) -> None:
         """Check `t` against the weak-head normal `w`. `inferred` is what
         inferring `t` gave (its type or its error), or None if not yet
         inferred."""
-        match (t, w):
-            case (S.Lam(n, ann, body), S.Pi(_, dom, cod)):
-                if ann is not None and not self.type_conv(ann, dom):
-                    raise CheckError(
-                        "conversion",
-                        f"λ binder annotation does not convert to the "
-                        f"expected domain {print_classifier(dom)}")
-                self.check(ctx + [CtxEntry(n, dom)], body, cod)
-                return
-            case (S.ILam(n, body), S.All(_, dom, cod)):
+        lvl, k, form = len(ctx.env), type(t), type(w) is VBind and w.cls
+        if (k is S.Lam and form is S.Pi) or (k is S.ILam and form is S.All):
+            if k is S.ILam:
                 _implicit_binder_erased(t)
-                self.check(ctx + [CtxEntry(n, dom)], body, cod)
-                return
-            case (S.Pair(l, r), S.Iota(_, t1, t2)):
-                self.check(ctx, l, t1)
-                self.check(ctx, r, subst(t2, 0, l))
-                if not self.conv_pure(erase(l), erase(r)):
-                    raise CheckError("erasure-mismatch", self._sides(
-                        "intersection components have different erasures",
-                        l, r))
-                return
-            case (S.Beta(_), S.Eq(l, r)):
-                if not self.conv_terms(l, r):
+            elif t.ann is not None and not self.type_conv(
+                    evaluate(t.ann, ctx.env), w.dom, lvl):
+                raise CheckError(
+                    "conversion",
+                    f"λ binder annotation does not convert to the "
+                    f"expected domain "
+                    f"{print_classifier(self._quote(w.dom, lvl))}")
+            inner = ctx.bind(t.name, w.dom)
+            self._check(inner, t.body, enter(w, inner.env[-1]))
+            return
+        if k is S.Pair and form is S.Iota:
+            self._check(ctx, t.left, w.dom)
+            self._check(ctx, t.right, instantiate(w, VTm(t.left, ctx.env)))
+            pl, pr = erase(t.left), erase(t.right)
+            if not self.conv_pure(pl, pr):
+                raise CheckError("erasure-mismatch", self._sides(
+                    "intersection components have different erasures",
+                    pl, pr))
+            return
+        if k is S.Rho:
+            self._check_rho(ctx, t, w)
+            return
+        if type(w) is VEq and k in (S.Beta, S.Symm):
+            l, r = w.lhs, w.rhs
+            if k is S.Beta:
+                if not self._conv_tm(l, r, lvl):
                     raise CheckError("beta-nonconv", self._sides(
-                        "β requires convertible equands", l, r))
+                        "β requires convertible equands",
+                        self._erased(l, lvl), self._erased(r, lvl)))
                 return
-            case (S.Rho(_, _, _), _):
-                self._check_rho(ctx, t, w)
-                return
-            case (S.Symm(q), S.Eq(l, r)):
-                qt = self.type_whnf(self.infer(ctx, q))
-                if not isinstance(qt, S.Eq):
-                    raise CheckError("symmetry", "ς applied to a non-equality proof")
-                if not (self.conv_terms(l, qt.rhs)
-                        and self.conv_terms(r, qt.lhs)):
-                    raise CheckError("conversion",
-                                     "ς proof does not match the goal "
-                                     "with sides swapped")
-                return
+            qt = self.type_whnf(self.infer(ctx, t.proof))
+            if type(qt) is not VEq:
+                raise CheckError("symmetry", "ς applied to a non-equality proof")
+            if not (self._conv_tm(l, qt.rhs, lvl)
+                    and self._conv_tm(r, qt.lhs, lvl)):
+                raise CheckError("conversion",
+                                 "ς proof does not match the goal "
+                                 "with sides swapped")
+            return
         if inferred is None:
             try:
                 inferred = self.infer(ctx, t)
             except CheckError as e:
                 inferred = e
         if not isinstance(inferred, CheckError) \
-                and self.type_conv(inferred, w):
+                and self.type_conv(inferred, w, lvl):
             return
-        if isinstance(w, S.All) and not occurs_index(w.body, 0):
+        if form is S.All and not occurs_index(w.body, 0):
             # non-dependent ∀ (the ➾ form) accepts the body directly
-            self._check_whnf(ctx, t, self.type_whnf(shift(w.body, -1)),
-                             inferred)
+            self._check_whnf(ctx, t, self.type_whnf(
+                enter(w, VNe(lvl, ()))), inferred)
             return
-        if type(t) is S.Lam and t.ann is None:
+        if k is S.Lam and t.ann is None:
             inferred = None     # no type to infer; `w` is not a Π
         elif isinstance(inferred, CheckError):
             raise inferred
         self._conversion_failure(ctx, inferred, w)
 
-    def _sides(self, what: str, l: S.Term, r: S.Term):
-        """The message `what: l vs r`, erased and normalized once shown."""
-        return lambda: (f"{what}: {print_pure(self._nf(erase(l)))} vs "
-                        f"{print_pure(self._nf(erase(r)))}")
+    def _sides(self, what: str, l: PureTerm, r: PureTerm):
+        """The message `what: l vs r`, normalized once shown."""
+        return lambda: (f"{what}: {print_pure(self._nf(l))} vs "
+                        f"{print_pure(self._nf(r))}")
 
-    def _conversion_failure(self, ctx: Context,
-                            inferred: Optional[S.Type], expected: S.Type):
+    def _conversion_failure(self, ctx: Ctx, inferred, expected):
         """Raise the mismatch of `inferred` (None: an unannotated λ) with
         `expected`, printed with the names of `ctx` once shown."""
         def message() -> str:
             names: list[str] = []     # innermost first; shadowed ones primed
-            for entry in reversed(ctx):
-                name = entry.name or "_"
+            for name in reversed(ctx.names):
+                name = name or "_"
                 while name in names:
                     name += "'"
                 names.append(name)
             names.reverse()
 
-            def show(ty) -> str:
-                return print_classifier(self.type_nf(ty), False, names)
+            def show(v) -> str:
+                return print_classifier(self._quote(v, len(ctx.env), True),
+                                        False, names)
             got = ("inferred: " + show(inferred) if inferred is not None
                    else "a λ abstraction needs a Π type")
             return f"type mismatch:\n  {got}\n  expected: {show(expected)}"
         raise CheckError("conversion", message)
 
-    def infer(self, ctx: Context, t: S.Term) -> S.Type:
-        """The type of `t`, memoized by the identities of `t` and `ctx` (kept
-        alive); a hit charges its steps and appends its warnings again."""
+    def infer(self, ctx: Ctx, t: S.Term):
+        """The type value of `t`, memoized by the identities of `t` and `ctx`
+        (kept alive); a hit charges its steps and appends its warnings
+        again."""
         seen = self._inferred.get((id(t), id(ctx)))
         if seen is not None:
-            self.steps += seen[3]
+            self._charge(seen[3])
             self.warnings += seen[4]
             return seen[2]
         steps, n_warnings = self.steps, len(self.warnings)
-        match t:
-            case S.Var(idx):
-                ty = shift(self.classifier_of(ctx, idx, S.Var), idx + 1)
-            case S.Ref(name):
-                decl = self.sig.lookup(name)
-                if decl is None or decl.level != "term":
-                    raise CheckError("scope", f"{name} is not a term")
-                ty = decl.classifier
-            case S.App(_, _) | S.EApp(_, _) | S.TApp(_, _):
-                ty = self._infer_spine(ctx, t)
-            case S.Proj(sub, which):
-                st = self.type_whnf(self.infer(ctx, sub))
-                if not isinstance(st, S.Iota):
-                    raise CheckError("projection",
-                                     "projection from a non-intersection")
-                ty = st.left if which == 1 \
-                    else subst(st.right, 0, S.Proj(sub, 1))
-            case S.Lam(n, ann, body) if ann is not None:
-                self.ensure_star(ctx, ann)
-                ty = S.Pi(n, ann, self.infer(ctx + [CtxEntry(n, ann)], body))
-            case S.Lam():
-                raise CheckError("cannot-infer", "unannotated λ binders are "
-                                 "only permitted in checking mode")
-            case S.Symm(q):
-                qt = self.type_whnf(self.infer(ctx, q))
-                if not isinstance(qt, S.Eq):
-                    raise CheckError("symmetry", "ς applied to a non-equality proof")
-                ty = S.Eq(qt.rhs, qt.lhs)
-            case _:
-                raise CheckError("cannot-infer",
-                                 f"cannot synthesize a type for this "
-                                 f"{type(t).__name__} term")
+        k = type(t)
+        if k is S.Var:
+            ty = self.classifier_of(ctx, t.idx, S.Var)
+        elif k is S.Ref:
+            decl = self.sig.lookup(t.name)
+            if decl is None or decl.level != "term":
+                raise CheckError("scope", f"{t.name} is not a term")
+            ty = self._value(decl.classifier)
+        elif k in _SPINE:
+            ty = self._infer_spine(ctx, t)
+        elif k is S.Proj:
+            st = self.type_whnf(self.infer(ctx, t.sub))
+            if type(st) is not VBind or st.cls is not S.Iota:
+                raise CheckError("projection",
+                                 "projection from a non-intersection")
+            ty = st.dom if t.which == 1 \
+                else instantiate(st, VTm(S.Proj(t.sub, 1), ctx.env))
+        elif k is S.Lam and t.ann is not None:
+            self.ensure_star(ctx, t.ann)
+            dom = evaluate(t.ann, ctx.env)
+            inner = ctx.bind(t.name, dom)
+            body = self._quote(self.infer(inner, t.body), len(inner.env))
+            ty = VBind(S.Pi, t.name, dom, body, ctx.env)
+        elif k is S.Lam:
+            raise CheckError("cannot-infer", "unannotated λ binders are "
+                             "only permitted in checking mode")
+        elif k is S.Symm:
+            qt = self.type_whnf(self.infer(ctx, t.proof))
+            if type(qt) is not VEq:
+                raise CheckError("symmetry", "ς applied to a non-equality proof")
+            ty = VEq(qt.rhs, qt.lhs)
+        else:
+            raise CheckError("cannot-infer",
+                             f"cannot synthesize a type for this "
+                             f"{type(t).__name__} term")
         self._inferred[id(t), id(ctx)] = (
             t, ctx, ty, self.steps - steps, self.warnings[n_warnings:])
         return ty
 
-    def _infer_spine(self, ctx: Context, t: S.Term) -> S.Type:
+    def _infer_spine(self, ctx: Ctx, t: S.Term):
         """The type of an application spine `h a1 ... an`. The head is
-        inferred once; each argument peels one binder off its type, and the
-        consumed arguments stay pending until a domain, a non-binder or the
-        final codomain needs them, which one `subst` then instantiates."""
+        inferred once; each argument instantiates the binder it is applied
+        to by extending that binder's environment."""
         apps = []
         while isinstance(t, _SPINE):
             apps.append(t)
             t = t.fn
         ty = self.infer(ctx, t)
-        pending: list = []      # the arguments of the binders peeled from ty
-        peeled: list = []       # (binder body, argument) for every argument
-
-        def inst(node):
-            return subst(node, 0, *pending) if pending else node
-
-        try:
-            for app in reversed(apps):
-                if not isinstance(ty, (S.Pi, S.All)):
-                    ty = self.type_whnf(inst(ty))
-                    pending.clear()
-                binder, dom_sort = _TAKES[type(app)]
-                if type(ty) is not binder or (
-                        dom_sort and S.sort_of(ty.dom) != dom_sort):
-                    got = type(ty) if isinstance(ty, (S.Pi, S.All)) else None
-                    raise CheckError("application",
-                                     _MISAPPLIED[type(app), got])
-                if type(app) is S.TApp:
-                    a = app.ty
-                    if not self.type_conv(self.kind_check(ctx, a),
-                                          inst(ty.dom)):
-                        raise CheckError("kind",
-                                         "type argument has the wrong kind")
-                else:
-                    a = app.arg
-                    self.check(ctx, a, inst(ty.dom))
-                pending.append(a)
-                peeled.append((ty.body, a))
-                ty = ty.body
-            return inst(ty)
-        except KernelError:
-            # Instantiating after each argument would have met a sort clash
-            # of an earlier argument before this error: that one is raised.
-            for body, a in peeled:
-                subst(body, 0, a)
-            raise
+        lvl = len(ctx.env)
+        for app in reversed(apps):
+            if type(ty) is VNe:
+                ty = self.type_whnf(ty)
+            binder, kind_dom = _TAKES[type(app)]
+            form = type(ty) is VBind and ty.cls
+            if form is not binder or (
+                    kind_dom is not None and is_kind(ty.dom) != kind_dom):
+                got = form if form in (S.Pi, S.All) else None
+                raise CheckError("application", _MISAPPLIED[type(app), got])
+            if type(app) is S.TApp:
+                if not self.type_conv(self.kind_check(ctx, app.ty), ty.dom,
+                                      lvl):
+                    raise CheckError("kind",
+                                     "type argument has the wrong kind")
+                ty = instantiate(ty, evaluate(app.ty, ctx.env))
+            else:
+                self._check(ctx, app.arg, ty.dom)
+                ty = instantiate(ty, VTm(app.arg, ctx.env))
+        return ty
 
     # --- the ρ rule -------------------------------------------------------
 
-    def _check_rho(self, ctx: Context, t: S.Rho, w: S.Type) -> None:
+    def _check_rho(self, ctx: Ctx, t: S.Rho, w) -> None:
         qt = self.type_whnf(self.infer(ctx, t.proof))
-        if not isinstance(qt, S.Eq):
+        if type(qt) is not VEq:
             raise CheckError("rho", "ρ proof is not an equality")
-        goal = self.type_nf(w)
+        lvl = len(ctx.env)
+        goal = self._quote(w, lvl, True)
         if t.normalize_first:
             goal = self._norm_term_positions(goal)
-        lhs_nf = self._nf(erase(qt.lhs))
-        goal, count = self._rewrite(goal, erase(qt.lhs), lhs_nf, qt.rhs, 0)
+        lhs = self._erased(qt.lhs, lvl)
+        goal, count = self._rewrite(goal, lhs, self._nf(lhs),
+                                    self._quote_tm(qt.rhs, lvl), 0)
         if count == 0:
             self.warnings.append("ρ rewrote no occurrences of the equation's "
                                  "left side")
-        self.check(ctx, t.body, goal)
+        self._check(ctx, t.body, evaluate(goal, ctx.env))
 
     def _norm_term_positions(self, node, depth: int = 0):
         """βδ-normalize every embedded term of an already type-normal type."""
@@ -558,17 +697,18 @@ class Checker:
 # Whole-signature checking
 
 def _check_decl(checker: Checker, decl: Decl) -> None:
+    cls = checker._value(decl.classifier)
     if decl.level == "type":
-        checker.classifier_wf([], decl.classifier)
-        k = checker.kind_check([], decl.body)
-        if not checker.type_conv(k, decl.classifier):
+        checker.classifier_wf(EMPTY, decl.classifier)
+        k = checker.kind_check(EMPTY, decl.body)
+        if not checker.type_conv(k, cls):
             raise CheckError(
                 "kind",
-                f"body kinds to {print_classifier(k)}, not the ascribed "
-                f"{print_classifier(decl.classifier)}")
+                f"body kinds to {print_classifier(checker._quote(k, 0))}, "
+                f"not the ascribed {print_classifier(decl.classifier)}")
     else:
-        checker.ensure_star([], decl.classifier)
-        checker.check([], decl.body, decl.classifier)
+        checker.ensure_star(EMPTY, decl.classifier)
+        checker._check(EMPTY, decl.body, cls)
 
 
 def _eval_assertion(sig: Signature, fuel: Fuel, assertion: S.Assertion,
@@ -631,7 +771,10 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
             except KernelError as e:
                 error = e
                 if not decl.expect_fail:
-                    str(e)      # build a deferred message here, under the guard
+                    try:    # build a deferred message here, under the guard
+                        str(e)
+                    except FuelExhausted as out_of_fuel:    # while printing
+                        error = out_of_fuel
         except RecursionError:
             error = KernelError("depth exhausted")
         row = DeclReport(decl.name, decl.level, "ok", decl.classifier,

@@ -142,3 +142,55 @@ def test_a_thousand_deep_delta_chain_checks():
     assert lines == ["OK Id"] + [f"OK d{i}" for i in range(1000)]
     assert run.returncode == 0
     assert run.stderr == ""
+
+
+def test_a_ten_thousand_deep_numeral_erases(tmp_path):
+    n = 10_000
+    path = tmp_path / "deep.ced"
+    path.write_text("n ◂ Nat = " + "suc (" * n + "zero" + ")" * n + " .\n",
+                    encoding="utf-8")
+    run = cedlite_cli("erase", NAT, str(path), "n")
+    assert run.stdout == "suc (" * (n - 1) + "suc zero" + ")" * (n - 1) \
+        + "\n"
+    assert run.returncode == 0
+    assert run.stderr == ""
+
+
+def doubling(n: int) -> str:
+    """`Tn · Nat` and `Sn · Nat` are one type, but comparing them unfolds
+    2^n pairs of heads that differ."""
+    lines = []
+    for c in "TS":
+        lines.append(f"{c}0 ◂ ★ ➔ ★ = λ X : ★ . X ➔ X .")
+        lines += [f"{c}{i} ◂ ★ ➔ ★ = λ X : ★ . {c}{i - 1} · X ➔ "
+                  f"{c}{i - 1} · X ." for i in range(1, n + 1)]
+    lines.append(f"f ◂ T{n} · Nat ➔ S{n} · Nat = λ x . x .")
+    return "\n".join(lines) + "\n"
+
+
+def test_type_level_reduction_runs_out_of_fuel():
+    # every type-level δ-unfold and β-step is one step of the declaration
+    path = ADVERSARIAL / "type_doubling.ced"
+    assert doubling(40) in path.read_text(encoding="utf-8")
+    run = cedlite_cli("check", "--porcelain", NAT, str(path))
+    assert run.stdout.splitlines()[-1] == \
+        "ERR f fuel exhausted after 100000 reduction steps"
+    assert run.returncode == 1
+    assert run.stderr == ""
+
+
+def test_a_small_budget_bounds_type_level_reduction(tmp_path):
+    path = tmp_path / "doubling16.ced"
+    path.write_text(doubling(16), encoding="utf-8")
+    run = cedlite_cli("check", "--fuel", "1000", "--porcelain", NAT,
+                      str(path))
+    assert run.stdout.splitlines()[-1] == \
+        "ERR f fuel exhausted after 1000 reduction steps"
+    assert run.returncode == 1
+    small = tmp_path / "doubling4.ced"
+    small.write_text(doubling(4), encoding="utf-8")
+    run = cedlite_cli("check", "--fuel", "1000", NAT, str(small))
+    assert run.stdout.splitlines()[-2:] == [
+        "ok     f : T4 · Nat ➔ S4 · Nat  (fuel 124)",
+        "       erasure: λ x . x"]
+    assert run.returncode == 0

@@ -1,5 +1,6 @@
 import random
 
+from cedlite import syntax as S
 from cedlite.erasure import (PApp, PLam, PRef, PVar, embed, erase,
                              free_in_erasure)
 from subst_oracle import subst_pure
@@ -143,3 +144,88 @@ def test_corpus_constructor_erasures_are_exact(corpus_sig):
     assert erase(corpus_sig.lookup("consCL").body) == church_cons
     assert erase(corpus_sig.lookup("nilPV").body) == church_nil
     assert erase(corpus_sig.lookup("consPV").body) == church_cons
+
+
+# --- erasure on an explicit stack -----------------------------------------
+
+KEPT = {S.EApp: "fn", S.TApp: "fn", S.Pair: "left", S.Proj: "sub",
+        S.Rho: "body", S.Symm: "proof", S.Beta: "witness"}
+
+
+def erase_recursive(t, env=(), depth=0):
+    """`erase` as it was written before the explicit stack: one Python
+    frame per application and binder. The oracle of the tests below."""
+    while type(t) in KEPT:
+        t = getattr(t, KEPT[type(t)])
+        if t is None:
+            return PLam("x", PVar(0))
+    if type(t) is S.Var:
+        if t.idx < len(env):
+            level = env[len(env) - 1 - t.idx]
+            if level is None:
+                return PVar(depth + (len(env) - 1 - t.idx))
+            return PVar(depth - 1 - level)
+        return PVar(depth + (t.idx - len(env)))
+    if type(t) is S.Ref:
+        return PRef(t.name)
+    if type(t) is S.Lam:
+        return PLam(t.name, erase_recursive(t.body, env + (depth,),
+                                            depth + 1))
+    if type(t) is S.ILam:
+        return erase_recursive(t.body, env + (None,), depth)
+    return PApp(erase_recursive(t.fn, env, depth),
+                erase_recursive(t.arg, env, depth))
+
+
+def decorate(rng, t):
+    """`t` with erased material wrapped around and inside it at random."""
+    if type(t) is S.Lam:
+        t = S.Lam(t.name, None, decorate(rng, t.body))
+    elif type(t) is S.App:
+        t = S.App(decorate(rng, t.fn), decorate(rng, t.arg))
+    roll = rng.random()
+    if roll < 0.1:
+        return S.ILam("a", S.shift(t, 1))
+    if roll < 0.2:
+        return S.EApp(t, S.Var(rng.randrange(3)))
+    if roll < 0.3:
+        return S.TApp(t, S.TRef("T"))
+    if roll < 0.4:
+        return S.Pair(t, S.Ref("r"))
+    if roll < 0.5:
+        return S.Proj(S.Rho(S.Var(0), S.Symm(t)), rng.choice((1, 2)))
+    if roll < 0.55:
+        return S.Beta(t)
+    if roll < 0.6:
+        return S.Beta()
+    return t
+
+
+def test_erase_equals_the_recursive_oracle_hints_included(corpus_sig):
+    terms = []
+    for decl in corpus_sig.decls:
+        if decl.level == "term":
+            todo = [decl.body]
+            while todo:             # every term subterm, open ones too
+                n = todo.pop()
+                if S.is_term(n):
+                    terms.append(n)
+                todo += [s for s, _ in S.subtrees(n, 0)]
+    rng = random.Random(1313)
+    for _ in range(400):
+        terms.append(decorate(rng, embed(gen_pure(rng, avail=(0, 1, 2)))))
+    for t in terms:
+        assert repr(erase(t)) == repr(erase_recursive(t))
+
+
+def test_erase_reaches_any_depth():
+    n = 10_000
+    t = S.Ref("zero")
+    for _ in range(n):
+        t = S.App(S.Ref("suc"), t)
+    t = S.ILam("A", S.Lam("x", None, t))
+    p = erase(t)
+    for _ in range(n):
+        assert type(p.body) is PApp
+        p = PLam("x", p.body.arg)
+    assert p.body == PRef("zero")

@@ -70,6 +70,25 @@ def test_free_mask_is_the_free_index_set_on_generated_terms():
             assert free_mask(n) == as_mask(naive_free(n)), n
 
 
+def naive_sorts(node, depth=0) -> set:
+    """The (index, flavor) pairs of the variables free in `node`."""
+    if type(node) in (S.Var, S.TVar):
+        return {(node.idx - depth, type(node))} if node.idx >= depth \
+            else set()
+    out = set()
+    for sub, d in S.subtrees(node, depth):
+        out |= naive_sorts(sub, d)
+    return out
+
+
+def test_sort_mask_is_the_flavored_free_index_set_on_the_corpus():
+    for root in corpus_roots():
+        for n in subterms(root):
+            want = sum(1 << 2 * i if flavor is S.Var else 2 << 2 * i
+                       for i, flavor in naive_sorts(n))
+            assert S.sort_mask(n) == want, n
+
+
 def test_free_mask_of_a_deep_term_needs_no_recursion():
     t = PVar(3)
     for _ in range(20_000):

@@ -8,6 +8,7 @@ from cedlite.parser import parse_signature, parse_type
 from cedlite.printer import print_classifier
 from cedlite.normalize import Fuel
 from cedlite.typecheck import CheckError, Checker, CtxEntry, check_signature
+from cedlite.values import EMPTY, evaluate
 from audits import audit_implicit_erasures, audit_intersections
 
 ADVERSARIAL = Path(__file__).parent / "adversarial"
@@ -28,6 +29,12 @@ def check_text(text, base=None):
     parse_signature(text, sig=sig)
     report = check_signature(sig)
     return report.decls[before:]
+
+
+def value(node):
+    """The classifier value of type or kind syntax of the empty context,
+    as `Checker.type_conv` takes it."""
+    return evaluate(node, [])
 
 
 def assert_ok(text, base=None):
@@ -52,17 +59,18 @@ def test_kind_of_vecc_and_vecr(corpus_sig):
     checker = Checker(corpus_sig)
     assert print_classifier(corpus_sig.lookup("VecC").classifier) \
         == "★ ➔ Nat ➔ ★"
-    got = checker.kind_check([], S.TRef("VecC"))
-    assert checker.type_conv(got, corpus_sig.lookup("VecC").classifier)
+    got = checker.kind_check(EMPTY, S.TRef("VecC"))
+    assert checker.type_conv(got, value(corpus_sig.lookup("VecC").classifier))
     want = parse_type("Π A : ★ . Π n : Nat . VecC · A n ➔ ★", corpus_sig)
-    assert checker.type_conv(corpus_sig.lookup("VecR").classifier, want)
+    assert checker.type_conv(value(corpus_sig.lookup("VecR").classifier),
+                             value(want))
 
 
 def test_star_kinded_type_cannot_be_applied(corpus_sig):
     checker = Checker(corpus_sig)
     bad = parse_type("Nat zero", corpus_sig)
     with pytest.raises(CheckError) as exc:
-        checker.kind_check([], bad)
+        checker.kind_check(EMPTY, bad)
     assert exc.value.kind == "kind"
 
 
@@ -108,9 +116,18 @@ def test_vecr_converts_to_listr(corpus_sig):
     A, n, xsC = SS.TVar(2), SS.Var(1), SS.Var(0)
     vec_r = SS.AppTm(SS.AppTm(SS.AppT(SS.TRef("VecR"), A), n), xsC)
     list_r = SS.AppTm(SS.AppT(SS.TRef("ListR"), A), xsC)
-    assert c.type_conv(vec_r, list_r)
-    assert not c.type_conv(SS.AppTm(SS.AppT(SS.TRef("Vec"), A), n),
-                           SS.AppT(SS.TRef("List"), A))
+    assert c.type_conv(value(vec_r), value(list_r))
+    assert not c.type_conv(value(SS.AppTm(SS.AppT(SS.TRef("Vec"), A), n)),
+                           value(SS.AppT(SS.TRef("List"), A)))
+
+
+def test_type_nf_takes_and_gives_syntax(corpus_sig):
+    c = Checker(corpus_sig)
+    zero = S.Ref("zero")
+    assert c.type_nf(zero) is zero
+    vec = parse_type("Vec · Nat zero", corpus_sig)
+    assert S.is_type(c.type_nf(vec))
+    assert c.type_nf(vec) == c.type_nf(c.type_nf(vec))
 
 
 def test_unannotated_lambda_cannot_synthesize():
@@ -447,6 +464,16 @@ def test_a_sort_clash_of_an_earlier_argument_is_raised_first(text, message):
     assert rows[-1].error == message
 
 
+def test_a_sort_clash_is_raised_where_the_argument_is_given():
+    # the clash sits in the right component, which `.1` never looks at;
+    # instantiating the binder reports it all the same
+    rows = check_text(
+        "bad ◂ Π x : Nat . ι z : Nat . x = λ x . [ x , x ] .\n"
+        "use ◂ Nat = (bad zero).1 .\n", base=nat_sig())
+    assert [r.error for r in rows] == ["term variable used as a type",
+                                       "term substituted into type position"]
+
+
 # --- mismatch messages are built only when shown -------------------------
 
 def test_an_expected_mismatch_is_never_printed(monkeypatch):
@@ -612,3 +639,41 @@ def test_checking_prints_nothing_for_accepted_term_definitions(monkeypatch):
     assert all(r.ok for r in rows)
     assert [r.erasure_nf for r in rows] == [
         "λ u . u", "λ a . λ b . b", "λ x . x"]
+
+
+# --- one budget per declaration ----------------------------------------------
+
+def fuel_sources():
+    from cedlite.corpus import load_corpus
+    from cedlite.parser import parse_files
+    from perfbench import coercegen
+    prelude = [str(resources.files("cedlite.corpus") / name)
+               for name in coercegen.PRELUDE]
+    yield load_corpus
+    for seed in range(4):
+        yield lambda seed=seed: parse_signature(
+            coercegen.generate(seed).text, sig=parse_files(prelude))
+
+
+def verdicts(make_sig, fuel):
+    return [(r.name, r.status, r.steps_used, r.error,
+             [(a.ok, a.detail) for a in r.assertions])
+            for r in check_signature(make_sig(), Fuel(fuel)).decls]
+
+
+def may_be_fuel(row) -> bool:
+    """May this row's verdict come from running out of fuel? An expected
+    failure shows only its error's kind, which is "error" for fuel."""
+    texts = [row[3] or ""] + [detail for _, detail in row[4]]
+    return any("fuel exhausted" in s or s.endswith("(error)") for s in texts)
+
+
+@pytest.mark.parametrize("fuel", [100, 1_000, 100_000])
+def test_a_verdict_that_does_not_run_out_of_fuel_holds_under_twice_as_much(
+        fuel):
+    for make_sig in fuel_sources():
+        small, large = verdicts(make_sig, fuel), verdicts(make_sig, 2 * fuel)
+        for a, b in zip(small, large):
+            if may_be_fuel(a):
+                break   # later declarations may depend on this one
+            assert a == b
