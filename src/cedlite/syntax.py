@@ -8,14 +8,16 @@ type variables share one index space: the context is a single telescope
 and a binder's classifier decides which flavor it introduces.
 
 `SHAPES` says, for each node class, which fields are data, subtrees, or
-subtrees under the node's binder; `rebuild`, `subtrees` and `interner`
-read it, and shifting, substitution, free indices and every other
-structural walk of the kernel are written once on top of them.
+subtrees under the node's binder. Each class's constructor is generated
+from its row and computes the node's free-index masks as it is built;
+`rebuild`, `subtrees` and `interner` read it too, and shifting,
+substitution and every other structural walk of the kernel are written
+once on top of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Optional, Union
 
 Term = Union[
@@ -42,82 +44,98 @@ class Pos:
         return f"{self.line}:{self.col}"
 
 
+class _Node:
+    """Every AST node below. Its constructor, generated from its `SHAPES`
+    row, stores the fields and two masks of the indices free in the node:
+    `free_mask` has bit i set exactly when de Bruijn index i is free;
+    `sort_mask` has bit 2i set when index i occurs as a term variable and
+    bit 2i + 1 when it occurs as a type variable. Nodes are immutable by
+    contract: nothing assigns an attribute after the constructor, so the
+    masks never go stale."""
+    __slots__ = ("free_mask", "sort_mask")
+
+
+# `==` compares the class and the compared fields (α-equivalence), and
+# equal nodes hash equal; `__init__` is set from the class's SHAPES row.
+_node = dataclass(slots=True, init=False, unsafe_hash=True)
+
+
 # ---------------------------------------------------------------------------
 # Annotated terms
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     idx: int
 
 
-@dataclass(frozen=True)
-class Ref:
+@_node
+class Ref(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Lam:
+@_node
+class Lam(_Node):
     name: str = field(compare=False)
     ann: Optional[Type]
     body: Term
 
 
-@dataclass(frozen=True)
-class ILam:
+@_node
+class ILam(_Node):
     """Implicit abstraction; erased, binder must not survive erasure."""
     name: str = field(compare=False)
     body: Term
 
 
-@dataclass(frozen=True)
-class App:
+@_node
+class App(_Node):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
-class EApp:
+@_node
+class EApp(_Node):
     """Erased application `t -s`; the argument never reaches the erasure."""
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
-class TApp:
+@_node
+class TApp(_Node):
     """Type application `t · T`."""
     fn: Term
     ty: Type
 
 
-@dataclass(frozen=True)
-class Pair:
+@_node
+class Pair(_Node):
     """Intersection introduction `[t , t']`."""
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Proj:
+@_node
+class Proj(_Node):
     sub: Term
     which: int  # 1 or 2
 
 
-@dataclass(frozen=True)
-class Beta:
+@_node
+class Beta(_Node):
     """Reflexivity `β` or `β{t}` (erases to the witness, default identity)."""
     witness: Optional[Term] = None
 
 
-@dataclass(frozen=True)
-class Rho:
+@_node
+class Rho(_Node):
     """Equality elimination `ρ q - t`; `ρ+` normalizes the goal first."""
     proof: Term
     body: Term
     normalize_first: bool = False
 
 
-@dataclass(frozen=True)
-class Symm:
+@_node
+class Symm(_Node):
     """Equality symmetry `ς q`."""
     proof: Term
 
@@ -125,18 +143,18 @@ class Symm:
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
-class TVar:
+@_node
+class TVar(_Node):
     idx: int
 
 
-@dataclass(frozen=True)
-class TRef:
+@_node
+class TRef(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class All:
+@_node
+class All(_Node):
     """Implicit product `∀ x : dom . body`; dom a kind binds a type
     variable, dom a type binds an erased term variable. `➾` is the
     non-dependent spelling."""
@@ -145,45 +163,45 @@ class All:
     body: Type
 
 
-@dataclass(frozen=True)
-class Pi:
+@_node
+class Pi(_Node):
     """Explicit product `Π x : dom . body`; `➔` when non-dependent."""
     name: str = field(compare=False)
     dom: Type
     body: Type
 
 
-@dataclass(frozen=True)
-class TLam:
+@_node
+class TLam(_Node):
     name: str = field(compare=False)
     dom: Union[Type, Kind]
     body: Type
 
 
-@dataclass(frozen=True)
-class AppT:
+@_node
+class AppT(_Node):
     """Type-level application to a type: `T · S`."""
     fn: Type
     arg: Type
 
 
-@dataclass(frozen=True)
-class AppTm:
+@_node
+class AppTm(_Node):
     """Type-level application to a term: `T t`."""
     fn: Type
     arg: Term
 
 
-@dataclass(frozen=True)
-class Iota:
+@_node
+class Iota(_Node):
     """Dependent intersection `ι x : left . right`."""
     name: str = field(compare=False)
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
-class Eq:
+@_node
+class Eq(_Node):
     """Untyped-term equality `{l ≃ r}`; operands are scoped, not typed."""
     lhs: Term
     rhs: Term
@@ -192,21 +210,21 @@ class Eq:
 # ---------------------------------------------------------------------------
 # Kinds
 
-@dataclass(frozen=True)
-class Star:
+@_node
+class Star(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class KPi:
+@_node
+class KPi(_Node):
     """Term-indexed kind `Π x : T . κ` (`T ➔ κ` when non-dependent)."""
     name: str = field(compare=False)
     dom: Type
     body: Kind
 
 
-@dataclass(frozen=True)
-class KPiK:
+@_node
+class KPiK(_Node):
     """Type-indexed kind `Π X : κ . κ'` (`κ ➔ κ'` when non-dependent)."""
     name: str = field(compare=False)
     dom: Kind
@@ -216,25 +234,25 @@ class KPiK:
 # ---------------------------------------------------------------------------
 # Pure terms: the untyped λ-terms that erasure produces (see erasure.py)
 
-@dataclass(frozen=True)
-class PVar:
+@_node
+class PVar(_Node):
     idx: int
 
 
-@dataclass(frozen=True)
-class PLam:
+@_node
+class PLam(_Node):
     hint: str = field(compare=False)
     body: PureTerm
 
 
-@dataclass(frozen=True)
-class PApp:
+@_node
+class PApp(_Node):
     fn: PureTerm
     arg: PureTerm
 
 
-@dataclass(frozen=True)
-class PRef:
+@_node
+class PRef(_Node):
     name: str
 
 
@@ -297,6 +315,39 @@ _PURE_NODES = (PVar, PLam, PApp, PRef)
 _SORTS = {cls: sort for sort, group in (
     ("term", _TERM_NODES), ("type", _TYPE_NODES), ("kind", _KIND_NODES),
     ("pure term", _PURE_NODES)) for cls in group}
+
+
+def _constructor(cls, row: dict):
+    """`cls.__init__`: store the fields of `row`, then the masks, folded
+    from the children's: a variable contributes its own bits, a subtree
+    under the binder its bits moved down one index, an absent (`None`)
+    subtree nothing. Pure-term variables have no sort bits."""
+    fields = cls.__dataclass_fields__
+    free = ["1 << idx"] if cls in _VARS else []
+    sorts = ["1 << 2 * idx"] if cls is Var else ["2 << 2 * idx"] \
+        if cls is TVar else []
+    for f, role in row.items():
+        if role is not DATA:
+            get = f"{f}.%s" if not fields[f].type.startswith("Optional") \
+                else f"({f}.%s if {f} is not None else 0)"
+            free.append(get % "free_mask" + " >> 1" * role)
+            if cls not in _PURE_NODES:
+                sorts.append(get % "sort_mask" + " >> 2" * role)
+    src = "".join(f"    self.{f} = {f}\n" for f in row)
+    src = (f"def __init__(self, {', '.join(row)}):\n{src}"
+           f"    self.free_mask = {' | '.join(free) or 0}\n"
+           f"    self.sort_mask = {' | '.join(sorts) or 0}\n")
+    scope = {}
+    exec(src, scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__name__}.__init__"
+    init.__defaults__ = tuple(fields[f].default for f in row
+                              if fields[f].default is not MISSING) or None
+    return init
+
+
+for _cls, _row in SHAPES.items():
+    _cls.__init__ = _constructor(_cls, _row)
 
 
 def sort_of(node) -> str:
@@ -407,61 +458,9 @@ def subst(node, j: int, *vals):
     return go(node, j)
 
 
-def _fold_masks(node, attr: str, leaf, width: int) -> int:
-    """A mask of `node`'s free variables, folded bottom-up without
-    recursion and cached on every node visited under `attr` (nodes are
-    frozen, so it never goes stale): `leaf(n)` is a variable's own bits,
-    and a subtree's bits move down by `width` per binder."""
-    todo = [node]
-    while todo:
-        n = todo[-1]
-        if getattr(n, attr, None) is not None:     # shared, done already
-            todo.pop()
-            continue
-        mask, ready = leaf(n), True
-        for f, role in _SUBS[type(n)]:
-            v = getattr(n, f)
-            if v is not None:
-                m = getattr(v, attr, None)
-                if m is None:
-                    todo.append(v)
-                    ready = False
-                else:
-                    mask |= m >> role * width
-        if ready:
-            object.__setattr__(n, attr, mask)
-            todo.pop()
-    return mask
-
-
-def _free_bit(n) -> int:
-    return 1 << n.idx if type(n) in _VARS else 0
-
-
-def _sort_bits(n) -> int:
-    return 1 << 2 * n.idx if type(n) is Var \
-        else 2 << 2 * n.idx if type(n) is TVar else 0
-
-
-def free_mask(node) -> int:
-    """The indices free in `node` as bits: bit i is set exactly when de
-    Bruijn index i is free."""
-    mask = getattr(node, "_free", None)
-    return _fold_masks(node, "_free", _free_bit, 1) if mask is None else mask
-
-
-def sort_mask(node) -> int:
-    """How the indices free in `node` are used: bit 2i is set when index i
-    occurs as a term variable, bit 2i + 1 when it occurs as a type
-    variable."""
-    mask = getattr(node, "_sorts", None)
-    return _fold_masks(node, "_sorts", _sort_bits, 2) if mask is None \
-        else mask
-
-
 def occurs_index(node, idx: int) -> bool:
     """Does de Bruijn index `idx` occur free in `node`?"""
-    return free_mask(node) >> idx & 1 == 1
+    return node.free_mask >> idx & 1 == 1
 
 
 def is_term(node) -> bool:

@@ -24,8 +24,7 @@ from .normalize import Fuel, FuelExhausted, alpha_eq, conv, is_identity, \
     normalize
 from .printer import print_classifier, print_pure
 from .syntax import (
-    Decl, KernelError, Signature, free_mask, occurs_index, rebuild, shift,
-    subtrees,
+    Decl, KernelError, Signature, occurs_index, rebuild, shift, subtrees,
 )
 from .values import (
     EMPTY, STAR, Ctx, VBind, VEq, VNe, VTm, enter, evaluate,
@@ -218,7 +217,7 @@ class Checker:
                     return node if idx == node.idx else cls(idx)
                 return self._quote_tm(v, lvl + d) if type(v) is VTm \
                     else self._quote(v, lvl + d)
-            if not free_mask(node) >> d:
+            if not node.free_mask >> d:
                 return node
             return rebuild(node, go, d)
         return go(tm.term, 0)
@@ -661,12 +660,12 @@ class Checker:
         neither does erasure, except where a Λ-bound variable survives it,
         which checking rejects in terms and kinding in equation operands."""
         count = 0
-        mask = free_mask(lhs_nf)
+        mask = lhs_nf.free_mask
         lhs_at: dict[int, tuple] = {}     # lhs, lhs_nf, its mask under d
 
         def go(n, d):
             nonlocal count
-            if S.is_kind(n) or mask << d & ~free_mask(n):
+            if S.is_kind(n) or mask << d & ~n.free_mask:
                 return n
             if S.is_term(n):
                 at_d = lhs_at.get(d)
@@ -688,7 +687,7 @@ class Checker:
         # definitions, whose normal forms are closed (a rejected one stays a
         # neutral head). So `te` can normalize to `lhs_nf` only if every
         # variable free in `lhs_nf` (the bits of `lhs_mask`) is free in `te`.
-        if lhs_mask & ~free_mask(te):
+        if lhs_mask & ~te.free_mask:
             return False
         return alpha_eq(self._nf(te), lhs_nf)
 

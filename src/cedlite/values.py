@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import syntax as S
-from .syntax import free_mask, sort_clash, sort_mask
+from .syntax import sort_clash
 
 
 @dataclass(eq=False, slots=True)
@@ -74,7 +74,7 @@ def same_env(node, env1: list, env2: list, bound: int = 0) -> bool:
         return True
     if len(env1) != len(env2):
         return False
-    mask, j = free_mask(node) >> bound, 1
+    mask, j = node.free_mask >> bound, 1
     while mask:
         if mask & 1 and j <= len(env1) and env1[-j] is not env2[-j]:
             return False
@@ -112,7 +112,7 @@ def instantiate(b: VBind, arg):
     value or a `VTm`, for its variable. An argument of the other sort than
     a use of the variable (a rejected ascription, trusted as written, can
     give one) is the clash that substituting it would meet."""
-    if sort_mask(b.body) & (2 if type(arg) is VTm else 1):
+    if b.body.sort_mask & (2 if type(arg) is VTm else 1):
         raise sort_clash(*(("term", "type") if type(arg) is VTm
                            else ("type", "term")))
     return evaluate(b.body, b.env + [arg])

@@ -4,8 +4,8 @@ This is `Checker._rewrite` as it was before free-index masks: it visits
 every term position of the goal, erases it, and normalizes it unless a
 variable free in the left side's normal form is missing from the
 erasure. Free indices are collected here by a plain walk, independent of
-`syntax.free_mask`. The tests require the kernel's pruned rewrite to give
-the same goal and the same count.
+each node's `free_mask`. The tests require the kernel's pruned rewrite to
+give the same goal and the same count.
 """
 
 from __future__ import annotations

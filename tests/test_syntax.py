@@ -136,3 +136,52 @@ def test_a_wrong_sort_at_any_position_of_vals_raises(node, good, bad,
     vals[position] = bad
     with pytest.raises(KernelError, match="substituted into"):
         subst(node, 0, *vals)
+
+
+# --- the node contract ------------------------------------------------------
+
+MATCH_ARGS = {
+    "Var": ("idx",), "Ref": ("name",), "Lam": ("name", "ann", "body"),
+    "ILam": ("name", "body"), "App": ("fn", "arg"), "EApp": ("fn", "arg"),
+    "TApp": ("fn", "ty"), "Pair": ("left", "right"),
+    "Proj": ("sub", "which"), "Beta": ("witness",),
+    "Rho": ("proof", "body", "normalize_first"), "Symm": ("proof",),
+    "TVar": ("idx",), "TRef": ("name",), "All": ("name", "dom", "body"),
+    "Pi": ("name", "dom", "body"), "TLam": ("name", "dom", "body"),
+    "AppT": ("fn", "arg"), "AppTm": ("fn", "arg"),
+    "Iota": ("name", "left", "right"), "Eq": ("lhs", "rhs"), "Star": (),
+    "KPi": ("name", "dom", "body"), "KPiK": ("name", "dom", "body"),
+    "PVar": ("idx",), "PLam": ("hint", "body"), "PApp": ("fn", "arg"),
+    "PRef": ("name",),
+}
+
+
+def test_equality_compares_the_class_and_ignores_binder_hints():
+    a, b = S.Var(0), S.Var(1)
+    assert S.App(a, b) != S.EApp(a, b)
+    assert S.App(a, b) == S.App(S.Var(0), S.Var(1))
+    assert S.Var(0) != S.TVar(0) and S.Var(0) != S.PVar(0)
+    lx, ly = S.Lam("x", None, S.Var(0)), S.Lam("y", None, S.Var(0))
+    assert lx == ly and hash(lx) == hash(ly)
+    px, py = S.PLam("x", S.PVar(0)), S.PLam("y", S.PVar(0))
+    assert px == py and hash(px) == hash(py)
+    assert S.Lam("x", S.TRef("Nat"), S.Var(0)) != lx
+    assert S.Rho(a, b) != S.Rho(a, b, True)
+    assert S.Beta() == S.Beta(None) != S.Beta(a)
+
+
+def test_every_node_class_keeps_its_match_args_and_fields():
+    assert {cls.__name__: cls.__match_args__ for cls in S.SHAPES} \
+        == MATCH_ARGS
+    for cls in S.SHAPES:
+        assert tuple(cls.__dataclass_fields__) == MATCH_ARGS[cls.__name__]
+
+
+def test_nodes_are_slotted_so_a_misspelled_assignment_raises():
+    for cls in S.SHAPES:
+        assert "__slots__" in cls.__dict__
+        node = cls(*[S.Var(0) if role is not S.DATA else 0
+                     for role in S.SHAPES[cls].values()])
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.bdoy = S.Var(1)

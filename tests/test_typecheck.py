@@ -1,3 +1,4 @@
+import io
 from importlib import resources
 from pathlib import Path
 
@@ -666,6 +667,26 @@ def may_be_fuel(row) -> bool:
     failure shows only its error's kind, which is "error" for fuel."""
     texts = [row[3] or ""] + [detail for _, detail in row[4]]
     return any("fuel exhausted" in s or s.endswith("(error)") for s in texts)
+
+
+def rendered(sig) -> str:
+    from cedlite.cli import _render_report
+    out = io.StringIO()
+    _render_report(check_signature(sig), porcelain=False, ascii_only=False,
+                   out=out)
+    return out.getvalue()
+
+
+def test_units_run_back_to_back_render_byte_identical_reports():
+    # each run checks a fresh signature; nothing built or cached for one
+    # may change the report of the next, `(fuel N)` included, and neither
+    # may the definitions' normal forms memoized by a first check
+    first = [rendered(make_sig()) for make_sig in fuel_sources()]
+    sigs = [make_sig() for make_sig in fuel_sources()]
+    second = [rendered(sig) for sig in sigs]
+    warm = [rendered(sig) for sig in sigs]
+    assert all("(fuel " in text for text in first)
+    assert first == second == warm
 
 
 @pytest.mark.parametrize("fuel", [100, 1_000, 100_000])
