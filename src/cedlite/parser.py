@@ -72,45 +72,61 @@ _SPELLING = {
     "{": "LBRACE", "}": "RBRACE", ",": "COMMA", ":": "COLON",
 }
 
-# One alternative per token class, tried in order at each offset. Symbols
-# (every spelling but the ASCII keywords, longest first) come before
-# words, because λ Λ Π ι ς β ρ are letters; inside a word they are
-# letters again. `\w` is `isalnum()` or "_"; whether a word may start
-# with its first character is checked in `tokenize`.
-_SYMBOLS = sorted((s for s in _SPELLING
-                   if not (s.isascii() and s.isalpha())),
-                  key=len, reverse=True)
-_TOKEN = re.compile("|".join([
-    r"(?P<SKIP>[ \t\r\n]+|--[^\n]*)",
-    r"(?P<PROJ>(?<=[^ \t\r\n])\.[12])",
-    "(?P<SYMBOL>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
-    r"(?P<DASH>-(?=[ \t\r\n]|\Z))",
-    r"(?P<ERASED>-)",
-    r"(?P<DIRECTIVE>#(?:[^\W_]|-)*)",
-    r"(?P<WORD>\w[\w'′]*(?:-[\w'′]+)*)",
-    r"(?P<BAD>.)",
-]), re.S)
+# A token is the first of these alternatives that matches: a projection
+# `.1`/`.2`, a symbol (every spelling but the ASCII keywords, longest
+# first: λ Λ Π ι ς β ρ are letters, but not inside a word), a dash, a
+# directive, a word (`\w` is `isalnum()` or "_"), or one character
+# that `tokenize` reports. Each is paired with the gap after it: blanks
+# and comments, which run from `--` to the end of the line.
+_GAP = r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*"
+_SYMBOLS = [s for s in _SPELLING if not (s.isascii() and s.isalpha())]
+_TOKEN = re.compile("(" + "|".join([
+    r"\.[12]",
+    *map(re.escape, sorted((s for s in _SYMBOLS if len(s) > 1),
+                           key=len, reverse=True)),
+    "[" + re.escape("".join(s for s in _SYMBOLS if len(s) == 1)) + "]",
+    "-", r"#(?:[^\W_]|-)*", r"\w[\w'′]*(?:-[\w'′]+)*", ".",
+]) + ")(" + _GAP + ")", re.S)
+_LEADING_GAP = re.compile(_GAP)
+_END_OR_BLANK = {"", " ", "\t", "\r", "\n"}
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[tuple]:
-    """The `(kind, text, offset)` tokens of `text`, ending with `EOF`."""
-    toks = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "SKIP":
-            continue
-        word = m.group()
-        if kind in ("SYMBOL", "WORD"):
-            kind = _SPELLING.get(word, "IDENT")
-        if kind == "IDENT" and not (word[0].isalpha() or word[0] == "_"):
-            kind = "BAD"    # a word cannot start with a numeral such as ½
-        elif kind == "PROJ":
-            word = word[1]
-        if kind == "BAD":
-            _Source(text, filename).fail(
-                f"stray {word!r}" if word in ("/", "<")
-                else f"unexpected character {word[0]!r}", m.start())
-        toks.append((kind, word, m.start()))
+    """The `(kind, text, offset)` tokens of `text`, ending with `EOF`.
+
+    One `findall` splits the text into `(token, gap)` pairs, and each pair
+    is replaced in place by its token, whose offset is the running sum of
+    the lengths before it. A token's kind is its spelling's, else that of
+    its first character: a letter or "_" starts an identifier; `-` is a
+    freestanding `DASH` before a blank or the end, else `ERASED`; a `.`
+    right after a non-blank character starts a projection, which keeps
+    its digit."""
+    at = _LEADING_GAP.match(text).end()
+    toks = _TOKEN.findall(text, at)
+    kinds = _SPELLING.copy()        # and each identifier once it is seen
+    for k, (word, gap) in enumerate(toks):
+        kind = kinds.get(word)
+        if kind is None:
+            c = word[0]
+            if c.isalpha() or c == "_":
+                kind = kinds[word] = "IDENT"
+            elif c == "-":
+                kind = "DASH" if text[at + 1:at + 2] in _END_OR_BLANK \
+                    else "ERASED"
+            elif c == "#":
+                kind = "DIRECTIVE"
+            elif c == "." and at and text[at - 1] not in " \t\r\n":
+                toks[k] = ("PROJ", word[1], at)
+                at += 2 + len(gap)
+                continue
+            else:
+                if c == ".":    # a `.` and then a word that starts with 1 or 2
+                    at, c = at + 1, word[1]
+                _Source(text, filename).fail(
+                    f"stray {word!r}" if word in ("/", "<")
+                    else f"unexpected character {c!r}", at)
+        toks[k] = (kind, word, at)
+        at += len(word) + len(gap)
     toks.append(("EOF", "", len(text)))
     return toks
 
@@ -162,7 +178,11 @@ class _Reader:
         self.toks = tokenize(text, filename)
         self.sig = sig if sig is not None else Signature()
         self.i = 0
-        self.env: list[str] = []      # binder names, innermost last
+        # The enclosing binders, innermost last, each with the level of the
+        # binder of the same name that it shadows; and each name's
+        # innermost binder level, so a name resolves in one probe.
+        self.env: list[tuple[str, Optional[int]]] = []
+        self.levels: dict[str, int] = {}
         self.mk = S.interner()
         self.err = None               # (message, offset)
         self.attached = []            # (declaration, assertion) pairs
@@ -181,6 +201,20 @@ class _Reader:
         was None: the construct's error precedes those recorded inside it."""
         if (self.err if before is False else before) is None:
             self.err, self.mk = (msg, at), lambda *_: None
+
+    def bind(self, name: str) -> None:
+        """Enter a binder of `name` ("" for ➔, which no identifier names)."""
+        env, levels = self.env, self.levels
+        env.append((name, levels.get(name)))
+        levels[name] = len(env) - 1
+
+    def unbind(self) -> None:
+        """Leave the innermost binder, unshadowing what it shadowed."""
+        name, shadowed = self.env.pop()
+        if shadowed is None:
+            del self.levels[name]
+        else:
+            self.levels[name] = shadowed
 
     def raise_first(self):
         if self.err is not None:
@@ -255,7 +289,8 @@ class _Reader:
 
     def expr(self, sort: str):
         """The node of the expression of `sort` at the next token."""
-        toks, env, stack, lookup = self.toks, self.env, [], self.sig.lookup
+        toks, env, levels = self.toks, self.env, self.levels
+        stack, lookup = [], self.sig.lookup
         i, state = self.i, _EXPR
         fn = fn_at = app_sort = joint = None
         while True:
@@ -292,11 +327,10 @@ class _Reader:
                     before = self.err
                     if kind == "IDENT":
                         term = asort == "term"
-                        if text in env:     # bound: its de Bruijn index
-                            depth = 0
-                            while env[-1 - depth] != text:
-                                depth += 1
-                            val = self.mk(S.Var if term else S.TVar, depth)
+                        level = levels.get(text)
+                        if level is not None:   # bound: its de Bruijn index
+                            val = self.mk(S.Var if term else S.TVar,
+                                          len(env) - 1 - level)
                         else:
                             decl, level = lookup(text), "term" if term else "type"
                             if decl is None:
@@ -310,9 +344,14 @@ class _Reader:
                             i, val, at = self.postfix(i, val, at, asort,
                                                       before)
                     else:
-                        stack.append((_APP, fn, fn_at, app_sort, joint))
-                        i, sort, state, val = self.atom(kind, at, i, asort,
-                                                        before, stack)
+                        if kind == "LPAREN":
+                            stack.append((_PAREN, fn, fn_at, app_sort, joint,
+                                          asort, before))
+                            i, sort, state = i + 1, asort, _EXPR
+                        else:
+                            stack.append((_APP, fn, fn_at, app_sort, joint))
+                            i, sort, state, val = self.atom(
+                                kind, at, i, asort, before, stack)
                         eq = False
                         break
                 if joint is None:
@@ -336,10 +375,7 @@ class _Reader:
                     return val
                 frame = stack.pop()
                 tag = frame[0]
-                if tag is _APP:
-                    _, fn, fn_at, app_sort, joint = frame
-                    state = _JOIN
-                elif tag is _OPERAND:
+                if tag is _OPERAND:
                     _, sort, app_sort, before, eq = frame
                     kind = toks[i][0]
                     if kind == "ARROW" or kind == "FATARROW":
@@ -351,7 +387,7 @@ class _Reader:
                         cls = (S.KPiK if S.is_kind(val) else S.KPi) \
                             if sort == "kind" else _TYPE_BINDERS[kind]
                         stack.append((_BODY, at, cls, "", val))
-                        env.append("")
+                        self.bind("")
                         i, state = i + 1, _EXPR
                     elif eq and kind == "SIMEQ":
                         if sort == "term" or app_sort != "term":
@@ -359,13 +395,18 @@ class _Reader:
                                       before)
                         stack.append((_EQ_RHS, at, val))
                         i, sort, eq, state = i + 1, "term", False, _ARROWS
-                elif tag is _PAREN:
-                    _, asort, before = frame
-                    i, val, at = self.postfix(self.expect("RPAREN", i), val,
-                                              at, asort, before)
+                elif tag is _PAREN:     # and then the application it is in
+                    _, fn, fn_at, app_sort, joint, asort, before = frame
+                    i = self.expect("RPAREN", i)
+                    if toks[i][0] == "PROJ":
+                        i, val, at = self.postfix(i, val, at, asort, before)
+                    state = _JOIN
+                elif tag is _APP:
+                    _, fn, fn_at, app_sort, joint = frame
+                    state = _JOIN
                 elif tag is _BODY:
                     _, at, cls, binder, dom = frame
-                    env.pop()
+                    self.unbind()
                     val = self.mk(cls, binder, val) if cls is S.ILam \
                         else self.mk(cls, binder, dom, val)
                 elif tag is _DOM:
@@ -374,7 +415,7 @@ class _Reader:
                     if cls is None:
                         cls = S.KPiK if S.is_kind(val) else S.KPi
                     stack.append((_BODY, d_at, cls, binder, val))
-                    env.append(binder)
+                    self.bind(binder)
                     state = _EXPR
                 elif tag is _EQ_RHS:
                     val, at = self.mk(S.Eq, frame[2], val), frame[1]
@@ -428,18 +469,15 @@ class _Reader:
             dom = "classifier" if kind == "FORALL" else "type"
         if not colon:
             stack.append((_BODY, at, cls, binder, None))
-            self.env.append(binder)
+            self.bind(binder)
             return self.expect("DOT", i), sort, _EXPR
         stack.append((_DOM, at, cls, binder, sort))
         return self.expect("COLON", i), dom, _EXPR
 
     def atom(self, kind: str, at: int, i: int, sort: str, before,
              stack: list):
-        """Begin the atom other than a name at token `i`, in `sort`: the
-        index, sort and state to go on with, and the atom if it is whole."""
-        if kind == "LPAREN":
-            stack.append((_PAREN, sort, before))
-            return i + 1, sort, _EXPR, None
+        """Begin the atom other than a name or `(` at token `i`, in `sort`:
+        the index, sort and state to go on with, and the atom if whole."""
         if kind == "STAR":
             if sort != "kind":
                 self.fail("★ in a term position" if sort == "term"

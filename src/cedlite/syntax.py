@@ -301,10 +301,11 @@ for _cls, _row in SHAPES.items():
 _ROWS = {cls: tuple(row.items()) for cls, row in SHAPES.items()}
 _SUBS = {cls: tuple((f, r) for f, r in row.items() if r is not DATA)
          for cls, row in SHAPES.items()}
-# How `interner` keys each class: None if every field is data, () if every
-# field is a subtree, else the role of each field.
+# How `interner` keys each class: None if every field is data, `_TWO` if
+# the fields are two subtrees, else the role of each field.
+_TWO = (SUB, SUB)
 _KEYS = {cls: None if all(r is DATA for r in row.values())
-         else () if DATA not in row.values() else tuple(row.values())
+         else _TWO if tuple(row.values()) == _TWO else tuple(row.values())
          for cls, row in SHAPES.items()}
 _VARS = (Var, TVar, PVar)
 
@@ -391,17 +392,19 @@ def interner():
     (binder hints included) and the subtrees' identities, it builds equal
     subterms with equal hints as one object."""
     table = {}
+    get = table.get
 
     def mk(cls, *fields):
         roles = _KEYS[cls]
-        if roles is None:           # data fields only
-            key = (cls, *fields)
-        elif not roles:             # subtrees only
-            key = (cls, *map(id, fields))
+        if roles is _TWO:
+            a, b = fields
+            key = (cls, id(a), id(b))
+        elif roles is None:
+            key = (cls, fields)
         else:
             key = (cls, *[v if role is DATA else id(v)
                           for v, role in zip(fields, roles)])
-        node = table.get(key)
+        node = get(key)
         if node is None:
             node = table[key] = cls(*fields)
         return node

@@ -101,6 +101,29 @@ def test_random_strings_lex_as_before():
     assert mends["tight dot"] > 0 and mends["comment"] > 0
 
 
+# Inputs where a split into tokens and the gaps after them could go wrong:
+# a comment at the end, a dash before the end or a blank, `.1` where it
+# is no projection, words that start with a numeral, and the spellings
+# that share a first character with an error or a longer spelling.
+EDGE_CASES = [
+    "x -- note", "-- note", "x --", "x\n-- note", "--",
+    "x -", "-", "x-", "ρ q -\tx", "ρ q -\rx", "ρ q -\r\nx", "x -\t",
+    ".1", ".2 x", "x .1", "x\t.2", "-- c\n.1", "x -- c\n.2", "x.3", "x.1",
+    "x.1.2", "x..1", "(x).2", "x.12",
+    "1x", "2", "x 1", "½", "½x", "x ½", "x½", "²", "_1",
+    "ρ+ q - x", "ρ+", "rho+ q - x", "rho+x", "rhox+", "ρ+x",
+    "/\\ X . x", "/\\", "a <| b", "<|", "/", "x / y", "<", "x < y",
+    "/x", "<x", "x/", "x<",
+]
+
+
+def test_edge_cases_lex_as_before():
+    mends = {"tight dot": 0, "comment": 0}
+    for text in EDGE_CASES:
+        assert_same(text, mends)
+    assert mends == {"tight dot": 0, "comment": 5}   # the five notes at EOF
+
+
 def test_tight_dot_at_end_of_input_is_a_dot():
     kinds = [kind for kind, _, _ in tokenize("x.")]
     assert kinds == ["IDENT", "DOT", "EOF"]

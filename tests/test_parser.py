@@ -15,6 +15,24 @@ def test_identity_declaration_shape():
     assert d.body == S.ILam("A", S.Lam("x", None, S.Var(0)))
     assert d.classifier == S.All("A", S.Star(),
                                  S.Pi("", S.TVar(0), S.TVar(1)))
+    # an inner binder shadows an outer one of the same name, a name looks
+    # past the anonymous binders of ➔, and `_` is a name like any other
+    sig = parse_signature("k ◂ ∀ A : ★ . A ➔ A ➔ A = Λ A . λ x . λ x . x .\n"
+                          "u ◂ ∀ _ : ★ . _ ➔ _ = Λ _ . λ _ . _ .")
+    d = sig.lookup("k")
+    assert d.body == S.ILam("A", S.Lam("x", None, S.Lam("x", None, S.Var(0))))
+    assert d.classifier == S.All("A", S.Star(), S.Pi(
+        "", S.TVar(0), S.Pi("", S.TVar(1), S.TVar(2))))
+    d = sig.lookup("u")
+    assert d.body == S.ILam("_", S.Lam("_", None, S.Var(0)))
+    assert d.classifier == S.All("_", S.Star(),
+                                 S.Pi("", S.TVar(0), S.TVar(1)))
+    assert parse_term("λ x . λ y . λ x . y x").body.body.body == \
+        S.App(S.Var(1), S.Var(0))
+    assert parse_term("λ x . λ y . (λ x . y) x").body.body == \
+        S.App(S.Lam("x", None, S.Var(1)), S.Var(1))
+    with pytest.raises(ResolveError, match="unbound identifier y"):
+        parse_signature("f ◂ ∀ A : ★ . A ➔ A = Λ A . λ x . (λ y . y) y .")
 
 
 def test_ascii_and_unicode_parse_identically():
@@ -199,4 +217,13 @@ def test_ten_thousand_deep_nesting_reads_at_the_default_limit(corpus_sig):
     body = parse_term("Λ X . λ z . λ s . " + "s (" * DEPTH + "z"
                       + ")" * DEPTH).body.body.body
     assert spine(body, "arg") == DEPTH and body.fn == S.Var(0)
+    # as many binders, the body naming the outermost one
+    sig = parse_signature(
+        "f ◂ " + "".join(f"Π x{i} : Nat . " for i in range(DEPTH)) + "Nat = "
+        + "".join(f"λ x{i} . " for i in range(DEPTH)) + "x0 .\n",
+        sig=corpus_sig.staged())
+    node = sig.lookup("f").body
+    for _ in range(DEPTH):
+        node = node.body
+    assert node == S.Var(DEPTH - 1)
     assert sys.getrecursionlimit() == LIMIT

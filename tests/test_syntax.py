@@ -185,3 +185,51 @@ def test_nodes_are_slotted_so_a_misspelled_assignment_raises():
         assert not hasattr(node, "__dict__")
         with pytest.raises(AttributeError):
             node.bdoy = S.Var(1)
+
+
+# --- the interner -----------------------------------------------------------
+
+X, Y, T = S.Var(0), S.Var(1), S.TRef("Nat")
+
+# Pairs of `mk` calls that must build two objects: each pair differs only
+# in one data field, in a binder hint, in an absent subtree, or in the
+# class alone (classes with the same fields).
+APART = {
+    "Proj-which": ((S.Proj, X, 1), (S.Proj, X, 2)),
+    "Rho-plus": ((S.Rho, X, Y, False), (S.Rho, X, Y, True)),
+    "Lam-ann": ((S.Lam, "x", None, X), (S.Lam, "x", T, X)),
+    "Lam-hint": ((S.Lam, "x", None, X), (S.Lam, "y", None, X)),
+    "Beta-witness": ((S.Beta, None), (S.Beta, X)),
+    "Var-idx": ((S.Var, 0), (S.Var, 1)),
+    "App-EApp": ((S.App, X, Y), (S.EApp, X, Y)),
+    "AppT-AppTm": ((S.AppT, T, T), (S.AppTm, T, T)),
+    "Var-TVar": ((S.Var, 0), (S.TVar, 0)),
+    "Ref-TRef": ((S.Ref, "f"), (S.TRef, "f")),
+}
+
+
+@pytest.mark.parametrize("one, other", APART.values(), ids=APART)
+def test_an_interner_keeps_apart_what_differs_in_class_or_data(one, other):
+    mk = S.interner()
+    a, b = mk(*one), mk(*other)
+    assert a is not b
+    assert mk(*one) is a and mk(*other) is b
+    for call, node in ((one, a), (other, b)):
+        assert type(node) is call[0]
+        assert [getattr(node, f) for f in S.SHAPES[call[0]]] == list(call[1:])
+
+
+def test_an_interner_builds_one_object_per_class_data_and_subtrees():
+    mk = S.interner()
+    x, t = mk(S.Var, 0), mk(S.TRef, "Nat")
+    assert mk(S.Var, 0) is x and mk(S.TRef, "Nat") is t and mk(S.Star) is \
+        mk(S.Star)
+    app = mk(S.App, x, x)
+    assert mk(S.App, x, x) is app
+    assert mk(S.Lam, "x", t, app) is mk(S.Lam, "x", t, app)
+    assert mk(S.Rho, app, x, True) is mk(S.Rho, app, x, True)
+    # a subtree is keyed by its identity: an equal but other object is apart
+    other = S.Var(0)
+    assert other == x and mk(S.App, other, x) is not app
+    # and each interner has a table of its own
+    assert S.interner()(S.Var, 0) is not x
