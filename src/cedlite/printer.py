@@ -1,4 +1,9 @@
-"""Printing for terms, types, kinds, and pure terms.
+"""Printing for terms, types, kinds, pure terms and declarations.
+
+One loop prints every AST, on an explicit stack, so any depth prints. A
+layout table drives it: a row per class gives the precedence and the
+parts in order, and pure classes share the rows of their annotated
+twins, so a pure term prints as its embedding (a λ without annotation).
 
 Annotated output reparses to an alpha-equal AST. Binder hints are kept
 where possible and freshened against enclosing binders and any
@@ -8,231 +13,190 @@ way back in.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from . import erasure as E
 from . import syntax as S
 
-_UNI = {
-    "lam": "λ", "ilam": "Λ", "pi": "Π", "all": "∀", "iota": "ι",
-    "star": "★", "arrow": "➔", "fatarrow": "➾", "eq": "≃", "cdot": "·",
-    "beta": "β", "rho": "ρ", "rhoplus": "ρ+", "sigma": "ς", "ascribe": "◂",
-}
-_ASCII = {
-    "lam": "\\", "ilam": "/\\", "pi": "Pi", "all": "forall", "iota": "iota",
-    "star": "*", "arrow": "->", "fatarrow": "=>", "eq": "==", "cdot": "@",
-    "beta": "beta", "rho": "rho", "rhoplus": "rho+", "sigma": "~",
-    "ascribe": "<|",
-}
-
 # precedence: 0 expr (binders, ρ, ς, ≃), 1 arrows, 2 application, 3 atoms
 _EXPR, _ARROW, _APP, _ATOM = 0, 1, 2, 3
 
+_TO_ASCII = str.maketrans({
+    "λ": "\\", "Λ": "/\\", "Π": "Pi", "∀": "forall", "ι": "iota", "★": "*",
+    "➔": "->", "➾": "=>", "≃": "==", "·": "@", "β": "beta", "ρ": "rho",
+    "ς": "~", "◂": "<|",
+})
 
-class _Printer:
-    def __init__(self, ascii_only: bool = False):
-        self.sym = _ASCII if ascii_only else _UNI
-        # id of a subtree -> its `ref_names`; a printer lives for one print
-        # call, whose tree keeps every keyed node alive
-        self.refs: dict[int, frozenset] = {}
+_VARS = (S.Var, S.TVar, S.PVar)
+_REFS = (S.Ref, S.TRef, S.PRef)
+_NO_NAMES = frozenset()
 
-    def ref_names(self, node) -> frozenset:
-        """The definition names referenced in `node`, found once per
-        subtree for all the binders of one print call."""
-        memo, todo = self.refs, [node]
-        while todo:
-            n = todo[-1]
-            if id(n) in memo:
-                todo.pop()
+# A row per class: the precedence it prints at, then its parts in order.
+# A part is a literal, spelled in Unicode (`_TO_ASCII` respells it), or a
+# field with the precedence its subtree prints at; a data field (None)
+# prints as text. `_print` cuts `β`'s row short without a witness and
+# spells `ρ+` when the goal is normalized first.
+_LAYOUT = {
+    _REFS: (_ATOM, ("name", None)),
+    (S.App, S.PApp, S.AppTm): (_APP, ("fn", _APP), " ", ("arg", _ATOM)),
+    S.EApp: (_APP, ("fn", _APP), " -", ("arg", _ATOM)),
+    S.TApp: (_APP, ("fn", _APP), " · ", ("ty", _ATOM)),
+    S.AppT: (_APP, ("fn", _APP), " · ", ("arg", _ATOM)),
+    S.Pair: (_ATOM, "[ ", ("left", _EXPR), " , ", ("right", _EXPR), " ]"),
+    S.Proj: (_ATOM, ("sub", _ATOM), ".", ("which", None)),
+    S.Beta: (_ATOM, "β", "{", ("witness", _EXPR), "}"),
+    S.Rho: (_EXPR, "ρ", " ", ("proof", _APP), " - ", ("body", _EXPR)),
+    S.Symm: (_EXPR, "ς ", ("proof", _APP)),
+    S.Eq: (_EXPR, ("lhs", _APP), " ≃ ", ("rhs", _APP)),
+    S.Star: (_ATOM, "★"),
+    S.Decl: (_EXPR, ("name", None), " ◂ ", ("classifier", _EXPR), " = ",
+             ("body", _EXPR), " ."),
+}
+# A binder's row: its keyword, and its arrow (the spelling when the bound
+# variable is unused) if it has one. `∀` has its arrow over a type only.
+_BINDERS = {
+    (S.Lam, S.PLam, S.TLam): ("λ ", None),
+    S.ILam: ("Λ ", None),
+    (S.Pi, S.KPi, S.KPiK): ("Π ", " ➔ "),
+    S.All: ("∀ ", " ➾ "),
+    S.Iota: ("ι ", None),
+}
+
+
+def _tables(respell: dict):
+    """The rows, parts reversed for pushing, and the binders, each with the
+    fields of its hint, domain (or None) and body, in one spelling."""
+    rows, binders = {}, {}
+    for group, (prec, *parts) in _LAYOUT.items():
+        parts = tuple(p.translate(respell) if type(p) is str else p
+                      for p in reversed(parts))
+        rows.update(dict.fromkeys(group if type(group) is tuple
+                                  else (group,), (prec, parts)))
+    for group, (kw, arrow) in _BINDERS.items():
+        for cls in group if type(group) is tuple else (group,):
+            field = {role: f for f, role in S.SHAPES[cls].items()}
+            binders[cls] = (kw.translate(respell),
+                            arrow and arrow.translate(respell),
+                            field[S.DATA], field.get(S.SUB), field[S.BOUND])
+    return rows, binders
+
+
+_SPELLINGS = (_tables({}), _tables(_TO_ASCII))
+
+
+def _ref_names(node, memo: dict) -> frozenset:
+    """The definition names referenced in `node`, found once per subtree
+    for all the binders of one print call: `memo` maps the id of each
+    subtree seen to its names, and the printed tree keeps them alive."""
+    todo = [(node, None)]
+    while todo:
+        n, subs = todo.pop()
+        if id(n) in memo:
+            continue
+        if subs is None:            # first visit: the subtrees go first
+            subs = S.subtrees(n, 0)
+            if subs:
+                todo.append((n, subs))
+                todo += [(sub, None) for sub, _ in subs if id(sub) not in memo]
                 continue
-            subs = [sub for sub, _ in S.subtrees(n, 0)]
-            missing = [sub for sub in subs if id(sub) not in memo]
-            if missing:
-                todo += missing
-                continue
-            todo.pop()
-            names = [memo[id(sub)] for sub in subs]
-            if isinstance(n, (S.Ref, S.TRef, S.PRef)):
-                names.append(frozenset((n.name,)))
-            memo[id(n)] = names[0] if len(names) == 1 \
-                else frozenset().union(*names)
-        return memo[id(node)]
+        names = frozenset((n.name,)) if type(n) in _REFS else _NO_NAMES
+        for sub, _ in subs:
+            more = memo[id(sub)]
+            if not names:
+                names = more
+            elif more and not more <= names:
+                names |= more
+        memo[id(n)] = names
+    return memo[id(node)]
 
-    def fresh(self, hint: str, env: list[str], below) -> str:
-        taken = set(env) | self.ref_names(below)
-        name = hint or "x"
-        while name in taken:
-            name += "'"
-        return name
 
-    @staticmethod
-    def wrap(text: str, level: int, ctx: int) -> str:
-        return f"({text})" if level < ctx else text
-
-    def node(self, n, env: list[str], ctx: int = _EXPR) -> str:
-        """A term, type or kind."""
-        by_sort = {"term": self.term, "type": self.type, "kind": self.kind}
-        return by_sort[S.sort_of(n)](n, env, ctx)
-
-    def binder(self, kw: str, arrow, hint: str, dom, body, env: list[str],
-               ctx: int) -> str:
-        """`kw x : dom . body`, or `dom arrow body` if there is an arrow
-        spelling and `x` does not occur in `body`."""
-        if arrow is not None and not S.occurs_index(body, 0):
-            s = (f"{self.node(dom, env, _APP)} {arrow} "
-                 f"{self.node(body, env + [''], _ARROW)}")
-            return self.wrap(s, _ARROW, ctx)
-        x = self.fresh(hint, env, body)
-        s = f"{kw} {x} : {self.node(dom, env)} . {self.node(body, env + [x])}"
-        return self.wrap(s, _EXPR, ctx)
-
-    def term(self, t, env: list[str], ctx: int = _EXPR) -> str:
-        sym = self.sym
-        match t:
-            case S.Var(idx):
-                return env[len(env) - 1 - idx] if idx < len(env) \
-                    else f"?{idx - len(env)}"
-            case S.Ref(name):
-                return name
-            case S.Lam(hint, ann, body):
-                x = self.fresh(hint, env, body)
-                a = f" : {self.type(ann, env)}" if ann is not None else ""
-                s = f"{sym['lam']} {x}{a} . {self.term(body, env + [x])}"
-                return self.wrap(s, _EXPR, ctx)
-            case S.ILam(hint, body):
-                x = self.fresh(hint, env, body)
-                s = f"{sym['ilam']} {x} . {self.term(body, env + [x])}"
-                return self.wrap(s, _EXPR, ctx)
-            case S.App(f, a):
-                s = f"{self.term(f, env, _APP)} {self.term(a, env, _ATOM)}"
-                return self.wrap(s, _APP, ctx)
-            case S.EApp(f, a):
-                s = f"{self.term(f, env, _APP)} -{self.term(a, env, _ATOM)}"
-                return self.wrap(s, _APP, ctx)
-            case S.TApp(f, ty):
-                s = (f"{self.term(f, env, _APP)} {sym['cdot']} "
-                     f"{self.type(ty, env, _ATOM)}")
-                return self.wrap(s, _APP, ctx)
-            case S.Pair(l, r):
-                return f"[ {self.term(l, env)} , {self.term(r, env)} ]"
-            case S.Proj(sub, which):
-                return f"{self.term(sub, env, _ATOM)}.{which}"
-            case S.Beta(None):
-                return sym["beta"]
-            case S.Beta(w):
-                return f"{sym['beta']}{{{self.term(w, env)}}}"
-            case S.Rho(proof, body, plus):
-                kw = sym["rhoplus"] if plus else sym["rho"]
-                s = f"{kw} {self.term(proof, env, _APP)} - {self.term(body, env)}"
-                return self.wrap(s, _EXPR, ctx)
-            case S.Symm(proof):
-                s = f"{sym['sigma']} {self.term(proof, env, _APP)}"
-                return self.wrap(s, _EXPR, ctx)
-        raise TypeError(t)
-
-    def type(self, ty, env: list[str], ctx: int = _EXPR) -> str:
-        sym = self.sym
-        match ty:
-            case S.TVar(idx):
-                return env[len(env) - 1 - idx] if idx < len(env) \
-                    else f"?{idx - len(env)}"
-            case S.TRef(name):
-                return name
-            case S.All(hint, dom, body):
-                arrow = sym["fatarrow"] if S.is_type(dom) else None
-                return self.binder(sym["all"], arrow, hint, dom, body, env,
-                                   ctx)
-            case S.Pi(hint, dom, body):
-                return self.binder(sym["pi"], sym["arrow"], hint, dom, body,
-                                   env, ctx)
-            case S.TLam(hint, dom, body):
-                return self.binder(sym["lam"], None, hint, dom, body, env, ctx)
-            case S.AppT(f, a):
-                s = (f"{self.type(f, env, _APP)} {sym['cdot']} "
-                     f"{self.type(a, env, _ATOM)}")
-                return self.wrap(s, _APP, ctx)
-            case S.AppTm(f, a):
-                s = f"{self.type(f, env, _APP)} {self.term(a, env, _ATOM)}"
-                return self.wrap(s, _APP, ctx)
-            case S.Iota(hint, left, right):
-                return self.binder(sym["iota"], None, hint, left, right, env,
-                                   ctx)
-            case S.Eq(l, r):
-                s = f"{self.term(l, env, _APP)} {sym['eq']} {self.term(r, env, _APP)}"
-                return self.wrap(s, _EXPR, ctx)
-        raise TypeError(ty)
-
-    def kind(self, k, env: list[str], ctx: int = _EXPR) -> str:
-        sym = self.sym
-        match k:
-            case S.Star():
-                return sym["star"]
-            case S.KPi(hint, dom, body) | S.KPiK(hint, dom, body):
-                return self.binder(sym["pi"], sym["arrow"], hint, dom, body,
-                                   env, ctx)
-        raise TypeError(k)
+def _print(root, ascii_only: bool, env: list[str] | None) -> str:
+    """`root` printed on an explicit stack. `todo` holds literals, `(node,
+    precedence)` items, `(None, name)` to bring a binder's name into scope
+    once its domain is printed, and None to end the innermost binder's
+    scope. A binder's name is its hint, primed until neither a name in
+    scope nor a definition named in its body has it."""
+    rows, binders = _SPELLINGS[ascii_only]
+    names = list(env or ())
+    in_scope, memo = defaultdict(int, Counter(names)), {}
+    out, todo = [], [(root, _EXPR)]
+    emit, push, pop = out.append, todo.append, todo.pop
+    while todo:
+        item = pop()
+        if type(item) is str:
+            emit(item)
+            continue
+        if item is None:
+            in_scope[names.pop()] -= 1
+            continue
+        node, ctx = item
+        if node is None:
+            names.append(ctx)
+            in_scope[ctx] += 1
+            continue
+        cls = type(node)
+        if cls in _VARS:
+            idx, depth = node.idx, len(names)
+            emit(names[depth - 1 - idx] if idx < depth else f"?{idx - depth}")
+            continue
+        if cls in binders:
+            kw, arrow, hint, dom, body = binders[cls]
+            dom, body = dom and getattr(node, dom), getattr(node, body)
+            if arrow and not body.free_mask & 1 \
+                    and (cls is not S.All or S.is_type(dom)):
+                prec, x = _ARROW, ""
+                parts = [None, (body, _ARROW), (None, x), arrow, (dom, _APP)]
+            else:
+                prec, x, below = _EXPR, getattr(node, hint) or "x", \
+                    memo.get(id(body))
+                if below is None:
+                    below = _ref_names(body, memo)
+                while in_scope[x] or x in below:
+                    x += "'"
+                parts = [None, (body, _EXPR)]
+                parts += [" . ", (None, x), (dom, _EXPR), " : ", kw + x] \
+                    if dom else [(None, x), kw + x + " . "]
+        else:
+            prec, row = rows[cls]
+            parts = [p if type(p) is str
+                     else (getattr(node, p[0]), p[1]) if p[1] is not None
+                     else str(getattr(node, p[0])) for p in row]
+            if cls is S.Beta and node.witness is None:
+                del parts[:-1]
+            elif cls is S.Rho and node.normalize_first:
+                parts[-1] += "+"
+        if prec < ctx:
+            emit("(")
+            push(")")
+        todo += parts
+    return "".join(out)
 
 
 def print_term(t, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    return _Printer(ascii_only).term(t, env or [])
+    return _print(t, ascii_only, env)
 
 
 def print_type(ty, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    return _Printer(ascii_only).type(ty, env or [])
+    return _print(ty, ascii_only, env)
 
 
 def print_kind(k, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    return _Printer(ascii_only).kind(k, env or [])
+    return _print(k, ascii_only, env)
 
 
 def print_classifier(c, ascii_only: bool = False,
                      env: list[str] | None = None) -> str:
-    return _Printer(ascii_only).node(c, env or [])
+    return _print(c, ascii_only, env)
 
 
 def print_pure(p, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    """A pure term, printed as its embedding (a λ without annotation)
-    prints, on an explicit stack: any depth prints. A binder's name is
-    fresh by `_Printer.fresh`'s rule, with the names in scope counted, so
-    the cost is linear in binder nesting too."""
-    printer = _Printer(ascii_only)
-    lam, names = printer.sym["lam"], list(env or [])
-    in_scope = Counter(names)
-    out, todo = [], [(p, _EXPR)]
-    while todo:
-        item = todo.pop()
-        if item is None:            # the end of a λ's body
-            in_scope[names.pop()] -= 1
-        elif type(item) is str:
-            out.append(item)
-        elif type(item[0]) is S.PVar:
-            idx, depth = item[0].idx, len(names)
-            out.append(names[depth - 1 - idx] if idx < depth
-                       else f"?{idx - depth}")
-        elif type(item[0]) is S.PRef:
-            out.append(item[0].name)
-        elif type(item[0]) is S.PLam:
-            n, wrap = item[0], item[1] > _EXPR
-            refs, x = printer.ref_names(n.body), n.hint or "x"
-            while in_scope[x] or x in refs:
-                x += "'"
-            out.append(f"({lam} {x} . " if wrap else f"{lam} {x} . ")
-            todo += [")" if wrap else "", None, (n.body, _EXPR)]
-            names.append(x)
-            in_scope[x] += 1
-        else:                       # PApp
-            n, wrap = item[0], item[1] > _APP
-            out.append("(" if wrap else "")
-            todo += [")" if wrap else "", (n.arg, _ATOM), " ", (n.fn, _APP)]
-    return "".join(out)
+    return _print(p, ascii_only, env)
 
 
 def print_erased(t, ascii_only: bool = False) -> str:
     """Erased view of an annotated term."""
-    return print_pure(E.erase(t), ascii_only)
+    return _print(E.erase(t), ascii_only, None)
 
 
 def print_decl(decl: S.Decl, ascii_only: bool = False) -> str:
-    p = _Printer(ascii_only)
-    return (f"{decl.name} {p.sym['ascribe']} {p.node(decl.classifier, [])} = "
-            f"{p.node(decl.body, [])} .")
+    return _print(decl, ascii_only, None)

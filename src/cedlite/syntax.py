@@ -351,11 +351,6 @@ for _cls, _row in SHAPES.items():
     _cls.__init__ = _constructor(_cls, _row)
 
 
-def sort_of(node) -> str:
-    """"term", "type", "kind" or "pure term"."""
-    return _SORTS[type(node)]
-
-
 def sort_clash(got: str, position: str) -> KernelError:
     """The error of putting a `got` (a sort) where a variable of sort
     `position` is used."""

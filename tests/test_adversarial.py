@@ -46,6 +46,24 @@ def test_deep_nesting_parses_and_the_checker_reports_its_depth():
     assert run.stderr == ""
 
 
+def test_both_report_modes_agree_on_a_four_hundred_binder_declaration(
+        tmp_path):
+    # the checker accepts `f`; printing its report must not fail it
+    n = 400
+    path = tmp_path / "binders.ced"
+    path.write_text("f ◂ " + "".join(f"Π x{i} : Nat . " for i in range(n))
+                    + "Nat = " + "".join(f"λ x{i} . " for i in range(n))
+                    + "x0 .\n", encoding="utf-8")
+    run = cedlite_cli("check", "--porcelain", NAT, str(path))
+    assert run.stdout.splitlines()[-1] == "OK f"
+    assert run.returncode == 0
+    report = cedlite_cli("check", NAT, str(path))
+    assert report.returncode == 0
+    assert report.stderr == ""
+    assert any(line.startswith("ok     f : Nat ➔ Nat ➔")
+               for line in report.stdout.splitlines())
+
+
 def test_ten_thousand_deep_inputs_end_in_verdicts(tmp_path):
     n = 10_000
     path = tmp_path / "deep.ced"

@@ -214,6 +214,7 @@ def test_ten_thousand_deep_nesting_reads_at_the_default_limit(corpus_sig):
         sig=corpus_sig.staged())
     assert spine(sig.lookup("n").body, "arg") == DEPTH
     assert sig.lookup("T").body == S.TRef("Nat")
+    decls = sig.decls
     body = parse_term("Λ X . λ z . λ s . " + "s (" * DEPTH + "z"
                       + ")" * DEPTH).body.body.body
     assert spine(body, "arg") == DEPTH and body.fn == S.Var(0)
@@ -226,4 +227,10 @@ def test_ten_thousand_deep_nesting_reads_at_the_default_limit(corpus_sig):
     for _ in range(DEPTH):
         node = node.body
     assert node == S.Var(DEPTH - 1)
+    # print -> parse -> print keeps the text; texts are compared, because
+    # `==` on nodes this deep recurses in C
+    for decl in [*decls, *sig.decls]:
+        text = print_decl(decl)
+        again = parse_signature(text + "\n", sig=corpus_sig.staged())
+        assert print_decl(again.lookup(decl.name)) == text, decl.name
     assert sys.getrecursionlimit() == LIMIT

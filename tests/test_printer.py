@@ -1,8 +1,11 @@
+import random
+
 from cedlite import syntax as S
-from cedlite.erasure import erase
+from cedlite.erasure import embed, erase
 from cedlite.parser import parse_term
 from cedlite.printer import (print_classifier, print_erased, print_pure,
                              print_term)
+from termgen import gen_pure
 
 
 def test_identity_prints_verbatim():
@@ -32,6 +35,16 @@ def test_shadowed_binders_round_trip(fresh_corpus):
     original = fresh_corpus.lookup("elimVec").classifier
     reparsed = parse_type(print_type(original), fresh_corpus)
     assert reparsed == original
+
+
+def test_a_binder_is_primed_past_a_definition_named_in_its_body():
+    assert print_term(S.Lam("f", None, S.App(S.Ref("f"), S.Var(0)))) == \
+        "λ f' . f f'"
+    assert print_pure(S.PLam("f", S.PApp(S.PRef("f"), S.PVar(0)))) == \
+        "λ f' . f f'"
+    # a definition outside the body does not count
+    assert print_term(S.App(S.Lam("f", None, S.Var(0)), S.Ref("f"))) == \
+        "(λ f . f) f"
 
 
 def test_arrow_sugar_for_unused_binders():
@@ -88,3 +101,37 @@ def test_pure_terms_print_at_any_depth():
         lams = S.PLam(f"x{k}", lams)
     assert print_pure(lams, ascii_only=True) == "".join(
         f"\\ x{k} . " for k in reversed(range(n))) + "f x0"
+    # annotated nodes print on the same stack: a dependent Π chain, each
+    # domain naming the binder before it, so no arrow hides a binder
+    pis = S.AppTm(S.TRef("P"), S.Var(0))
+    for k in reversed(range(n)):
+        pis = S.Pi(f"x{k}", S.AppTm(S.TRef("P"), S.Var(0)) if k
+                   else S.TRef("Nat"), pis)
+    assert print_classifier(pis) == "Π x0 : Nat . " + "".join(
+        f"Π x{k} : P x{k - 1} . " for k in range(1, n)) + f"P x{n - 1}"
+    typed = S.App(S.Ref("f"), S.Var(n - 1))
+    for k in reversed(range(n)):
+        typed = S.Lam(f"x{k}", S.TRef("Nat"), typed)
+    assert print_term(typed) == "".join(
+        f"λ x{k} : Nat . " for k in range(n)) + "f x0"
+    erased = S.Ref("f")
+    for k in range(n):
+        erased = S.EApp(erased, S.Ref("a")) if k % 2 \
+            else S.TApp(erased, S.TRef("A"))
+    assert print_term(erased) == "f" + " · A -a" * (n // 2)
+
+
+def test_pure_terms_print_as_their_embedding(corpus_report):
+    # print_pure and print_term share one layout for λ, application,
+    # variables and references, fresh names included
+    rng = random.Random(16)
+    terms = [gen_pure(rng, 7) for _ in range(400)]
+    terms += [nf for d in corpus_report.decls
+              for nf in [d.normal_form, *(a.normal_form for a in d.assertions)]
+              if nf is not None]
+    assert len(terms) > 450
+    for p in terms:
+        for ascii_only in (False, True):
+            for env in (None, ["x", "v5", "cS"]):
+                assert print_pure(p, ascii_only, env) == \
+                    print_term(embed(p), ascii_only, env)
