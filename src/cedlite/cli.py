@@ -120,18 +120,13 @@ def cmd_eq(args) -> int:
     return 0 if verdict else 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    # Diagnostics keep their Unicode text, so a stdout that cannot encode
-    # it escapes it, as Python does for stderr.
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(errors="backslashreplace")
+def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The parser, built once, and the `--fuel` its subcommands share."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fuel", type=fuel,
-                        default=os.environ.get("CEDLITE_FUEL")
-                        or str(_DEFAULT_FUEL),
-                        help=f"reduction step budget per normalization call "
-                             f"and per declaration's check "
-                             f"(default {_DEFAULT_FUEL}, or CEDLITE_FUEL)")
+    fuel_opt = common.add_argument(
+        "--fuel", type=fuel,
+        help=f"reduction step budget per normalization call and per "
+             f"declaration's check (default {_DEFAULT_FUEL}, or CEDLITE_FUEL)")
     common.add_argument("--ascii", action="store_true",
                         help="print ASCII token spellings")
     common.add_argument("--porcelain", action="store_true",
@@ -140,12 +135,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="cedlite", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="type-check files and run their assertions")
-    p.add_argument("files", nargs="+", metavar="FILE")
-    p.set_defaults(fn=cmd_check)
-
     for command, fn, n_names, help_text in (
+            ("check", cmd_check, 0,
+             "type-check files and run their assertions"),
             ("erase", cmd_erase, 1, "print a definition's erasure"),
             ("norm", cmd_norm, 1,
              "print a definition's erasure in normal form"),
@@ -154,15 +146,27 @@ def main(argv: list[str] | None = None) -> int:
             ("eq", cmd_eq, 2, "are two definitions' erasures convertible?")):
         p = sub.add_parser(command, parents=[common], help=help_text)
         p.add_argument("files", nargs="+", metavar="FILE")
-        p.add_argument("names", nargs=n_names, metavar="NAME")
+        if n_names:
+            p.add_argument("names", nargs=n_names, metavar="NAME")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("corpus", parents=[common],
                        help="check the bundled corpus")
     p.set_defaults(fn=cmd_check, files=None)
+    return ap, fuel_opt
 
+
+_PARSER, _FUEL = _parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    # Diagnostics keep their Unicode text, so a stdout that cannot encode
+    # it escapes it, as Python does for stderr.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
+    _FUEL.default = os.environ.get("CEDLITE_FUEL") or str(_DEFAULT_FUEL)
     try:
-        ns = ap.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
         return ns.fn(ns)
     except SystemExit as e:
         return int(e.code or 0)

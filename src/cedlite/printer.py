@@ -82,6 +82,9 @@ def _tables(respell: dict):
 
 
 _SPELLINGS = (_tables({}), _tables(_TO_ASCII))
+_CHILDREN = {S.Decl: ("classifier", "body")} | {
+    cls: tuple(f for f, role in row.items() if role is not S.DATA)
+    for cls, row in S.SHAPES.items()}
 
 
 def _ref_names(node, memo: dict) -> frozenset:
@@ -110,6 +113,19 @@ def _ref_names(node, memo: dict) -> frozenset:
     return memo[id(node)]
 
 
+def _ref_bases(root) -> set:
+    """The definition names referenced anywhere in `root`, unprimed: a
+    binder whose hint has another base needs no names of its body."""
+    bases, todo = set(), [root]
+    while todo:
+        n = todo.pop()
+        if type(n) in _REFS:
+            bases.add(n.name.rstrip("'"))
+        elif n is not None:
+            todo += [getattr(n, f) for f in _CHILDREN[type(n)]]
+    return bases
+
+
 def _print(root, ascii_only: bool, env: list[str] | None) -> str:
     """`root` printed on an explicit stack. `todo` holds literals, `(node,
     precedence)` items, `(None, name)` to bring a binder's name into scope
@@ -119,6 +135,7 @@ def _print(root, ascii_only: bool, env: list[str] | None) -> str:
     rows, binders = _SPELLINGS[ascii_only]
     names = list(env or ())
     in_scope, memo = defaultdict(int, Counter(names)), {}
+    bases = _ref_bases(root)
     out, todo = [], [(root, _EXPR)]
     emit, push, pop = out.append, todo.append, todo.pop
     while todo:
@@ -147,10 +164,9 @@ def _print(root, ascii_only: bool, env: list[str] | None) -> str:
                 prec, x = _ARROW, ""
                 parts = [None, (body, _ARROW), (None, x), arrow, (dom, _APP)]
             else:
-                prec, x, below = _EXPR, getattr(node, hint) or "x", \
-                    memo.get(id(body))
-                if below is None:
-                    below = _ref_names(body, memo)
+                prec, x = _EXPR, getattr(node, hint) or "x"
+                below = _ref_names(body, memo) \
+                    if x.rstrip("'") in bases else _NO_NAMES
                 while in_scope[x] or x in below:
                     x += "'"
                 parts = [None, (body, _EXPR)]

@@ -18,6 +18,7 @@ once on top of them.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 Term = Union[
@@ -411,15 +412,14 @@ def interner():
 
 def shift(node, by: int, cutoff: int = 0):
     """Add `by` to every free index >= cutoff, in any AST."""
-    if not by:
-        return node
+    return _shift(by, node, cutoff) if by else node
 
-    def go(n, c):
-        cls = type(n)
-        if cls in _VARS:
-            return cls(n.idx + by) if n.idx >= c else n
-        return rebuild(n, go, c)
-    return go(node, cutoff)
+
+def _shift(by: int, n, c: int):
+    cls = type(n)
+    if cls in _VARS:
+        return cls(n.idx + by) if n.idx >= c else n
+    return rebuild(n, partial(_shift, by), c)    # no self-referencing closure
 
 
 def subst(node, j: int, *vals):

@@ -220,7 +220,10 @@ class Checker:
             if not node.free_mask >> d:
                 return node
             return rebuild(node, go, d)
-        return go(tm.term, 0)
+        try:
+            return go(tm.term, 0)
+        finally:
+            del go      # no function <-> cell cycle outlives the call
 
     def _erased(self, tm: VTm, lvl: int) -> PureTerm:
         """The erasure of an embedded term, its free variables read back
@@ -502,8 +505,8 @@ class Checker:
         if inferred is None:
             try:
                 inferred = self.infer(ctx, t)
-            except CheckError as e:
-                inferred = e
+            except CheckError as e:    # kept without the frames it holds
+                inferred = e.with_traceback(None)
         if not isinstance(inferred, CheckError) \
                 and self.type_conv(inferred, w, lvl):
             return
@@ -625,20 +628,23 @@ class Checker:
     # --- the ρ rule -------------------------------------------------------
 
     def _check_rho(self, ctx: Ctx, t: S.Rho, w) -> None:
-        qt = self.type_whnf(self.infer(ctx, t.proof))
-        if type(qt) is not VEq:
-            raise CheckError("rho", "ρ proof is not an equality")
-        lvl = len(ctx.env)
-        goal = self._quote(w, lvl, True)
-        if t.normalize_first:
-            goal = self._norm_term_positions(goal)
-        lhs = self._erased(qt.lhs, lvl)
-        goal, count = self._rewrite(goal, lhs, self._nf(lhs),
-                                    self._quote_tm(qt.rhs, lvl), 0)
-        if count == 0:
-            self.warnings.append("ρ rewrote no occurrences of the equation's "
-                                 "left side")
-        self._check(ctx, t.body, evaluate(goal, ctx.env))
+        """Check the chain `ρ q1 - … ρ qn - b`, reading `w` back once."""
+        lvl, goal = len(ctx.env), None
+        while type(t) is S.Rho:
+            qt = self.type_whnf(self.infer(ctx, t.proof))
+            if type(qt) is not VEq:
+                raise CheckError("rho", "ρ proof is not an equality")
+            goal = goal or self._quote(w, lvl, True)
+            if t.normalize_first:
+                goal = self._norm_term_positions(goal)
+            lhs = self._erased(qt.lhs, lvl)
+            goal, count = self._rewrite(goal, lhs, self._nf(lhs),
+                                        self._quote_tm(qt.rhs, lvl), 0)
+            if count == 0:
+                self.warnings.append("ρ rewrote no occurrences of the "
+                                     "equation's left side")
+            t = t.body
+        self._check(ctx, t, evaluate(goal, ctx.env))
 
     def _norm_term_positions(self, node, depth: int = 0):
         """βδ-normalize every embedded term of an already type-normal type."""
@@ -676,7 +682,10 @@ class Checker:
                     count += 1
                     return shift(rhs, d)
             return rebuild(n, go, d)
-        return go(node, depth), count
+        try:
+            return go(node, depth), count
+        finally:
+            del go
 
     def _matches(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm,
                  lhs_mask: int) -> bool:
@@ -767,13 +776,13 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
         try:
             try:
                 _check_decl(checker, decl)
-            except KernelError as e:
-                error = e
+            except KernelError as e:    # kept without its traceback,
+                error = e.with_traceback(None)  # which holds this frame
                 if not decl.expect_fail:
                     try:    # build a deferred message here, under the guard
                         str(e)
                     except FuelExhausted as out_of_fuel:    # while printing
-                        error = out_of_fuel
+                        error = out_of_fuel.with_traceback(None)
         except RecursionError:
             error = KernelError("depth exhausted")
         row = DeclReport(decl.name, decl.level, "ok", decl.classifier,
