@@ -19,9 +19,6 @@ from .printer import print_classifier, print_pure
 from .syntax import KernelError, Signature
 from .typecheck import CheckReport, check_signature
 
-_DEFAULT_FUEL = 100_000
-
-
 def fuel(text: str) -> Fuel:
     """The type of `--fuel` and `CEDLITE_FUEL`: a positive step budget."""
     return Fuel(int(text))
@@ -126,7 +123,8 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     fuel_opt = common.add_argument(
         "--fuel", type=fuel,
         help=f"reduction step budget per normalization call and per "
-             f"declaration's check (default {_DEFAULT_FUEL}, or CEDLITE_FUEL)")
+             f"declaration's check (default {Fuel().max_steps}, or "
+             f"CEDLITE_FUEL)")
     common.add_argument("--ascii", action="store_true",
                         help="print ASCII token spellings")
     common.add_argument("--porcelain", action="store_true",
@@ -164,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     # it escapes it, as Python does for stderr.
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(errors="backslashreplace")
-    _FUEL.default = os.environ.get("CEDLITE_FUEL") or str(_DEFAULT_FUEL)
+    _FUEL.default = os.environ.get("CEDLITE_FUEL") or Fuel()
     try:
         ns = _PARSER.parse_args(argv)
         return ns.fn(ns)

@@ -531,21 +531,18 @@ class _Reader:
             if kind != "DIRECTIVE":
                 self.src.fail(f"expected a declaration or directive, "
                               f"found {kind} {text!r}", at)
-            pos = self.src.pos(at)
             self.i += 1
             if text in _ID_ASSERTIONS:
-                self.attach(Assertion(_ID_ASSERTIONS[text], self.ident(),
-                                      pos=pos), at)
+                self.attach(Assertion(_ID_ASSERTIONS[text], self.ident()), at)
             elif text == "#assert-eq":
                 a, b = self.ident(), self.ident()
-                self.attach(Assertion("erase-equal", a, other=b, pos=pos), at)
+                self.attach(Assertion("erase-equal", a, other=b), at)
             elif text == "#assert-erase":
                 name = self.ident()
                 self.i = self.expect("EQUALS", self.i)
                 payload = self.expr("term")
                 self.i = self.expect("DOT", self.i)
-                self.attach(Assertion("erases-to", name, payload=payload,
-                                      pos=pos), at)
+                self.attach(Assertion("erases-to", name, payload=payload), at)
             elif text == "#assert-fail":
                 self.decl(True)
             else:
@@ -568,7 +565,7 @@ class _Reader:
         self.i = self.expect("DOT", self.i)
         if self.err is None:
             self.sig.add(Decl(name, level, classifier, body,
-                              pos=self.src.pos(at), expect_fail=expect_fail))
+                              expect_fail=expect_fail))
 
     def attach(self, assertion: Assertion, at: int) -> None:
         target, other = assertion.target, assertion.other

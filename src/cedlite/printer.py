@@ -188,25 +188,13 @@ def _print(root, ascii_only: bool, env: list[str] | None) -> str:
     return "".join(out)
 
 
-def print_term(t, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    return _print(t, ascii_only, env)
+def print_term(node, ascii_only: bool = False,
+               env: list[str] | None = None) -> str:
+    """Any term, type, kind or pure term; one function under five names."""
+    return _print(node, ascii_only, env)
 
 
-def print_type(ty, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    return _print(ty, ascii_only, env)
-
-
-def print_kind(k, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    return _print(k, ascii_only, env)
-
-
-def print_classifier(c, ascii_only: bool = False,
-                     env: list[str] | None = None) -> str:
-    return _print(c, ascii_only, env)
-
-
-def print_pure(p, ascii_only: bool = False, env: list[str] | None = None) -> str:
-    return _print(p, ascii_only, env)
+print_type = print_kind = print_classifier = print_pure = print_term
 
 
 def print_erased(t, ascii_only: bool = False) -> str:

@@ -482,7 +482,6 @@ class Assertion:
     target: str
     payload: Optional[Term] = None   # erases-to: the stated pure-form term
     other: Optional[str] = None      # erase-equal: the second definition
-    pos: Optional[Pos] = None
 
     def describe(self) -> str:
         if self.kind == "erase-equal":
@@ -496,7 +495,6 @@ class Decl:
     level: str                      # "term" | "type"
     classifier: Union[Type, Kind]
     body: Union[Term, Type]
-    pos: Optional[Pos] = None
     assertions: list[Assertion] = field(default_factory=list)
     expect_fail: bool = False       # declared under #assert-fail; not registered
 

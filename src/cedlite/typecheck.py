@@ -28,7 +28,7 @@ from .syntax import (
 )
 from .values import (
     EMPTY, STAR, Ctx, VBind, VEq, VNe, VTm, enter, evaluate,
-    instantiate, is_kind, is_var, same_env,
+    instantiate, is_kind, is_var,
 )
 
 
@@ -65,7 +65,6 @@ class AssertionOutcome:
 @dataclass
 class DeclReport:
     name: str
-    level: str
     status: str                      # "ok" | "type error" | "assertion failure"
     classifier: Union[S.Type, S.Kind]
     normal_form: Optional[PureTerm] = None  # of an ok term definition
@@ -146,7 +145,6 @@ class Checker:
         self.steps = 0
         self.warnings: list[str] = []
         self._inferred: dict = {}   # see `infer`
-        self._closed: dict = {}     # id of closed syntax -> its value
 
     # --- conversion plumbing ---------------------------------------------
 
@@ -169,14 +167,6 @@ class Checker:
             raise FuelExhausted(None, self.fuel.max_steps)
 
     # --- evaluation and readback ---------------------------------------------
-
-    def _value(self, node):
-        """The value of a declaration's closed classifier or body,
-        evaluated once per checker."""
-        v = self._closed.get(id(node))
-        if v is None:
-            v = self._closed[id(node)] = evaluate(node, [])
-        return v
 
     def _quote(self, v, lvl: int, nf: bool = False):
         """The syntax of the value `v` at level `lvl`. With `nf`, every
@@ -256,7 +246,7 @@ class Checker:
                 if head.name in self.sig.rejected:
                     break   # rejected: only its ascription is trusted
                 self._charge()
-                f = self._value(decl.body)
+                f = evaluate(decl.body, [])
             elif type(head) is VBind and head.cls is S.TLam:
                 f = head
             else:
@@ -314,8 +304,6 @@ class Checker:
             if t1.cls is not t2.cls \
                     or not self.type_conv(t1.dom, t2.dom, lvl, unfold):
                 return False
-            if t1.body is t2.body and same_env(t1.body, t1.env, t2.env, 1):
-                return True
             x = VNe(lvl, ())
             return self.type_conv(enter(t1, x), enter(t2, x),
                                   lvl + 1, unfold)
@@ -382,7 +370,7 @@ class Checker:
             decl = self.sig.lookup(ty.name)
             if decl is None or decl.level != "type":
                 raise CheckError("scope", f"{ty.name} is not a type")
-            return self._value(decl.classifier)
+            return evaluate(decl.classifier, [])
         if cls is S.Iota:
             self.ensure_star(ctx, ty.left)
             self.ensure_star(ctx.bind(ty.name, evaluate(ty.left, ctx.env)),
@@ -563,7 +551,7 @@ class Checker:
             decl = self.sig.lookup(t.name)
             if decl is None or decl.level != "term":
                 raise CheckError("scope", f"{t.name} is not a term")
-            ty = self._value(decl.classifier)
+            ty = evaluate(decl.classifier, [])
         elif k in _SPINE:
             ty = self._infer_spine(ctx, t)
         elif k is S.Proj:
@@ -705,7 +693,7 @@ class Checker:
 # Whole-signature checking
 
 def _check_decl(checker: Checker, decl: Decl) -> None:
-    cls = checker._value(decl.classifier)
+    cls = evaluate(decl.classifier, [])
     if decl.level == "type":
         checker.classifier_wf(EMPTY, decl.classifier)
         k = checker.kind_check(EMPTY, decl.body)
@@ -785,7 +773,7 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
                         error = out_of_fuel.with_traceback(None)
         except RecursionError:
             error = KernelError("depth exhausted")
-        row = DeclReport(decl.name, decl.level, "ok", decl.classifier,
+        row = DeclReport(decl.name, "ok", decl.classifier,
                          steps_used=checker.steps, warnings=checker.warnings)
         if decl.expect_fail:
             if error is None:

@@ -67,21 +67,6 @@ def is_var(v) -> bool:
     return type(v) is VNe and type(v.head) is int and not v.spine
 
 
-def same_env(node, env1: list, env2: list, bound: int = 0) -> bool:
-    """Do the indices free in `node` under `bound` binders denote the same
-    values in `env1` and `env2`?"""
-    if env1 is env2:
-        return True
-    if len(env1) != len(env2):
-        return False
-    mask, j = node.free_mask >> bound, 1
-    while mask:
-        if mask & 1 and j <= len(env1) and env1[-j] is not env2[-j]:
-            return False
-        mask, j = mask >> 1, j + 1
-    return True
-
-
 def evaluate(node, env: list):
     """The value of type or kind syntax `node` in `env`."""
     cls = type(node)

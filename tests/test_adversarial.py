@@ -64,6 +64,23 @@ def test_both_report_modes_agree_on_a_four_hundred_binder_declaration(
                for line in report.stdout.splitlines())
 
 
+def test_a_four_hundred_binder_classifier_converts_with_itself(tmp_path):
+    # conversion compares binder values by structure, one fresh variable
+    # per binder; comparing T with itself must fit the depth budget
+    n = 400
+    ty = "".join(f"Π x{i} : Nat . " for i in range(n)) + "Nat"
+    path = tmp_path / "deep_classifier.ced"
+    path.write_text(
+        f"f ◂ {ty} = " + "".join(f"λ x{i} . " for i in range(n)) + "x0 .\n"
+        f"k ◂ ({ty}) ➔ {ty} = λ g . g .\n"
+        f"h ◂ {ty} = k f .\n"
+        f"p ◂ ι z : ({ty}) . {ty} = [ f , f ] .\n", encoding="utf-8")
+    run = cedlite_cli("check", "--porcelain", NAT, str(path))
+    assert run.stdout.splitlines()[-4:] == ["OK f", "OK k", "OK h", "OK p"]
+    assert run.returncode == 0
+    assert run.stderr == ""
+
+
 def test_ten_thousand_deep_inputs_end_in_verdicts(tmp_path):
     n = 10_000
     path = tmp_path / "deep.ced"
