@@ -89,23 +89,19 @@ def erase(t: Term, free=None) -> PureTerm:
 def free_in_erasure(idx: int, t: Term) -> bool:
     """Does variable `idx` occur free in erase(t)?
 
-    Mirrors the erasure clauses without building the erasure, so it is
-    usable as the implicit-abstraction side condition on unchecked input.
+    `erase` hands every variable free in `t` that survives erasure to
+    its `free` callback; one bound by an erased binder of `t` is never
+    handed over. Nothing is typed, so this serves as the
+    implicit-abstraction side condition on unchecked input.
     """
-    while (kept := _KEPT.get(type(t))) is not None:
-        t = getattr(t, kept)
-        if t is None:
-            return False
-    match t:
-        case Var(j):
-            return j == idx
-        case Ref(_):
-            return False
-        case Lam(_, _, body) | ILam(_, body):
-            return free_in_erasure(idx + 1, body)
-        case App(f, a):
-            return free_in_erasure(idx, f) or free_in_erasure(idx, a)
-    raise TypeError(t)
+    found = False
+
+    def free(j: int, d: int) -> PureTerm:
+        nonlocal found
+        found = found or j == idx
+        return PVar(d + j)
+    erase(t, free)
+    return found
 
 
 def embed(p: PureTerm) -> Term:

@@ -10,15 +10,14 @@ and a binder's classifier decides which flavor it introduces.
 `SHAPES` says, for each node class, which fields are data, subtrees, or
 subtrees under the node's binder. Each class's constructor is generated
 from its row and computes the node's free-index masks as it is built;
-`rebuild`, `subtrees` and `interner` read it too, and shifting,
-substitution and every other structural walk of the kernel are written
-once on top of them.
+`transform`, `subtrees` and `interner` read it too. Shifting,
+substitution and every other rewrite of the kernel are callbacks given
+to the one walk, `transform`.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field
-from functools import partial
 from typing import Optional, Union
 
 Term = Union[
@@ -358,19 +357,21 @@ def sort_clash(got: str, position: str) -> KernelError:
     return KernelError(f"{got} substituted into {position} position")
 
 
-def rebuild(node, fn, depth: int):
-    """`node` with each subtree `s` replaced by `fn(s, d)`, where `d` is
-    `depth` plus one under the node's binder; `node` itself if every
-    subtree comes back as the same object."""
+def transform(node, fn, depth: int = 0):
+    """`fn(node, depth)` if that is not None; else `node` with each subtree
+    `s` replaced by `transform(s, fn, d)`, where `d` is `depth` plus one
+    under the node's binder, and `node` itself if every subtree comes back
+    as the same object. One Python frame per level."""
+    out = fn(node, depth)
+    if out is not None:
+        return out
     cls = type(node)
-    if not _SUBS[cls]:
-        return node
     args = []
     changed = False
     for f, role in _ROWS[cls]:
         v = getattr(node, f)
         if role is not DATA and v is not None:
-            new = fn(v, depth + role)
+            new = transform(v, fn, depth + role)
             if new is not v:
                 v, changed = new, True
         args.append(v)
@@ -378,7 +379,8 @@ def rebuild(node, fn, depth: int):
 
 
 def subtrees(node, depth: int) -> list:
-    """The `(subtree, d)` pairs of `node` in field order, `d` as in rebuild."""
+    """The `(subtree, d)` pairs of `node` in field order, `d` as in
+    `transform`."""
     return [(v, depth + role) for f, role in _SUBS[type(node)]
             if (v := getattr(node, f)) is not None]
 
@@ -412,14 +414,12 @@ def interner():
 
 def shift(node, by: int, cutoff: int = 0):
     """Add `by` to every free index >= cutoff, in any AST."""
-    return _shift(by, node, cutoff) if by else node
-
-
-def _shift(by: int, n, c: int):
-    cls = type(n)
-    if cls in _VARS:
-        return cls(n.idx + by) if n.idx >= c else n
-    return rebuild(n, partial(_shift, by), c)    # no self-referencing closure
+    def at(n, c):
+        if not n.free_mask >> c:
+            return n
+        cls = type(n)
+        return cls(n.idx + by) if cls in _VARS else None
+    return transform(node, at, cutoff) if by else node
 
 
 def subst(node, j: int, *vals):
@@ -435,13 +435,13 @@ def subst(node, j: int, *vals):
     m = len(vals)
     shifted = {}        # vals[m-1-i] under k - j more binders, by k*m + i
 
-    def go(n, k):
+    def at(n, k):
+        if not n.free_mask >> k:
+            return n
         cls = type(n)
         if cls not in _VARS:
-            return rebuild(n, go, k)
+            return None
         i = n.idx - k
-        if i < 0:
-            return n
         if i >= m:
             return cls(n.idx - m)
         val = vals[m - 1 - i]
@@ -453,7 +453,7 @@ def subst(node, j: int, *vals):
         if out is None:
             out = shifted[key] = shift(val, k - j)
         return out
-    return go(node, j)
+    return transform(node, at, j)
 
 
 def occurs_index(node, idx: int) -> bool:

@@ -24,7 +24,7 @@ from .normalize import Fuel, FuelExhausted, alpha_eq, conv, is_identity, \
     normalize
 from .printer import print_classifier, print_pure
 from .syntax import (
-    Decl, KernelError, Signature, occurs_index, rebuild, shift, subtrees,
+    Decl, KernelError, Signature, occurs_index, shift, subtrees, transform,
 )
 from .values import (
     EMPTY, STAR, Ctx, VBind, VEq, VNe, VTm, enter, evaluate,
@@ -195,25 +195,20 @@ class Checker:
         """The embedded term with its environment substituted, at `lvl`."""
         env, n = tm.env, len(tm.env)
 
-        def go(node, d):
-            cls = type(node)
-            if cls is S.Var or cls is S.TVar:
-                j = node.idx - d
-                if j < 0:
-                    return node
-                v = env[-1 - j] if j < n else VNe(n - 1 - j, ())
-                if is_var(v):
-                    idx = lvl + d - 1 - v.head
-                    return node if idx == node.idx else cls(idx)
-                return self._quote_tm(v, lvl + d) if type(v) is VTm \
-                    else self._quote(v, lvl + d)
+        def at(node, d):
             if not node.free_mask >> d:
                 return node
-            return rebuild(node, go, d)
-        try:
-            return go(tm.term, 0)
-        finally:
-            del go      # no function <-> cell cycle outlives the call
+            cls = type(node)
+            if cls is not S.Var and cls is not S.TVar:
+                return None
+            j = node.idx - d
+            v = env[-1 - j] if j < n else VNe(n - 1 - j, ())
+            if is_var(v):
+                idx = lvl + d - 1 - v.head
+                return node if idx == node.idx else cls(idx)
+            return self._quote_tm(v, lvl + d) if type(v) is VTm \
+                else self._quote(v, lvl + d)
+        return transform(tm.term, at)
 
     def _erased(self, tm: VTm, lvl: int) -> PureTerm:
         """The erasure of an embedded term, its free variables read back
@@ -634,13 +629,13 @@ class Checker:
             t = t.body
         self._check(ctx, t, evaluate(goal, ctx.env))
 
-    def _norm_term_positions(self, node, depth: int = 0):
+    def _norm_term_positions(self, node):
         """βδ-normalize every embedded term of an already type-normal type."""
-        if S.is_kind(node):
-            return node
-        if S.is_term(node):
-            return embed(self._nf(erase(node)))
-        return rebuild(node, self._norm_term_positions, depth)
+        def at(n, d):
+            if S.is_kind(n):
+                return n
+            return embed(self._nf(erase(n))) if S.is_term(n) else None
+        return transform(node, at)
 
     def _rewrite(self, node, lhs: PureTerm, lhs_nf: PureTerm, rhs: S.Term,
                  depth: int):
@@ -657,7 +652,7 @@ class Checker:
         mask = lhs_nf.free_mask
         lhs_at: dict[int, tuple] = {}     # lhs, lhs_nf, its mask under d
 
-        def go(n, d):
+        def at(n, d):
             nonlocal count
             if S.is_kind(n) or mask << d & ~n.free_mask:
                 return n
@@ -669,11 +664,8 @@ class Checker:
                 if self._matches(n, *at_d):
                     count += 1
                     return shift(rhs, d)
-            return rebuild(n, go, d)
-        try:
-            return go(node, depth), count
-        finally:
-            del go
+            return None
+        return transform(node, at, depth), count
 
     def _matches(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm,
                  lhs_mask: int) -> bool:

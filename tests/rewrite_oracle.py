@@ -4,8 +4,10 @@ This is `Checker._rewrite` as it was before free-index masks: it visits
 every term position of the goal, erases it, and normalizes it unless a
 variable free in the left side's normal form is missing from the
 erasure. Free indices are collected here by a plain walk, independent of
-each node's `free_mask`. The tests require the kernel's pruned rewrite to
-give the same goal and the same count.
+each node's `free_mask`, and the goal is walked field by field off
+`S.SHAPES`, sharing no traversal with the kernel's `transform`. The tests
+require the kernel's pruned rewrite to give the same goal and the same
+count.
 """
 
 from __future__ import annotations
@@ -50,5 +52,10 @@ def rewrite_unpruned(checker, node, lhs, lhs_nf, rhs, depth: int):
         if S.is_term(n) and matches(n, d):
             count += 1
             return S.shift(rhs, d)
-        return S.rebuild(n, go, d)
+        fields = []
+        for f, role in S.SHAPES[type(n)].items():
+            v = getattr(n, f)
+            fields.append(v if role is S.DATA or v is None
+                          else go(v, d + role))
+        return type(n)(*fields)
     return go(node, depth), count

@@ -211,11 +211,53 @@ def test_erase_equals_the_recursive_oracle_hints_included(corpus_sig):
                 if S.is_term(n):
                     terms.append(n)
                 todo += [s for s, _ in S.subtrees(n, 0)]
-    rng = random.Random(1313)
-    for _ in range(400):
-        terms.append(decorate(rng, embed(gen_pure(rng, avail=(0, 1, 2)))))
-    for t in terms:
+    for t in terms + decorated_terms():
         assert repr(erase(t)) == repr(erase_recursive(t))
+
+
+def decorated_terms():
+    rng = random.Random(1313)
+    return [decorate(rng, embed(gen_pure(rng, avail=(0, 1, 2))))
+            for _ in range(400)]
+
+
+def free_in_erasure_recursive(idx, t):
+    """`free_in_erasure` as it was before it went through `erase`: the
+    erasure clauses again, as a recursive walk. The oracle of the test
+    below."""
+    while type(t) in KEPT:
+        t = getattr(t, KEPT[type(t)])
+        if t is None:
+            return False
+    if type(t) is S.Var:
+        return t.idx == idx
+    if type(t) is S.Ref:
+        return False
+    if type(t) in (S.Lam, S.ILam):
+        return free_in_erasure_recursive(idx + 1, t.body)
+    if type(t) is S.App:
+        return free_in_erasure_recursive(idx, t.fn) or \
+            free_in_erasure_recursive(idx, t.arg)
+    raise TypeError(t)
+
+
+def test_free_in_erasure_equals_the_recursive_oracle(corpus_sig):
+    bodies = []
+    for decl in corpus_sig.decls:
+        todo = [decl.classifier, decl.body]
+        while todo:
+            n = todo.pop()
+            if type(n) is S.ILam:
+                bodies.append(n.body)
+            todo += [s for s, _ in S.subtrees(n, 0)]
+    assert len(bodies) > 100
+    answers = set()
+    for t in bodies + decorated_terms():
+        for i in range(4):
+            want = free_in_erasure_recursive(i, t)
+            assert free_in_erasure(i, t) == want, (i, t)
+            answers.add(want)
+    assert answers == {True, False}
 
 
 def test_erase_reaches_any_depth():
@@ -229,3 +271,11 @@ def test_erase_reaches_any_depth():
         assert type(p.body) is PApp
         p = PLam("x", p.body.arg)
     assert p.body == PRef("zero")
+
+
+def test_free_in_erasure_reaches_any_depth():
+    t = S.Var(0)
+    for _ in range(10_000):
+        t = S.App(S.Ref("suc"), t)
+    assert free_in_erasure(0, t)
+    assert not free_in_erasure(1, t)

@@ -1,4 +1,4 @@
-"""Free-index masks, the identity-keeping `rebuild`, and the ρ rewrite
+"""Free-index masks, the identity-keeping `transform`, and the ρ rewrite
 they prune.
 
 `n.free_mask` has bit i set exactly when de Bruijn index i is free
@@ -23,7 +23,7 @@ from cedlite.erasure import PApp, PVar, embed, erase
 from cedlite.normalize import normalize
 from cedlite.parser import parse_files, parse_signature
 from cedlite.printer import print_classifier
-from cedlite.syntax import KernelError, Signature, rebuild, shift, subst
+from cedlite.syntax import KernelError, Signature, shift, subst, transform
 from cedlite.typecheck import Checker, check_signature
 from perfbench import coercegen
 from rewrite_oracle import rewrite_unpruned
@@ -130,7 +130,7 @@ def normal_forms(report):
 # Where the kernel builds nodes: the parser's interner, the readback of
 # classifier values and of embedded terms, the generic traversal, erasure,
 # NbE readback and η, and the ρ goal (rewritten, or normalized for ρ+).
-KERNEL_SITES = {"mk", "_quote", "_quote_tm", "rebuild", "shift", "erase",
+KERNEL_SITES = {"mk", "_quote", "_quote_tm", "transform", "shift", "erase",
                 "_readback", "_eta", "_rewrite", "_norm_term_positions"}
 
 
@@ -182,7 +182,7 @@ def test_free_mask_is_the_free_index_set_on_generated_terms():
             shift(embedded, 2, 1)
             subst(embedded, 0, S.Var(3), S.Ref("zero"))
     assert {"gen_pure", "_readback", "_eta", "embed", "erase", "shift",
-            "subst", "rebuild"} <= sites
+            "subst", "transform"} <= sites
     assert_free_masks_hold(nodes)
     assert_sort_masks_hold(nodes)
 
@@ -194,12 +194,17 @@ def test_free_mask_of_a_deep_term_needs_no_recursion():
     assert t.free_mask == 0b1010
 
 
-def test_rebuild_keeps_a_node_whose_subtrees_come_back_unchanged():
+def test_transform_keeps_a_node_whose_subtrees_come_back_unchanged():
+    # the callback declines every node, so the walk visits the whole tree
+    # and every level must hand back its own node
     for root in corpus_roots():
         for n in subterms(root):
-            assert rebuild(n, lambda s, d: s, 0) is n
+            visited = []
+            assert transform(n, lambda s, d: visited.append(s)) is n
+            assert len(visited) == len(subterms(n))
     app = S.App(S.Var(0), S.Var(1))
-    new = rebuild(app, lambda s, d: S.Var(s.idx + 1), 0)
+    new = transform(app, lambda s, d: S.Var(s.idx + 1)
+                    if type(s) is S.Var else None)
     assert new == S.App(S.Var(1), S.Var(2)) and new is not app
 
 

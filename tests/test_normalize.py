@@ -3,8 +3,8 @@ import random
 import pytest
 
 from cedlite.erasure import PApp, PLam, PRef, PVar, erase
-from cedlite.normalize import (Fuel, FuelExhausted, conv, is_identity,
-                               normalize)
+from cedlite.normalize import (Fuel, FuelExhausted, alpha_eq, conv,
+                               is_identity, normalize)
 from cedlite.parser import parse_term
 from cedlite.syntax import Signature, shift
 from applicative import applicative_normalize
@@ -36,6 +36,20 @@ def test_eta_runs_to_a_fixpoint():
     t = PLam("x", PApp(PLam("y", PApp(shift(f_free, 2), PVar(0))),
                        PVar(0)))
     assert normalize(t, EMPTY).term == f_free
+
+
+def test_eta_contracts_over_a_deep_spine():
+    # λ s . λ z . λ x . s^700 z x: the η-contractum is shifted down past x
+    body = PVar(1)
+    for _ in range(700):
+        body = PApp(PVar(2), body)
+    t = PLam("s", PLam("z", PLam("x", PApp(body, PVar(0)))))
+    want = PVar(0)
+    for _ in range(700):
+        want = PApp(PVar(1), want)
+    nf = normalize(t, EMPTY).term
+    assert alpha_eq(nf, PLam("s", PLam("z", want)))     # `==` recurses
+    assert (nf.hint, nf.body.hint) == ("s", "z")
 
 
 def test_conv_negative():

@@ -75,6 +75,20 @@ def test_every_random_term_with_a_free_index_rejects_a_type():
                 subst(t, 0, S.TRef("Nat"))
 
 
+def test_shift_and_subst_reach_past_two_frames_per_level():
+    # 700 levels fit the default recursion limit only at one frame a level
+    spine = S.Var(0)
+    for _ in range(700):
+        spine = S.App(spine, S.Ref("zero"))
+
+    def head(t):
+        while type(t) is S.App:
+            t = t.fn
+        return t
+    assert head(shift(spine, 1)) == S.Var(1)
+    assert head(subst(spine, 0, S.Ref("zero"))) == S.Ref("zero")
+
+
 # --- substituting several values in one walk --------------------------------
 
 _SAMPLE_VALUES = {     # an open value of each variable flavor, by class
