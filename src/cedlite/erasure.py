@@ -92,8 +92,11 @@ def free_in_erasure(idx: int, t: Term) -> bool:
     `erase` hands every variable free in `t` that survives erasure to
     its `free` callback; one bound by an erased binder of `t` is never
     handed over. Nothing is typed, so this serves as the
-    implicit-abstraction side condition on unchecked input.
+    implicit-abstraction side condition on unchecked input. A variable
+    not free in `t` is not free in its erasure either.
     """
+    if not t.free_mask >> idx & 1:
+        return False
     found = False
 
     def free(j: int, d: int) -> PureTerm:

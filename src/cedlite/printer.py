@@ -77,13 +77,14 @@ def _tables(respell: dict):
             field = {role: f for f, role in S.SHAPES[cls].items()}
             binders[cls] = (kw.translate(respell),
                             arrow and arrow.translate(respell),
-                            field[S.DATA], field.get(S.SUB), field[S.BOUND])
+                            field[S.HINT], field.get(S.SUB, field.get(S.OPT)),
+                            field[S.BOUND])
     return rows, binders
 
 
 _SPELLINGS = (_tables({}), _tables(_TO_ASCII))
 _CHILDREN = {S.Decl: ("classifier", "body")} | {
-    cls: tuple(f for f, role in row.items() if role is not S.DATA)
+    cls: tuple(f for f, role in row.items() if role in S.DEPTH)
     for cls, row in S.SHAPES.items()}
 
 

@@ -3,21 +3,24 @@ that erasure produces, signatures, and one de Bruijn traversal for all.
 
 Bound variables are de Bruijn indices (0 = innermost binder); binder
 names are kept only as printing hints and are excluded from equality,
-so structural `==` is alpha-equivalence on every AST here. Term and
-type variables share one index space: the context is a single telescope
-and a binder's classifier decides which flavor it introduces.
+so structural `==` is alpha-equivalence on every AST here, at any depth.
+Term and type variables share one index space: the context is a single
+telescope and a binder's classifier decides which flavor it introduces.
 
-`SHAPES` says, for each node class, which fields are data, subtrees, or
-subtrees under the node's binder. Each class's constructor is generated
-from its row and computes the node's free-index masks as it is built;
-`transform`, `subtrees` and `interner` read it too. Shifting,
-substitution and every other rewrite of the kernel are callbacks given
-to the one walk, `transform`.
+A node class declares its fields once, as its `__slots__`: each field
+with its role (compared data, binder hint, subtree, optional subtree, or
+subtree under the node's binder). `SHAPES` collects these rows; every
+class's constructor is generated from its row and computes the node's
+free-index masks as it is built, and `==`, `hash`, `repr`, `transform`,
+`subtrees` and `interner` read the rows too. Shifting, substitution and
+every other rewrite of the kernel are callbacks given to the one walk,
+`transform`.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Union
 
 Term = Union[
@@ -44,8 +47,20 @@ class Pos:
         return f"{self.line}:{self.col}"
 
 
+# A field's role. Data: DATA, compared by `==`; FLAG, a compared bool;
+# HINT, a binder's name, kept for printing and ignored by `==` and `hash`.
+# Subtrees: SUB; OPT, a subtree that may be absent (None); BOUND, one under
+# the node's binder. DEPTH says what each subtree role adds to the depth;
+# a run of FLAG and OPT fields that ends a row defaults to False and None.
+DATA, FLAG, HINT = "data", "flag", "hint"
+SUB, OPT, BOUND = "sub", "opt", "bound"
+DEPTH = {SUB: 0, OPT: 0, BOUND: 1}
+_DEFAULTS = {FLAG: False, OPT: None}
+
+
 class _Node:
-    """Every AST node below. Its constructor, generated from its `SHAPES`
+    """Every AST node below. Its fields and their roles are its
+    `__slots__`, its row of `SHAPES`. Its constructor, generated from that
     row, stores the fields and two masks of the indices free in the node:
     `free_mask` has bit i set exactly when de Bruijn index i is free;
     `sort_mask` has bit 2i set when index i occurs as a term variable and
@@ -54,260 +69,188 @@ class _Node:
     masks never go stale."""
     __slots__ = ("free_mask", "sort_mask")
 
+    def __eq__(self, other):
+        """α-equivalence: the same classes and the same fields, binder hints
+        aside, compared on an explicit stack, so at any depth."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if b.__class__ is not cls:
+                return False
+            data = _DATA[cls]
+            if data(a) != data(b):
+                return False
+            for f, _ in _SUBS[cls]:
+                todo.append((getattr(a, f), getattr(b, f)))
+        return True
 
-# `==` compares the class and the compared fields (α-equivalence), and
-# equal nodes hash equal; `__init__` is set from the class's SHAPES row.
-_node = dataclass(slots=True, init=False, unsafe_hash=True)
+    def __hash__(self):
+        """Of the classes and compared data of the nodes in pre-order, with
+        None for an absent subtree, so equal nodes hash equal."""
+        items, todo = [], [self]
+        while todo:
+            n = todo.pop()
+            if n is not None:
+                cls = type(n)
+                todo += [getattr(n, f) for f, _ in _SUBS[cls]]
+                n = (cls, _DATA[cls](n))
+            items.append(n)
+        return hash(tuple(items))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in SHAPES[type(self)]) + ")"
 
 
 # ---------------------------------------------------------------------------
 # Annotated terms
 
-@_node
 class Var(_Node):
-    idx: int
+    __slots__ = {"idx": DATA}
 
 
-@_node
 class Ref(_Node):
-    name: str
+    __slots__ = {"name": DATA}
 
 
-@_node
 class Lam(_Node):
-    name: str = field(compare=False)
-    ann: Optional[Type]
-    body: Term
+    __slots__ = {"name": HINT, "ann": OPT, "body": BOUND}
 
 
-@_node
 class ILam(_Node):
     """Implicit abstraction; erased, binder must not survive erasure."""
-    name: str = field(compare=False)
-    body: Term
+    __slots__ = {"name": HINT, "body": BOUND}
 
 
-@_node
 class App(_Node):
-    fn: Term
-    arg: Term
+    __slots__ = {"fn": SUB, "arg": SUB}
 
 
-@_node
 class EApp(_Node):
     """Erased application `t -s`; the argument never reaches the erasure."""
-    fn: Term
-    arg: Term
+    __slots__ = {"fn": SUB, "arg": SUB}
 
 
-@_node
 class TApp(_Node):
     """Type application `t · T`."""
-    fn: Term
-    ty: Type
+    __slots__ = {"fn": SUB, "ty": SUB}
 
 
-@_node
 class Pair(_Node):
     """Intersection introduction `[t , t']`."""
-    left: Term
-    right: Term
+    __slots__ = {"left": SUB, "right": SUB}
 
 
-@_node
 class Proj(_Node):
-    sub: Term
-    which: int  # 1 or 2
+    """The projection `t.1` or `t.2` (`which`)."""
+    __slots__ = {"sub": SUB, "which": DATA}
 
 
-@_node
 class Beta(_Node):
     """Reflexivity `β` or `β{t}` (erases to the witness, default identity)."""
-    witness: Optional[Term] = None
+    __slots__ = {"witness": OPT}
 
 
-@_node
 class Rho(_Node):
     """Equality elimination `ρ q - t`; `ρ+` normalizes the goal first."""
-    proof: Term
-    body: Term
-    normalize_first: bool = False
+    __slots__ = {"proof": SUB, "body": SUB, "normalize_first": FLAG}
 
 
-@_node
 class Symm(_Node):
     """Equality symmetry `ς q`."""
-    proof: Term
+    __slots__ = {"proof": SUB}
 
 
 # ---------------------------------------------------------------------------
 # Types
 
-@_node
 class TVar(_Node):
-    idx: int
+    __slots__ = {"idx": DATA}
 
 
-@_node
 class TRef(_Node):
-    name: str
+    __slots__ = {"name": DATA}
 
 
-@_node
 class All(_Node):
     """Implicit product `∀ x : dom . body`; dom a kind binds a type
     variable, dom a type binds an erased term variable. `➾` is the
     non-dependent spelling."""
-    name: str = field(compare=False)
-    dom: Union[Type, Kind]
-    body: Type
+    __slots__ = {"name": HINT, "dom": SUB, "body": BOUND}
 
 
-@_node
 class Pi(_Node):
     """Explicit product `Π x : dom . body`; `➔` when non-dependent."""
-    name: str = field(compare=False)
-    dom: Type
-    body: Type
+    __slots__ = {"name": HINT, "dom": SUB, "body": BOUND}
 
 
-@_node
 class TLam(_Node):
-    name: str = field(compare=False)
-    dom: Union[Type, Kind]
-    body: Type
+    __slots__ = {"name": HINT, "dom": SUB, "body": BOUND}
 
 
-@_node
 class AppT(_Node):
     """Type-level application to a type: `T · S`."""
-    fn: Type
-    arg: Type
+    __slots__ = {"fn": SUB, "arg": SUB}
 
 
-@_node
 class AppTm(_Node):
     """Type-level application to a term: `T t`."""
-    fn: Type
-    arg: Term
+    __slots__ = {"fn": SUB, "arg": SUB}
 
 
-@_node
 class Iota(_Node):
     """Dependent intersection `ι x : left . right`."""
-    name: str = field(compare=False)
-    left: Type
-    right: Type
+    __slots__ = {"name": HINT, "left": SUB, "right": BOUND}
 
 
-@_node
 class Eq(_Node):
     """Untyped-term equality `{l ≃ r}`; operands are scoped, not typed."""
-    lhs: Term
-    rhs: Term
+    __slots__ = {"lhs": SUB, "rhs": SUB}
 
 
 # ---------------------------------------------------------------------------
 # Kinds
 
-@_node
 class Star(_Node):
-    pass
+    __slots__ = {}
 
 
-@_node
 class KPi(_Node):
     """Term-indexed kind `Π x : T . κ` (`T ➔ κ` when non-dependent)."""
-    name: str = field(compare=False)
-    dom: Type
-    body: Kind
+    __slots__ = {"name": HINT, "dom": SUB, "body": BOUND}
 
 
-@_node
 class KPiK(_Node):
     """Type-indexed kind `Π X : κ . κ'` (`κ ➔ κ'` when non-dependent)."""
-    name: str = field(compare=False)
-    dom: Kind
-    body: Kind
+    __slots__ = {"name": HINT, "dom": SUB, "body": BOUND}
 
 
 # ---------------------------------------------------------------------------
 # Pure terms: the untyped λ-terms that erasure produces (see erasure.py)
 
-@_node
 class PVar(_Node):
-    idx: int
+    __slots__ = {"idx": DATA}
 
 
-@_node
 class PLam(_Node):
-    hint: str = field(compare=False)
-    body: PureTerm
+    __slots__ = {"hint": HINT, "body": BOUND}
 
 
-@_node
 class PApp(_Node):
-    fn: PureTerm
-    arg: PureTerm
+    __slots__ = {"fn": SUB, "arg": SUB}
 
 
-@_node
 class PRef(_Node):
-    name: str
+    __slots__ = {"name": DATA}
 
 
 # ---------------------------------------------------------------------------
 # One generic traversal for every AST above
-
-DATA, SUB, BOUND = None, 0, 1   # a field's role; SUB/BOUND add to the depth
-
-# One row per node class: each field in declaration order, with whether it
-# holds plain data, a subtree, or a subtree under the node's binder.
-SHAPES = {
-    Var: {"idx": DATA},
-    Ref: {"name": DATA},
-    Lam: {"name": DATA, "ann": SUB, "body": BOUND},
-    ILam: {"name": DATA, "body": BOUND},
-    App: {"fn": SUB, "arg": SUB},
-    EApp: {"fn": SUB, "arg": SUB},
-    TApp: {"fn": SUB, "ty": SUB},
-    Pair: {"left": SUB, "right": SUB},
-    Proj: {"sub": SUB, "which": DATA},
-    Beta: {"witness": SUB},
-    Rho: {"proof": SUB, "body": SUB, "normalize_first": DATA},
-    Symm: {"proof": SUB},
-    TVar: {"idx": DATA},
-    TRef: {"name": DATA},
-    All: {"name": DATA, "dom": SUB, "body": BOUND},
-    Pi: {"name": DATA, "dom": SUB, "body": BOUND},
-    TLam: {"name": DATA, "dom": SUB, "body": BOUND},
-    AppT: {"fn": SUB, "arg": SUB},
-    AppTm: {"fn": SUB, "arg": SUB},
-    Iota: {"name": DATA, "left": SUB, "right": BOUND},
-    Eq: {"lhs": SUB, "rhs": SUB},
-    Star: {},
-    KPi: {"name": DATA, "dom": SUB, "body": BOUND},
-    KPiK: {"name": DATA, "dom": SUB, "body": BOUND},
-    PVar: {"idx": DATA},
-    PLam: {"hint": DATA, "body": BOUND},
-    PApp: {"fn": SUB, "arg": SUB},
-    PRef: {"name": DATA},
-}
-for _cls, _row in SHAPES.items():
-    if tuple(_row) != tuple(_cls.__dataclass_fields__):
-        raise TypeError(f"SHAPES row of {_cls.__name__} does not list its "
-                        f"fields in order")
-
-_ROWS = {cls: tuple(row.items()) for cls, row in SHAPES.items()}
-_SUBS = {cls: tuple((f, r) for f, r in row.items() if r is not DATA)
-         for cls, row in SHAPES.items()}
-# How `interner` keys each class: None if every field is data, `_TWO` if
-# the fields are two subtrees, else the role of each field.
-_TWO = (SUB, SUB)
-_KEYS = {cls: None if all(r is DATA for r in row.values())
-         else _TWO if tuple(row.values()) == _TWO else tuple(row.values())
-         for cls, row in SHAPES.items()}
-_VARS = (Var, TVar, PVar)
 
 _TERM_NODES = (Var, Ref, Lam, ILam, App, EApp, TApp, Pair, Proj, Beta, Rho, Symm)
 _TYPE_NODES = (TVar, TRef, All, Pi, TLam, AppT, AppTm, Iota, Eq)
@@ -316,39 +259,78 @@ _PURE_NODES = (PVar, PLam, PApp, PRef)
 _SORTS = {cls: sort for sort, group in (
     ("term", _TERM_NODES), ("type", _TYPE_NODES), ("kind", _KIND_NODES),
     ("pure term", _PURE_NODES)) for cls in group}
+_VARS = (Var, TVar, PVar)
+
+# Each node class's fields in order, with their roles: its `__slots__`.
+SHAPES = {cls: cls.__slots__ for cls in _SORTS}
+
+_ROWS = {cls: tuple((f, DEPTH.get(r)) for f, r in row.items())
+         for cls, row in SHAPES.items()}
+_SUBS = {cls: tuple((f, DEPTH[r]) for f, r in row.items() if r in DEPTH)
+         for cls, row in SHAPES.items()}
 
 
-def _constructor(cls, row: dict):
-    """`cls.__init__`: store the fields of `row`, then the masks, folded
-    from the children's: a variable contributes its own bits, a subtree
-    under the binder its bits moved down one index, an absent (`None`)
-    subtree nothing. Pure-term variables have no sort bits."""
-    fields = cls.__dataclass_fields__
+def _data(row: dict):
+    """What `==` and `hash` read of a node besides its subtrees: a function
+    giving its DATA and FLAG fields as one value."""
+    data = [f for f, role in row.items() if role is DATA or role is FLAG]
+    return attrgetter(*data) if data else lambda node: None
+
+
+_DATA = {cls: _data(row) for cls, row in SHAPES.items()}
+# The classes whose one field is compared data, with it. Each gets its own
+# `==`, as fast as a dataclass's: `perfbench/church.py` decodes numerals
+# with one leaf `==` per successor.
+_LEAVES = {cls: tuple(row)[0] for cls, row in SHAPES.items()
+           if tuple(row.values()) == (DATA,)}
+_LEAF_EQ = ("def {0}_eq(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            "        return self.{1} == other.{1}\n"
+            "    return NotImplemented\n")
+# How `interner` keys each class: None if every field is data, `_TWO` if
+# the fields are two subtrees, else whether each field is a subtree.
+_TWO = (SUB, SUB)
+_KEYS = {cls: None if not _SUBS[cls]
+         else _TWO if tuple(row.values()) == _TWO
+         else tuple(r in DEPTH for r in row.values())
+         for cls, row in SHAPES.items()}
+
+
+def _constructor(cls, row: dict) -> str:
+    """The source of `cls.__init__`, named after `cls`: store the fields of
+    `row`, then the masks, folded from the children's: a variable
+    contributes its own bits, a subtree under the binder its bits moved
+    down one index, an absent (`None`) subtree nothing. Pure-term
+    variables have no sort bits."""
     free = ["1 << idx"] if cls in _VARS else []
     sorts = ["1 << 2 * idx"] if cls is Var else ["2 << 2 * idx"] \
         if cls is TVar else []
-    for f, role in row.items():
-        if role is not DATA:
-            get = f"{f}.%s" if not fields[f].type.startswith("Optional") \
-                else f"({f}.%s if {f} is not None else 0)"
-            free.append(get % "free_mask" + " >> 1" * role)
-            if cls not in _PURE_NODES:
-                sorts.append(get % "sort_mask" + " >> 2" * role)
-    src = "".join(f"    self.{f} = {f}\n" for f in row)
-    src = (f"def __init__(self, {', '.join(row)}):\n{src}"
-           f"    self.free_mask = {' | '.join(free) or 0}\n"
-           f"    self.sort_mask = {' | '.join(sorts) or 0}\n")
-    scope = {}
-    exec(src, scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__name__}.__init__"
-    init.__defaults__ = tuple(fields[f].default for f in row
-                              if fields[f].default is not MISSING) or None
-    return init
+    for f, down in _SUBS[cls]:
+        get = f"({f}.%s if {f} is not None else 0)" if row[f] is OPT \
+            else f"{f}.%s"
+        free.append(get % "free_mask" + " >> 1" * down)
+        if cls not in _PURE_NODES:
+            sorts.append(get % "sort_mask" + " >> 2" * down)
+    params, tail = [], True
+    for f, role in reversed(row.items()):
+        tail = tail and role in _DEFAULTS
+        params.insert(0, f"{f}={_DEFAULTS[role]}" if tail else f)
+    return (f"def {cls.__name__}({', '.join(['self', *params])}):\n"
+            + "".join(f"    self.{f} = {f}\n" for f in row)
+            + f"    self.free_mask = {' | '.join(free) or 0}\n"
+            f"    self.sort_mask = {' | '.join(sorts) or 0}\n")
 
 
+_scope = {}
+exec("".join(map(_constructor, SHAPES, SHAPES.values()))
+     + "".join(_LEAF_EQ.format(c.__name__, f) for c, f in _LEAVES.items()),
+     _scope)
 for _cls, _row in SHAPES.items():
-    _cls.__init__ = _constructor(_cls, _row)
+    _cls.__init__ = _scope[_cls.__name__]
+    _cls.__init__.__qualname__ = f"{_cls.__name__}.__init__"
+    _cls.__match_args__ = tuple(_row)
+    if _cls in _LEAVES:
+        _cls.__eq__ = _scope[f"{_cls.__name__}_eq"]
 
 
 def sort_clash(got: str, position: str) -> KernelError:
@@ -368,10 +350,10 @@ def transform(node, fn, depth: int = 0):
     cls = type(node)
     args = []
     changed = False
-    for f, role in _ROWS[cls]:
+    for f, down in _ROWS[cls]:
         v = getattr(node, f)
-        if role is not DATA and v is not None:
-            new = transform(v, fn, depth + role)
+        if down is not None and v is not None:
+            new = transform(v, fn, depth + down)
             if new is not v:
                 v, changed = new, True
         args.append(v)
@@ -381,7 +363,7 @@ def transform(node, fn, depth: int = 0):
 def subtrees(node, depth: int) -> list:
     """The `(subtree, d)` pairs of `node` in field order, `d` as in
     `transform`."""
-    return [(v, depth + role) for f, role in _SUBS[type(node)]
+    return [(v, depth + down) for f, down in _SUBS[type(node)]
             if (v := getattr(node, f)) is not None]
 
 
@@ -393,15 +375,15 @@ def interner():
     get = table.get
 
     def mk(cls, *fields):
-        roles = _KEYS[cls]
-        if roles is _TWO:
+        subs = _KEYS[cls]
+        if subs is _TWO:
             a, b = fields
             key = (cls, id(a), id(b))
-        elif roles is None:
+        elif subs is None:
             key = (cls, fields)
         else:
-            key = (cls, *[v if role is DATA else id(v)
-                          for v, role in zip(fields, roles)])
+            key = (cls, *[id(v) if sub else v
+                          for v, sub in zip(fields, subs)])
         node = get(key)
         if node is None:
             node = table[key] = cls(*fields)

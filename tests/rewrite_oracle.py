@@ -55,7 +55,7 @@ def rewrite_unpruned(checker, node, lhs, lhs_nf, rhs, depth: int):
         fields = []
         for f, role in S.SHAPES[type(n)].items():
             v = getattr(n, f)
-            fields.append(v if role is S.DATA or v is None
-                          else go(v, d + role))
+            fields.append(v if role not in S.DEPTH or v is None
+                          else go(v, d + S.DEPTH[role]))
         return type(n)(*fields)
     return go(node, depth), count

@@ -68,9 +68,10 @@ def test_criterion_5_proof_reuse_type_checks(corpus_sig, corpus_report):
     def no_rho(node):
         if isinstance(node, S.Rho):
             return False
-        return all(no_rho(getattr(node, f))
-                   for f in getattr(node, "__dataclass_fields__", {})
-                   if hasattr(getattr(node, f), "__dataclass_fields__"))
+        return all(no_rho(sub) for sub, _ in S.subtrees(node, 0))
+
+    # the walk finds the ρ of a proof that does rewrite
+    assert not no_rho(corpus_sig.lookup("appendAssocV-direct").body)
 
     def single_application_of(body, reused):
         while isinstance(body, S.ILam | S.Lam):

@@ -50,16 +50,18 @@ def test_weakening_consrv_rewrite_fails():
 
 
 def _contains_rho(node) -> bool:
-    if isinstance(node, S.Rho):
-        return True
-    for f in getattr(node, "__dataclass_fields__", {}):
-        sub = getattr(node, f)
-        if hasattr(sub, "__dataclass_fields__") and _contains_rho(sub):
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, S.Rho):
             return True
+        todo += [sub for sub, _ in S.subtrees(node, 0)]
     return False
 
 
 def test_reused_proofs_carry_no_equational_reasoning(corpus_sig):
+    # the walk finds the ρ of a proof that does rewrite
+    assert _contains_rho(corpus_sig.lookup("appendAssocV-direct").body)
     # proof reuse is a single application of the reused proof to
     # coerced arguments; no rewriting appears in these bodies
     for name in ("appendAssocL", "appendAssocV", "concatDistAppendV"):

@@ -15,7 +15,7 @@ import pytest
 from cedlite import syntax as S
 from cedlite.corpus import load_corpus
 from cedlite.parser import parse_files, parse_signature, parse_term
-from cedlite.syntax import DATA, SHAPES
+from cedlite.syntax import DEPTH, SHAPES
 from cedlite.typecheck import check_signature
 from perfbench import coercegen
 
@@ -50,14 +50,14 @@ def hinted_key(node, memo):
     same key exactly when they are `==` and carry the same hints."""
     if id(node) not in memo:
         memo[id(node)] = (type(node), *[
-            v if role is DATA or v is None else hinted_key(v, memo)
+            v if role not in DEPTH or v is None else hinted_key(v, memo)
             for v, role in fields(node)])
     return memo[id(node)]
 
 
 def unshared(node):
     """A copy of `node` built node by node, sharing no subterm."""
-    return type(node)(*[v if role is DATA or v is None else unshared(v)
+    return type(node)(*[v if role not in DEPTH or v is None else unshared(v)
                         for v, role in fields(node)])
 
 

@@ -2,6 +2,7 @@
 and over random pure terms."""
 
 import random
+import sys
 
 import pytest
 
@@ -184,17 +185,47 @@ def test_equality_compares_the_class_and_ignores_binder_hints():
     assert S.Beta() == S.Beta(None) != S.Beta(a)
 
 
+def _chain(n, leaf, step):
+    for i in range(n):
+        leaf = step(i, leaf)
+    return leaf
+
+
+def test_equality_and_hash_reach_any_depth():
+    # 10,000 levels at the default recursion limit: `==` and `hash` walk on
+    # an explicit stack (a recursive `==` failed at 340 levels)
+    assert sys.getrecursionlimit() <= 1000
+
+    def papps(leaf):
+        return _chain(10_000, leaf, lambda i, t: S.PApp(S.PVar(i % 3), t))
+
+    def annotated(hint, leaf):
+        return _chain(10_000, leaf, lambda i, t: S.Lam(
+            f"{hint}{i}", S.TRef("Nat"), S.App(t, S.Var(i % 2))))
+    for one, other, bottom in (
+            (papps(S.PVar(0)), papps(S.PVar(0)), papps(S.PVar(1))),
+            (annotated("x", S.Var(0)), annotated("y", S.Var(0)),
+             annotated("x", S.Var(1)))):
+        assert one is not other and one == other
+        assert hash(one) == hash(other)
+        assert one != bottom and not one == bottom
+
+
 def test_every_node_class_keeps_its_match_args_and_fields():
     assert {cls.__name__: cls.__match_args__ for cls in S.SHAPES} \
         == MATCH_ARGS
-    for cls in S.SHAPES:
-        assert tuple(cls.__dataclass_fields__) == MATCH_ARGS[cls.__name__]
+    for cls, row in S.SHAPES.items():
+        assert tuple(row) == tuple(cls.__slots__) == MATCH_ARGS[cls.__name__]
+        assert not hasattr(cls, "__dataclass_fields__")
+        # the binder hint is the first field of a binder, and only that
+        hints = [f for f, role in row.items() if role is S.HINT]
+        assert hints == list(row)[:1 if S.BOUND in row.values() else 0]
 
 
 def test_nodes_are_slotted_so_a_misspelled_assignment_raises():
     for cls in S.SHAPES:
         assert "__slots__" in cls.__dict__
-        node = cls(*[S.Var(0) if role is not S.DATA else 0
+        node = cls(*[S.Var(0) if role in S.DEPTH else 0
                      for role in S.SHAPES[cls].values()])
         assert not hasattr(node, "__dict__")
         with pytest.raises(AttributeError):
