@@ -122,8 +122,9 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     common = argparse.ArgumentParser(add_help=False)
     fuel_opt = common.add_argument(
         "--fuel", type=fuel,
-        help=f"reduction step budget per normalization call and per "
-             f"declaration's check (default {Fuel().max_steps}, or "
+        help=f"reduction step budget of each declaration (its check, the "
+             f"normalizations inside it and its normal form) and of each "
+             f"other normalization (default {Fuel().max_steps}, or "
              f"CEDLITE_FUEL)")
     common.add_argument("--ascii", action="store_true",
                         help="print ASCII token spellings")

@@ -23,9 +23,9 @@ of two such terms is the single α-comparison it starts with.
 
 A definition reference costs one δ-step and evaluates the definition's
 own normal form, which is memoized on the signature. A definition that
-failed to check is never unfolded: its reference is a neutral head. Fuel
-bounds the β/δ steps of a single normalization call; running out is an
-error, never silent truncation.
+failed to check is never unfolded: its reference is a neutral head.
+`normalize` spends the `Meter` it is given, or one of its own sized by a
+`Fuel`; running out is an error, never silent truncation.
 """
 
 from __future__ import annotations
@@ -55,24 +55,22 @@ class NormalForm:
 
 
 class FuelExhausted(KernelError):
-    def __init__(self, partial: PureTerm, steps: int):
+    def __init__(self, steps: int):
         super().__init__(f"fuel exhausted after {steps} reduction steps")
-        self.partial = partial
         self.steps = steps
 
 
-class _Meter:
-    """The step budget of one normalization call, and its signature."""
+class Meter:
+    """A step budget: a tick past `max_steps` raises `FuelExhausted`."""
 
-    def __init__(self, fuel: Fuel, sig: Signature):
-        self.fuel = fuel
+    def __init__(self, max_steps: int):
+        self.max_steps = max_steps
         self.used = 0
-        self.sig = sig
 
-    def tick(self, focus: PureTerm) -> None:
-        self.used += 1
-        if self.used > self.fuel.max_steps:
-            raise FuelExhausted(focus, self.used - 1)
+    def tick(self, steps: int = 1) -> None:
+        self.used += steps
+        if self.used > self.max_steps:
+            raise FuelExhausted(self.max_steps)
 
 
 class _Closure:
@@ -116,14 +114,14 @@ def _lookup(env, idx: int) -> _Thunk:
     return _Thunk(None, None, _Neutral(-1 - n, ()))
 
 
-def _force(th: _Thunk, m: _Meter):
+def _force(th: _Thunk, m: Meter, sig: Signature):
     if th.value is None:
-        th.value = _eval(th.term, th.env, m)
+        th.value = _eval(th.term, th.env, m, sig)
         th.term = th.env = None
     return th.value
 
 
-def _eval(t: PureTerm, env, m: _Meter):
+def _eval(t: PureTerm, env, m: Meter, sig: Signature):
     """Weak-head value of `t` in `env`: a Krivine machine whose pending
     arguments are thunks, the last one applied first."""
     args: list[_Thunk] = []
@@ -137,11 +135,11 @@ def _eval(t: PureTerm, env, m: _Meter):
         elif kind is PLam:
             if not args:
                 return _Closure(t.hint, t.body, env)
-            m.tick(t)
+            m.tick()
             env, t = (args.pop(), env), t.body
         elif kind is PVar:
             th = _lookup(env, t.idx)
-            v = th.value if th.value is not None else _force(th, m)
+            v = th.value if th.value is not None else _force(th, m, sig)
             if type(v) is _Neutral:
                 if args:
                     args.reverse()
@@ -149,16 +147,16 @@ def _eval(t: PureTerm, env, m: _Meter):
                 return v
             if not args:
                 return v
-            m.tick(v.body)
+            m.tick()
             env, t = (args.pop(), v.env), v.body
         elif kind is PRef:
-            if t.name in m.sig.rejected:
+            if t.name in sig.rejected:
                 args.reverse()
                 return _Neutral(t, tuple(args))
             # The normal form takes the reference's place, so it is
             # evaluated in the environment the reference sits in.
-            m.tick(t)
-            t = _def_nf(t.name, m.sig, m.fuel)
+            m.tick()
+            t = _def_nf(t.name, sig, m)
         else:
             raise TypeError(t)
 
@@ -166,7 +164,7 @@ def _eval(t: PureTerm, env, m: _Meter):
 _APP = object()     # readback marker: apply the result below to the top one
 
 
-def _readback(v, m: _Meter) -> PureTerm:
+def _readback(v, m: Meter, sig: Signature) -> PureTerm:
     """The η-short term of a value, built with an explicit stack."""
     out: list[PureTerm] = []
     todo: list = [(v, 0)]
@@ -179,11 +177,11 @@ def _readback(v, m: _Meter) -> PureTerm:
             out.append(_eta(item, out.pop()))
         else:
             if type(item) is _Thunk:
-                item = _force(item, m)
+                item = _force(item, m, sig)
             if type(item) is _Closure:
                 fresh = _Thunk(None, None, _Neutral(depth, ()))
                 todo.append((item.hint, depth))
-                todo.append((_eval(item.body, (fresh, item.env), m),
+                todo.append((_eval(item.body, (fresh, item.env), m, sig),
                              depth + 1))
             else:
                 head = item.head
@@ -211,14 +209,15 @@ def _eta(hint: str, body: PureTerm) -> PureTerm:
     return PLam(hint, body)
 
 
-def _def_nf(name: str, sig: Signature, fuel: Fuel) -> PureTerm:
+def _def_nf(name: str, sig: Signature, m: Meter) -> PureTerm:
+    # a normal form not yet memoized is computed on a budget of its own
     cached = sig._def_nfs.get(name)
     if cached is not None:
         return cached
     decl = sig.lookup(name)
     if decl is None or decl.level != "term":
         raise KernelError(f"{name} is not an unfoldable term definition")
-    nf = _normal_form(erase(decl.body), sig, fuel).term
+    nf = normalize(erase(decl.body), sig, Meter(m.max_steps)).term
     sig._def_nfs[name] = nf
     return nf
 
@@ -247,19 +246,17 @@ def _has_redex(t: PureTerm, rejected) -> bool:
     return False
 
 
-def _normal_form(t: PureTerm, sig: Signature, fuel: Fuel) -> NormalForm:
-    """`normalize` without the public name: a term with no redex is its
-    own normal form, reached in 0 steps; any other is evaluated and read
-    back."""
+def normalize(t: PureTerm, sig: Signature,
+              fuel: Fuel | Meter = Fuel()) -> NormalForm:
+    """The βδη-normal form of `t`, and the β/δ steps this call took. A
+    term with no redex is its own normal form, reached in 0 steps; any
+    other is evaluated and read back."""
     if not _has_redex(t, sig.rejected):
         return NormalForm(t, 0)
-    meter = _Meter(fuel, sig)
-    return NormalForm(_readback(_eval(t, None, meter), meter), meter.used)
-
-
-def normalize(t: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> NormalForm:
-    """The βδη-normal form of `t`, and the β/δ steps it took."""
-    return _normal_form(t, sig, fuel)
+    m = fuel if type(fuel) is Meter else Meter(fuel.max_steps)
+    before = m.used
+    return NormalForm(_readback(_eval(t, None, m, sig), m, sig),
+                      m.used - before)
 
 
 def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
@@ -285,8 +282,10 @@ def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
     return True
 
 
-def conv(t1: PureTerm, t2: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> bool:
-    """Definitional equality: α-equality of βδη-normal forms."""
+def conv(t1: PureTerm, t2: PureTerm, sig: Signature,
+         fuel: Fuel | Meter = Fuel()) -> bool:
+    """Definitional equality: α-equality of βδη-normal forms. Given a
+    `Fuel`, each side is normalized on a budget of its own."""
     if alpha_eq(t1, t2):
         return True
     n1 = normalize(t1, sig, fuel).term
@@ -298,5 +297,6 @@ def conv(t1: PureTerm, t2: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> boo
 IDENTITY = PLam("x", PVar(0))
 
 
-def is_identity(t: PureTerm, sig: Signature, fuel: Fuel = Fuel()) -> bool:
+def is_identity(t: PureTerm, sig: Signature,
+                fuel: Fuel | Meter = Fuel()) -> bool:
     return conv(t, IDENTITY, sig, fuel)

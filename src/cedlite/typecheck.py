@@ -9,8 +9,7 @@ converts with the equation's left side.
 
 Types and kinds are checked as values (`values.py`): instantiating a
 binder extends an environment instead of substituting, and syntax is
-read back only to print a type, to build the goal of ρ and for
-`type_nf`.
+read back only to print a type and to build the goal of ρ.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from typing import Optional, Union
 
 from . import syntax as S
 from .erasure import PureTerm, PVar, embed, erase, free_in_erasure
-from .normalize import Fuel, FuelExhausted, alpha_eq, conv, is_identity, \
-    normalize
+from .normalize import Fuel, FuelExhausted, Meter, alpha_eq, conv, \
+    is_identity, normalize
 from .printer import print_classifier, print_pure
 from .syntax import (
     Decl, KernelError, Signature, occurs_index, shift, subtrees, transform,
@@ -134,43 +133,24 @@ def _implicit_binder_erased(lam: S.ILam) -> None:
 class Checker:
     """Checks one declaration; accumulates reduction steps and warnings.
 
-    Steps are the declaration's fuel: every step of its check is charged
-    (each type-level δ-unfold and β-step, each term normalization's steps,
-    each memo replay), and a charge past `fuel.max_steps` raises
-    `FuelExhausted`."""
+    `meter` is the declaration's fuel: every step of its check ticks it
+    (each type-level δ-unfold and β-step, each step of a term
+    normalization or conversion, each memo replay)."""
 
     def __init__(self, sig: Signature, fuel: Fuel = Fuel()):
         self.sig = sig
-        self.fuel = fuel
-        self.steps = 0
+        self.meter = Meter(fuel.max_steps)
         self.warnings: list[str] = []
         self._inferred: dict = {}   # see `infer`
 
-    # --- conversion plumbing ---------------------------------------------
-
     def _nf(self, p: PureTerm) -> PureTerm:
-        out = normalize(p, self.sig, self.fuel)
-        self._charge(out.steps_used)
-        return out.term
-
-    def conv_pure(self, p1: PureTerm, p2: PureTerm) -> bool:
-        if alpha_eq(p1, p2):
-            return True
-        n1, n2 = self._nf(p1), self._nf(p2)
-        # two inputs that are their own normal forms were compared above
-        return (n1 is not p1 or n2 is not p2) and alpha_eq(n1, n2)
-
-    def _charge(self, steps: int = 1) -> None:
-        """Add `steps` to the declaration's count; past the budget, raise."""
-        self.steps += steps
-        if self.steps > self.fuel.max_steps:
-            raise FuelExhausted(None, self.fuel.max_steps)
+        return normalize(p, self.sig, self.meter).term
 
     # --- evaluation and readback ---------------------------------------------
 
     def _quote(self, v, lvl: int, nf: bool = False):
         """The syntax of the value `v` at level `lvl`. With `nf`, every
-        type node is forced first: the full normal form of `type_nf`."""
+        type node is forced first: the normal form of its type structure."""
         k = type(v)
         if nf and k is VNe:
             v = self.type_whnf(v)
@@ -240,7 +220,7 @@ class Checker:
                     raise CheckError("scope", f"{head.name} is not a type")
                 if head.name in self.sig.rejected:
                     break   # rejected: only its ascription is trusted
-                self._charge()
+                self.meter.tick()
                 f = evaluate(decl.body, [])
             elif type(head) is VBind and head.cls is S.TLam:
                 f = head
@@ -252,18 +232,10 @@ class Checker:
                     f = VNe(f.head, f.spine + spine[i:]) if type(f) is VNe \
                         else VNe(f, spine[i:])
                     break
-                self._charge()
+                self.meter.tick()
                 f = instantiate(f, a)
             w = f
         return w
-
-    def type_nf(self, node):
-        """Normalize the structure of a type or kind fully; embedded terms,
-        and a term given as `node`, are left untouched. Syntax in, syntax
-        out; free indices stay."""
-        if S.is_term(node):
-            return node
-        return self._quote(evaluate(node, []), 0, True)
 
     # --- conversion of types and kinds -------------------------------------
 
@@ -327,7 +299,8 @@ class Checker:
 
     def _conv_tm(self, a: VTm, b: VTm, lvl: int, unfold: bool = True) -> bool:
         pa, pb = self._erased(a, lvl), self._erased(b, lvl)
-        return self.conv_pure(pa, pb) if unfold else alpha_eq(pa, pb)
+        return conv(pa, pb, self.sig, self.meter) if unfold \
+            else alpha_eq(pa, pb)
 
     # --- kinding ------------------------------------------------------------
 
@@ -460,7 +433,7 @@ class Checker:
             self._check(ctx, t.left, w.dom)
             self._check(ctx, t.right, instantiate(w, VTm(t.left, ctx.env)))
             pl, pr = erase(t.left), erase(t.right)
-            if not self.conv_pure(pl, pr):
+            if not conv(pl, pr, self.sig, self.meter):
                 raise CheckError("erasure-mismatch", self._sides(
                     "intersection components have different erasures",
                     pl, pr))
@@ -535,10 +508,10 @@ class Checker:
         again."""
         seen = self._inferred.get((id(t), id(ctx)))
         if seen is not None:
-            self._charge(seen[3])
+            self.meter.tick(seen[3])
             self.warnings += seen[4]
             return seen[2]
-        steps, n_warnings = self.steps, len(self.warnings)
+        steps, n_warnings = self.meter.used, len(self.warnings)
         k = type(t)
         if k is S.Var:
             ty = self.classifier_of(ctx, t.idx, S.Var)
@@ -575,7 +548,7 @@ class Checker:
                              f"cannot synthesize a type for this "
                              f"{type(t).__name__} term")
         self._inferred[id(t), id(ctx)] = (
-            t, ctx, ty, self.steps - steps, self.warnings[n_warnings:])
+            t, ctx, ty, self.meter.used - steps, self.warnings[n_warnings:])
         return ty
 
     def _infer_spine(self, ctx: Ctx, t: S.Term):
@@ -747,6 +720,8 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
     declarations trust its ascription, and a type-level one is never
     unfolded) and checking continues. Running into Python's recursion
     limit fails only the declaration at hand ("depth exhausted").
+    A declaration's check and its normal form spend one budget of `fuel`
+    (one `Checker.meter`); each assertion gets a budget of its own.
     """
     report = CheckReport()
     statuses: dict[str, str] = {}   # "ok", or why the normal form failed
@@ -766,7 +741,7 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
         except RecursionError:
             error = KernelError("depth exhausted")
         row = DeclReport(decl.name, "ok", decl.classifier,
-                         steps_used=checker.steps, warnings=checker.warnings)
+                         warnings=checker.warnings)
         if decl.expect_fail:
             if error is None:
                 row.status = "assertion failure"
@@ -788,10 +763,9 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
                 # be computed makes the definition rejected, so no later
                 # use pays for it again
                 try:
-                    nf = normalize(erase(decl.body), sig, fuel)
+                    nf = normalize(erase(decl.body), sig, checker.meter)
                     sig._def_nfs.setdefault(decl.name, nf.term)
                     row.normal_form = nf.term
-                    row.steps_used += nf.steps_used
                 except FuelExhausted as e:
                     row.error = str(e)
                 except RecursionError:
@@ -802,6 +776,7 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
                 statuses[decl.name] = row.error
                 row.status = "type error"
                 sig.rejected.add(decl.name)
+        row.steps_used = checker.meter.used
         report.decls.append(row)
     for decl, row in zip(sig.decls, report.decls):
         for assertion in decl.assertions:

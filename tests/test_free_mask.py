@@ -20,7 +20,7 @@ import pytest
 from cedlite import syntax as S
 from cedlite.corpus import load_corpus
 from cedlite.erasure import PApp, PVar, embed, erase
-from cedlite.normalize import normalize
+from cedlite.normalize import Fuel, normalize
 from cedlite.parser import parse_files, parse_signature
 from cedlite.printer import print_classifier
 from cedlite.syntax import KernelError, Signature, shift, subst, transform
@@ -215,8 +215,8 @@ def record_rewrites(monkeypatch):
 
     def both(self, node, lhs, lhs_nf, rhs, depth):
         got = pruned(self, node, lhs, lhs_nf, rhs, depth)
-        want = rewrite_unpruned(Checker(self.sig, self.fuel), node, lhs,
-                                lhs_nf, rhs, depth)
+        want = rewrite_unpruned(Checker(self.sig, Fuel(self.meter.max_steps)),
+                                node, lhs, lhs_nf, rhs, depth)
         seen.append((print_classifier(got[0]), got[1],
                      print_classifier(want[0]), want[1]))
         assert got[0] == want[0]

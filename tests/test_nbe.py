@@ -67,8 +67,8 @@ def test_agrees_with_oracle_on_generated_terms():
 
 def slow_normal_form(t, sig):
     """Evaluation and readback, without the scan for a redex."""
-    meter = N._Meter(Fuel(), sig)
-    return N._readback(N._eval(t, None, meter), meter), meter.used
+    meter = N.Meter(Fuel().max_steps)
+    return N._readback(N._eval(t, None, meter, sig), meter, sig), meter.used
 
 
 def assert_scan_agrees(t, sig):
@@ -128,7 +128,7 @@ def test_conversion_of_two_normal_terms_evaluates_nothing(monkeypatch):
     monkeypatch.setattr(tc, "alpha_eq", counting_alpha_eq)
     three, four = church(3), church(4)
     assert not conv(three, four, EMPTY)
-    assert not tc.Checker(EMPTY).conv_pure(three, four)
+    assert not conv(three, four, EMPTY, tc.Checker(EMPTY).meter)
     assert evals == [] and len(compares) == 2
     # the counter sees evaluation where there is a redex
     assert conv(PApp(PLam("x", PVar(0)), three), three, EMPTY)

@@ -3,9 +3,9 @@
 Two files under `tests/golden/` hold text printed from types that the
 checker reads back to syntax:
 
-* `classifier_nf.txt`: `print_classifier(Checker(sig).type_nf(c))` for
-  the classifier `c` of every declaration of the corpus and of the
-  `coerce` workload's files at seeds 0-3;
+* `classifier_nf.txt`: the classifier of every declaration of the corpus
+  and of the `coerce` workload's files at seeds 0-3, evaluated and read
+  back in full normal form (`Checker._quote` with `nf`);
 * `coercegen_mismatch.txt`: the `check` reports of those four files with
   `#assert-fail ` stripped, so that every expected failure prints its
   `type mismatch`, and with each `(fuel N)` dropped.
@@ -25,6 +25,7 @@ from cedlite.corpus import load_corpus
 from cedlite.parser import parse_files, parse_signature
 from cedlite.printer import print_classifier
 from cedlite.typecheck import Checker
+from cedlite.values import evaluate
 from perfbench import coercegen
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,7 +46,7 @@ def classifier_nfs() -> str:
     for source, sig, start in sources:
         lines.append(f"-- {source}")
         for decl in sig.decls[start:]:
-            nf = Checker(sig).type_nf(decl.classifier)
+            nf = Checker(sig)._quote(evaluate(decl.classifier, []), 0, True)
             lines.append(f"{decl.name} : {print_classifier(nf)}")
     return "\n".join(lines) + "\n"
 

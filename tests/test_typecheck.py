@@ -7,7 +7,7 @@ import pytest
 from cedlite import syntax as S
 from cedlite.parser import parse_signature, parse_type
 from cedlite.printer import print_classifier
-from cedlite.normalize import Fuel
+from cedlite.normalize import Fuel, conv
 from cedlite.typecheck import CheckError, Checker, CtxEntry, check_signature
 from cedlite.values import EMPTY, evaluate
 from audits import audit_implicit_erasures, audit_intersections
@@ -124,11 +124,12 @@ def test_vecr_converts_to_listr(corpus_sig):
 
 def test_type_nf_takes_and_gives_syntax(corpus_sig):
     c = Checker(corpus_sig)
-    zero = S.Ref("zero")
-    assert c.type_nf(zero) is zero
+
+    def type_nf(node):
+        return c._quote(evaluate(node, []), 0, True)
     vec = parse_type("Vec · Nat zero", corpus_sig)
-    assert S.is_type(c.type_nf(vec))
-    assert c.type_nf(vec) == c.type_nf(c.type_nf(vec))
+    assert S.is_type(type_nf(vec))
+    assert type_nf(vec) == type_nf(type_nf(vec))
 
 
 def test_unannotated_lambda_cannot_synthesize():
@@ -180,7 +181,7 @@ def nat_sig():
 def test_matching_folded_types_are_not_unfolded():
     checker = Checker(nat_sig())
     checker.check([], S.Ref("zero"), S.TRef("Nat"))
-    assert checker.steps == 0
+    assert checker.meter.used == 0
 
 
 def test_mismatch_reports_the_unfolded_types():
@@ -370,8 +371,8 @@ def test_conv_pure_compares_deep_normal_forms_without_recursion():
     from termgen import church
     # 2^16 and 4^8 share a normal form 65,536 applications deep
     checker = Checker(S.Signature())
-    assert checker.conv_pure(PApp(church(16), church(2)),
-                             PApp(church(8), church(4)))
+    assert conv(PApp(church(16), church(2)), PApp(church(8), church(4)),
+                checker.sig, checker.meter)
 
 
 def test_subject_erasure_scan(corpus_sig):
@@ -395,6 +396,25 @@ def test_fuel_exhaustion_reported_per_declaration():
     assert [r.name for r in rows if not r.ok] == ["c65k"]
     assert "fuel exhausted" in rows[-2].error
     assert rows[-1].name == "after" and rows[-1].ok
+
+
+# budgets 1-30, and those at which a check and the normal form that
+# follows it once each had a budget of their own and together spent more
+OVER_SPENT_BUDGETS = [*range(1, 31), 47, 48, 57, 58, 68, 69, 72, 73, 79, 80,
+                      102, 103, 104, 113, 114, 157]
+
+
+def test_an_accepted_row_spends_at_most_its_budget():
+    # a declaration's check, the normalizations inside it and its normal
+    # form spend one budget, so no accepted row counts more steps than it
+    from cedlite.corpus import load_corpus
+    for budget in OVER_SPENT_BUDGETS:
+        sig = load_corpus()
+        report = check_signature(sig, Fuel(budget))
+        for decl, row in zip(sig.decls, report.decls):
+            if row.status != "type error" and not decl.expect_fail:
+                assert row.steps_used <= budget, (budget, row.name,
+                                                  row.steps_used)
 
 
 # --- application spines --------------------------------------------------
