@@ -124,8 +124,9 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         "--fuel", type=fuel,
         help=f"reduction step budget of each declaration (its check, the "
              f"normalizations inside it and its normal form) and of each "
-             f"other normalization (default {Fuel().max_steps}, or "
-             f"CEDLITE_FUEL)")
+             f"other call: norm, eq and assert-id, and each assertion; a "
+             f"conversion spends it on both sides (default "
+             f"{Fuel().max_steps}, or CEDLITE_FUEL)")
     common.add_argument("--ascii", action="store_true",
                         help="print ASCII token spellings")
     common.add_argument("--porcelain", action="store_true",

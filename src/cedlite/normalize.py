@@ -61,7 +61,8 @@ class FuelExhausted(KernelError):
 
 
 class Meter:
-    """A step budget: a tick past `max_steps` raises `FuelExhausted`."""
+    """A step budget: a tick past `max_steps` raises `FuelExhausted` and
+    leaves `used` at `max_steps`, so no count exceeds the budget."""
 
     def __init__(self, max_steps: int):
         self.max_steps = max_steps
@@ -70,6 +71,7 @@ class Meter:
     def tick(self, steps: int = 1) -> None:
         self.used += steps
         if self.used > self.max_steps:
+            self.used = self.max_steps
             raise FuelExhausted(self.max_steps)
 
 
@@ -284,12 +286,13 @@ def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
 
 def conv(t1: PureTerm, t2: PureTerm, sig: Signature,
          fuel: Fuel | Meter = Fuel()) -> bool:
-    """Definitional equality: α-equality of βδη-normal forms. Given a
-    `Fuel`, each side is normalized on a budget of its own."""
+    """Definitional equality: α-equality of βδη-normal forms. Both sides
+    spend one budget: the `Meter` given, or one sized by a `Fuel`."""
     if alpha_eq(t1, t2):
         return True
-    n1 = normalize(t1, sig, fuel).term
-    n2 = normalize(t2, sig, fuel).term
+    m = fuel if type(fuel) is Meter else Meter(fuel.max_steps)
+    n1 = normalize(t1, sig, m).term
+    n2 = normalize(t2, sig, m).term
     # two inputs that are their own normal forms were compared just above
     return (n1 is not t1 or n2 is not t2) and alpha_eq(n1, n2)
 

@@ -19,8 +19,7 @@ from typing import Optional, Union
 
 from . import syntax as S
 from .erasure import PureTerm, PVar, embed, erase, free_in_erasure
-from .normalize import Fuel, FuelExhausted, Meter, alpha_eq, conv, \
-    is_identity, normalize
+from .normalize import IDENTITY, Fuel, Meter, alpha_eq, conv, normalize
 from .printer import print_classifier, print_pure
 from .syntax import (
     Decl, KernelError, Signature, occurs_index, shift, subtrees, transform,
@@ -46,14 +45,6 @@ class CheckError(KernelError):
 
 
 @dataclass
-class CtxEntry:
-    """A context entry as syntax: its classifier is written in the context
-    of the entries before it. `Checker.check` takes a list of these."""
-    name: str
-    classifier: Union[S.Type, S.Kind]
-
-
-@dataclass
 class AssertionOutcome:
     description: str
     ok: bool
@@ -76,10 +67,6 @@ class DeclReport:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    @property
-    def erasure_nf(self) -> Optional[str]:      # `normal_form`, in Unicode
-        return self.normal_form and print_pure(self.normal_form)
-
 
 @dataclass
 class CheckReport:
@@ -88,12 +75,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return all(d.ok for d in self.decls)
-
-    def find(self, name: str) -> Optional[DeclReport]:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        return None
 
 
 # Whether a kind classifies the context entry of each variable node, and
@@ -389,14 +370,6 @@ class Checker:
 
     # --- terms ----------------------------------------------------------------
 
-    def check(self, entries: list[CtxEntry], t: S.Term, ty: S.Type) -> None:
-        """Check the term `t` against the type `ty`, both syntax written in
-        the context of `entries`."""
-        ctx = EMPTY
-        for e in entries:
-            ctx = ctx.bind(e.name, evaluate(e.classifier, ctx.env))
-        self._check(ctx, t, evaluate(ty, ctx.env))
-
     def _check(self, ctx: Ctx, t: S.Term, ty) -> None:
         """Check `t` against the value `ty`. An elimination form's type is
         inferred once and compared with `ty` without reducing; `ty` is
@@ -672,45 +645,49 @@ def _check_decl(checker: Checker, decl: Decl) -> None:
         checker._check(EMPTY, decl.body, cls)
 
 
+# Per assertion kind: what the target's normal form is compared with, the
+# answer that makes the assertion hold, and the detail when it does not
+# (None: the target's normal form is shown instead).
+_ASSERTIONS = {
+    "identity": (lambda a, nfs: IDENTITY, True,
+                 "erasure is not the identity function"),
+    "not-identity": (lambda a, nfs: IDENTITY, False,
+                     "erasure IS the identity function"),
+    "erases-to": (lambda a, nfs: erase(a.payload), True, None),
+    "erase-equal": (lambda a, nfs: nfs[a.other], True,
+                    "erasures are not convertible"),
+}
+
+
 def _eval_assertion(sig: Signature, fuel: Fuel, assertion: S.Assertion,
                     statuses: dict) -> AssertionOutcome:
     desc = assertion.describe()
-    involved = [assertion.target] + ([assertion.other] if assertion.other
-                                     else [])
-    bad = [n for n in involved if statuses.get(n) != "ok"]
-    if bad:
-        return AssertionOutcome(desc, False, statuses.get(
-            bad[0], f"declaration {bad[0]} did not check"))
-
+    for name in filter(None, (assertion.target, assertion.other)):
+        if statuses.get(name) != "ok":
+            return AssertionOutcome(desc, False, statuses.get(
+                name, f"declaration {name} did not check"))
+    side, holds, detail = _ASSERTIONS[assertion.kind]
     nfs = sig._def_nfs      # holds the normal form of every ok term definition
+    target = nfs[assertion.target]
+    verdict = _attempt(lambda: conv(target, side(assertion, nfs), sig, fuel))
+    if verdict is holds:
+        return AssertionOutcome(desc, True)
+    if isinstance(verdict, KernelError):
+        return AssertionOutcome(desc, False, str(verdict))
+    return AssertionOutcome(desc, False, detail or "",
+                            None if detail else target)
 
+
+def _attempt(step, *args):
+    """`step(*args)`, or the kernel error it raised, kept without its
+    traceback (which holds this frame). Running into Python's recursion
+    limit is the error "depth exhausted"."""
     try:
-        if assertion.kind == "identity":
-            ok = is_identity(nfs[assertion.target], sig, fuel)
-            return AssertionOutcome(desc, ok,
-                                    "" if ok else "erasure is not the "
-                                                  "identity function")
-        if assertion.kind == "not-identity":
-            ident = is_identity(nfs[assertion.target], sig, fuel)
-            return AssertionOutcome(desc, not ident,
-                                    "" if not ident else "erasure IS the "
-                                                         "identity function")
-        if assertion.kind == "erases-to":
-            target = nfs[assertion.target]
-            ok = conv(target, erase(assertion.payload), sig, fuel)
-            return AssertionOutcome(desc, ok,
-                                    normal_form=None if ok else target)
-        if assertion.kind == "erase-equal":
-            ok = conv(nfs[assertion.target], nfs[assertion.other], sig,
-                      fuel)
-            return AssertionOutcome(desc, ok,
-                                    "" if ok else "erasures are not "
-                                                  "convertible")
-    except FuelExhausted as e:
-        return AssertionOutcome(desc, False, str(e))
+        return step(*args)
+    except KernelError as e:
+        return e.with_traceback(None)
     except RecursionError:
-        return AssertionOutcome(desc, False, "depth exhausted")
-    raise ValueError(assertion.kind)
+        return KernelError("depth exhausted")
 
 
 def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
@@ -727,19 +704,7 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
     statuses: dict[str, str] = {}   # "ok", or why the normal form failed
     for decl in sig.decls:
         checker = Checker(sig, fuel)
-        error: Optional[KernelError] = None
-        try:
-            try:
-                _check_decl(checker, decl)
-            except KernelError as e:    # kept without its traceback,
-                error = e.with_traceback(None)  # which holds this frame
-                if not decl.expect_fail:
-                    try:    # build a deferred message here, under the guard
-                        str(e)
-                    except FuelExhausted as out_of_fuel:    # while printing
-                        error = out_of_fuel.with_traceback(None)
-        except RecursionError:
-            error = KernelError("depth exhausted")
+        error = _attempt(_check_decl, checker, decl)
         row = DeclReport(decl.name, "ok", decl.classifier,
                          warnings=checker.warnings)
         if decl.expect_fail:
@@ -753,28 +718,27 @@ def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
                 row.assertions.append(AssertionOutcome(
                     f"fails {decl.name}", True,
                     f"failed as expected ({kind})"))
-        elif error is not None:
-            row.status = "type error"
-            row.error = str(error)
-            sig.rejected.add(decl.name)
         else:
-            if decl.level == "term":
+            if error is not None:   # its deferred message, under the guard
+                shown = _attempt(str, error)
+                if isinstance(shown, KernelError):
+                    error = shown
+            elif decl.level == "term":
                 # ok only once its normal form is stored; one that cannot
                 # be computed makes the definition rejected, so no later
-                # use pays for it again
-                try:
-                    nf = normalize(erase(decl.body), sig, checker.meter)
-                    sig._def_nfs.setdefault(decl.name, nf.term)
-                    row.normal_form = nf.term
-                except FuelExhausted as e:
-                    row.error = str(e)
-                except RecursionError:
-                    row.error = "depth exhausted"
-            if row.error is None:
+                # use pays for it again, and its assertions repeat the error
+                nf = _attempt(lambda: normalize(
+                    erase(decl.body), sig, checker.meter).term)
+                if isinstance(nf, KernelError):
+                    error = nf
+                    statuses[decl.name] = str(nf)
+                else:
+                    sig._def_nfs.setdefault(decl.name, nf)
+                    row.normal_form = nf
+            if error is None:
                 statuses[decl.name] = "ok"
-            else:   # its assertions repeat the error
-                statuses[decl.name] = row.error
-                row.status = "type error"
+            else:
+                row.status, row.error = "type error", str(error)
                 sig.rejected.add(decl.name)
         row.steps_used = checker.meter.used
         report.decls.append(row)

@@ -6,7 +6,13 @@ from cedlite.typecheck import check_signature
 
 @pytest.fixture(scope="session")
 def corpus_sig():
-    return load_corpus()
+    """The corpus signature shared by every test; one that extends it
+    takes `fresh_corpus` instead."""
+    sig = load_corpus()
+    names = [d.name for d in sig.decls]
+    assert len(names) == 86
+    yield sig
+    assert [d.name for d in sig.decls] == names, "a test extended it"
 
 
 @pytest.fixture(scope="session")

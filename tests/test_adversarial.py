@@ -229,3 +229,14 @@ def test_a_small_budget_bounds_type_level_reduction(tmp_path):
         "ok     f : T4 · Nat ➔ S4 · Nat  (fuel 124)",
         "       erasure: λ x . x"]
     assert run.returncode == 0
+    # an expected failure that runs out counts the budget, not the step
+    # that overran
+    text = (ADVERSARIAL / "type_doubling.ced").read_text(encoding="utf-8")
+    expected = tmp_path / "doubling_fails.ced"
+    expected.write_text(text.replace("\nf ◂", "\n#assert-fail f ◂"),
+                        encoding="utf-8")
+    run = cedlite_cli("check", "--fuel", "1000", NAT, str(expected))
+    assert run.stdout.splitlines()[-2:] == [
+        "ok     f : T40 · Nat ➔ S40 · Nat  (fuel 1000)",
+        "       assert fails f: ok"]
+    assert run.returncode == 0

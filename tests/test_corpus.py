@@ -4,6 +4,7 @@ from cedlite import syntax as S
 from cedlite.corpus import FILE_ORDER, corpus_texts
 from cedlite.erasure import erase
 from cedlite.parser import parse_signature
+from cedlite.printer import print_pure
 from cedlite.syntax import Signature
 from cedlite.typecheck import check_signature
 
@@ -41,7 +42,7 @@ def test_weakening_consrv_rewrite_fails():
             text = text.replace("Λ q . ρ+ q - β .", "Λ q . ρ q - β .", 1)
         parse_signature(text, filename=name, sig=sig)
     report = check_signature(sig)
-    row = report.find("consRV")
+    row = next(row for row in report.decls if row.name == "consRV")
     assert row.status == "type error"
     assert any("no occurrences" in w for w in row.warnings)
     # everything before consRV is untouched
@@ -120,10 +121,10 @@ def test_empty_signature_reports_ok():
 
 
 def test_reports_carry_fuel_and_erasures(corpus_report):
-    v2l = corpus_report.find("v2l")
-    assert v2l.steps_used > 0
-    assert v2l.erasure_nf is not None
-    assert corpus_report.find("Vec").erasure_nf is None  # types do not erase
+    rows = {row.name: row for row in corpus_report.decls}
+    assert rows["v2l"].steps_used > 0
+    assert print_pure(rows["v2l"].normal_form)
+    assert rows["Vec"].normal_form is None  # types do not erase
 
 
 def test_assertion_on_type_level_name_rejected(fresh_corpus):

@@ -82,6 +82,21 @@ def test_fuel_exhaustion_is_an_error():
     assert exc.value.steps == 1000
 
 
+def test_conv_spends_one_budget_for_both_sides():
+    # each side takes 60 β-steps: either fits a budget of 100, both do not
+    nested, spine = PVar(0), IDENT
+    for _ in range(60):
+        nested = PApp(IDENT, nested)
+    for _ in range(59):
+        spine = PApp(spine, IDENT)
+    spine = PApp(spine, PVar(0))
+    for side in (nested, spine):
+        assert normalize(side, EMPTY, Fuel(100)).steps_used == 60
+    with pytest.raises(FuelExhausted):
+        conv(nested, spine, EMPTY, Fuel(100))
+    assert conv(nested, spine, EMPTY, Fuel(120))
+
+
 def test_fuel_must_be_positive():
     with pytest.raises(ValueError):
         Fuel(0)

@@ -15,6 +15,7 @@ import pytest
 from cedlite import syntax as S
 from cedlite.corpus import load_corpus
 from cedlite.parser import parse_files, parse_signature, parse_term
+from cedlite.printer import print_pure
 from cedlite.syntax import DEPTH, SHAPES
 from cedlite.typecheck import check_signature
 from perfbench import coercegen
@@ -98,7 +99,8 @@ def test_the_repeated_length_index_is_one_object():
 
 
 def rows(report):
-    return [(r.name, r.status, r.steps_used, r.warnings, r.erasure_nf,
+    return [(r.name, r.status, r.steps_used, r.warnings,
+             r.normal_form and print_pure(r.normal_form),
              r.error, r.assertions) for r in report.decls]
 
 
