@@ -37,6 +37,7 @@ from .syntax import (
     KernelError, PApp, PLam, PRef, PureTerm, PVar, Signature, occurs_index,
     shift,
 )
+from .values import VNe
 
 
 @dataclass(frozen=True)
@@ -84,16 +85,6 @@ class _Closure:
         self.env = env
 
 
-class _Neutral:
-    """`head` is a de Bruijn level or the `PRef` of a rejected definition."""
-
-    __slots__ = ("head", "spine")
-
-    def __init__(self, head, spine: tuple):
-        self.head = head
-        self.spine = spine
-
-
 class _Thunk:
     """`term` in `env`, evaluated on first demand; `value` once forced."""
 
@@ -113,7 +104,7 @@ def _lookup(env, idx: int) -> _Thunk:
         if n == 0:
             return env[0]
         env, n = env[1], n - 1
-    return _Thunk(None, None, _Neutral(-1 - n, ()))
+    return _Thunk(None, None, VNe(-1 - n, ()))
 
 
 def _force(th: _Thunk, m: Meter, sig: Signature):
@@ -142,10 +133,10 @@ def _eval(t: PureTerm, env, m: Meter, sig: Signature):
         elif kind is PVar:
             th = _lookup(env, t.idx)
             v = th.value if th.value is not None else _force(th, m, sig)
-            if type(v) is _Neutral:
+            if type(v) is VNe:
                 if args:
                     args.reverse()
-                    return _Neutral(v.head, v.spine + tuple(args))
+                    return VNe(v.head, v.spine + tuple(args))
                 return v
             if not args:
                 return v
@@ -154,7 +145,7 @@ def _eval(t: PureTerm, env, m: Meter, sig: Signature):
         elif kind is PRef:
             if t.name in sig.rejected:
                 args.reverse()
-                return _Neutral(t, tuple(args))
+                return VNe(t, tuple(args))
             # The normal form takes the reference's place, so it is
             # evaluated in the environment the reference sits in.
             m.tick()
@@ -181,7 +172,7 @@ def _readback(v, m: Meter, sig: Signature) -> PureTerm:
             if type(item) is _Thunk:
                 item = _force(item, m, sig)
             if type(item) is _Closure:
-                fresh = _Thunk(None, None, _Neutral(depth, ()))
+                fresh = _Thunk(None, None, VNe(depth, ()))
                 todo.append((item.hint, depth))
                 todo.append((_eval(item.body, (fresh, item.env), m, sig),
                              depth + 1))

@@ -40,8 +40,7 @@ _LAYOUT = {
     _REFS: (_ATOM, ("name", None)),
     (S.App, S.PApp, S.AppTm): (_APP, ("fn", _APP), " ", ("arg", _ATOM)),
     S.EApp: (_APP, ("fn", _APP), " -", ("arg", _ATOM)),
-    S.TApp: (_APP, ("fn", _APP), " · ", ("ty", _ATOM)),
-    S.AppT: (_APP, ("fn", _APP), " · ", ("arg", _ATOM)),
+    (S.TApp, S.AppT): (_APP, ("fn", _APP), " · ", ("arg", _ATOM)),
     S.Pair: (_ATOM, "[ ", ("left", _EXPR), " , ", ("right", _EXPR), " ]"),
     S.Proj: (_ATOM, ("sub", _ATOM), ".", ("which", None)),
     S.Beta: (_ATOM, "β", "{", ("witness", _EXPR), "}"),

@@ -138,7 +138,7 @@ class EApp(_Node):
 
 class TApp(_Node):
     """Type application `t · T`."""
-    __slots__ = {"fn": SUB, "ty": SUB}
+    __slots__ = {"fn": SUB, "arg": SUB}
 
 
 class Pair(_Node):
@@ -204,8 +204,8 @@ class AppTm(_Node):
 
 
 class Iota(_Node):
-    """Dependent intersection `ι x : left . right`."""
-    __slots__ = {"name": HINT, "left": SUB, "right": BOUND}
+    """Dependent intersection `ι x : dom . body`."""
+    __slots__ = {"name": HINT, "dom": SUB, "body": BOUND}
 
 
 class Eq(_Node):

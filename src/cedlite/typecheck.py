@@ -196,9 +196,7 @@ class Checker:
         while type(w) is VNe:
             head = w.head
             if type(head) is S.TRef:
-                decl = self.sig.lookup(head.name)
-                if decl is None or decl.level != "type":
-                    raise CheckError("scope", f"{head.name} is not a type")
+                decl = self._definition(head.name, "type")
                 if head.name in self.sig.rejected:
                     break   # rejected: only its ascription is trusted
                 self.meter.tick()
@@ -285,6 +283,13 @@ class Checker:
 
     # --- kinding ------------------------------------------------------------
 
+    def _definition(self, name: str, level: str) -> Decl:
+        """The declaration of `name`, a definition of `level`."""
+        decl = self.sig.lookup(name)
+        if decl is None or decl.level != level:
+            raise CheckError("scope", f"{name} is not a {level}")
+        return decl
+
     def classifier_of(self, ctx: Ctx, idx: int, var):
         """The classifier value at `idx` of a `var` (`Var` or `TVar`)."""
         if idx >= len(ctx.types):
@@ -316,17 +321,9 @@ class Checker:
         if cls is S.TVar:
             return self.classifier_of(ctx, ty.idx, S.TVar)
         if cls is S.TRef:
-            decl = self.sig.lookup(ty.name)
-            if decl is None or decl.level != "type":
-                raise CheckError("scope", f"{ty.name} is not a type")
-            return evaluate(decl.classifier, [])
-        if cls is S.Iota:
-            self.ensure_star(ctx, ty.left)
-            self.ensure_star(ctx.bind(ty.name, evaluate(ty.left, ctx.env)),
-                             ty.right)
-            return STAR
-        if cls is S.All or cls is S.Pi or cls is S.TLam:
-            if cls is S.Pi:
+            return evaluate(self._definition(ty.name, "type").classifier, [])
+        if cls in (S.All, S.Pi, S.TLam, S.Iota):
+            if cls is S.Pi or cls is S.Iota:
                 self.ensure_star(ctx, ty.dom)
             else:
                 self.classifier_wf(ctx, ty.dom)
@@ -343,17 +340,13 @@ class Checker:
             if type(kf) is not VBind or kf.cls is not S.KPiK:
                 raise CheckError("kind", "type applied to a type argument "
                                          "but its kind is not Π over a kind")
-            ka = self.kind_check(ctx, ty.arg)
-            if not self.type_conv(ka, kf.dom, len(ctx.env)):
-                raise CheckError("kind", "type argument has the wrong kind")
-            return instantiate(kf, evaluate(ty.arg, ctx.env))
+            return self._apply(ctx, kf, ty.arg)
         if cls is S.AppTm:
             kf = self.kind_check(ctx, ty.fn)
             if type(kf) is not VBind or kf.cls is not S.KPi:
                 raise CheckError("kind", "type applied to a term argument "
                                          "but its kind is not term-indexed")
-            self._check(ctx, ty.arg, kf.dom)
-            return instantiate(kf, VTm(ty.arg, ctx.env))
+            return self._apply(ctx, kf, ty.arg)
         if cls is S.Eq:
             # operands stay untyped: only free variables' flavors count,
             # and that no Λ-bound variable survives erasure
@@ -403,8 +396,7 @@ class Checker:
             self._check(inner, t.body, enter(w, inner.env[-1]))
             return
         if k is S.Pair and form is S.Iota:
-            self._check(ctx, t.left, w.dom)
-            self._check(ctx, t.right, instantiate(w, VTm(t.left, ctx.env)))
+            self._check(ctx, t.right, self._apply(ctx, w, t.left))
             pl, pr = erase(t.left), erase(t.right)
             if not conv(pl, pr, self.sig, self.meter):
                 raise CheckError("erasure-mismatch", self._sides(
@@ -422,11 +414,9 @@ class Checker:
                         "β requires convertible equands",
                         self._erased(l, lvl), self._erased(r, lvl)))
                 return
-            qt = self.type_whnf(self.infer(ctx, t.proof))
-            if type(qt) is not VEq:
-                raise CheckError("symmetry", "ς applied to a non-equality proof")
-            if not (self._conv_tm(l, qt.rhs, lvl)
-                    and self._conv_tm(r, qt.lhs, lvl)):
+            q = self.infer(ctx, t)      # the proof's equation, swapped
+            if not (self._conv_tm(l, q.lhs, lvl)
+                    and self._conv_tm(r, q.rhs, lvl)):
                 raise CheckError("conversion",
                                  "ς proof does not match the goal "
                                  "with sides swapped")
@@ -489,10 +479,7 @@ class Checker:
         if k is S.Var:
             ty = self.classifier_of(ctx, t.idx, S.Var)
         elif k is S.Ref:
-            decl = self.sig.lookup(t.name)
-            if decl is None or decl.level != "term":
-                raise CheckError("scope", f"{t.name} is not a term")
-            ty = evaluate(decl.classifier, [])
+            ty = evaluate(self._definition(t.name, "term").classifier, [])
         elif k in _SPINE:
             ty = self._infer_spine(ctx, t)
         elif k is S.Proj:
@@ -533,7 +520,6 @@ class Checker:
             apps.append(t)
             t = t.fn
         ty = self.infer(ctx, t)
-        lvl = len(ctx.env)
         for app in reversed(apps):
             if type(ty) is VNe:
                 ty = self.type_whnf(ty)
@@ -543,16 +529,20 @@ class Checker:
                     kind_dom is not None and is_kind(ty.dom) != kind_dom):
                 got = form if form in (S.Pi, S.All) else None
                 raise CheckError("application", _MISAPPLIED[type(app), got])
-            if type(app) is S.TApp:
-                if not self.type_conv(self.kind_check(ctx, app.ty), ty.dom,
-                                      lvl):
-                    raise CheckError("kind",
-                                     "type argument has the wrong kind")
-                ty = instantiate(ty, evaluate(app.ty, ctx.env))
-            else:
-                self._check(ctx, app.arg, ty.dom)
-                ty = instantiate(ty, VTm(app.arg, ctx.env))
+            ty = self._apply(ctx, ty, app.arg)
         return ty
+
+    def _apply(self, ctx: Ctx, b: VBind, arg):
+        """The body of the binder value `b` at the argument syntax `arg`,
+        written in `ctx`: a type argument's kind must convert with `b`'s
+        domain, and a term argument is checked against it."""
+        if S.is_type(arg):
+            if not self.type_conv(self.kind_check(ctx, arg), b.dom,
+                                  len(ctx.env)):
+                raise CheckError("kind", "type argument has the wrong kind")
+            return instantiate(b, evaluate(arg, ctx.env))
+        self._check(ctx, arg, b.dom)
+        return instantiate(b, VTm(arg, ctx.env))
 
     # --- the ρ rule -------------------------------------------------------
 

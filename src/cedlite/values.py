@@ -21,9 +21,11 @@ from .syntax import sort_clash
 
 @dataclass(eq=False, slots=True)
 class VNe:
-    """`head` applied to `spine`: the head is a level, a `TRef`, or a
-    binder value (a type-λ waiting for β); each argument is a type value or
-    a `VTm`."""
+    """`head` applied to `spine`, in either evaluator. In a classifier
+    value the head is a level, a `TRef`, or a binder value (a type-λ
+    waiting for β), and each argument is a type value or a `VTm`. In
+    `normalize` the head is a level or the `PRef` of a rejected
+    definition, and each argument is a thunk."""
     head: object
     spine: tuple
 
@@ -83,8 +85,6 @@ def evaluate(node, env: list):
         if type(f) is VNe:
             return VNe(f.head, f.spine + (a,))
         return VNe(f, (a,))
-    if cls is S.Iota:
-        return VBind(cls, node.name, evaluate(node.left, env), node.right, env)
     if cls is S.Eq:
         return VEq(VTm(node.lhs, env), VTm(node.rhs, env))
     if cls is S.Star:

@@ -10,6 +10,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 import cedlite
 
 ADVERSARIAL = Path(__file__).parent / "adversarial"
@@ -17,10 +19,10 @@ NAT = str(resources.files("cedlite.corpus") / "nat.ced")
 SRC = str(Path(cedlite.__file__).parents[1])
 
 
-def cedlite_cli(*argv, **environ):
+def cedlite_cli(*argv, module="cedlite.cli", **environ):
     env = dict(os.environ, PYTHONPATH=SRC, **environ)
     env.pop("CEDLITE_FUEL", None)
-    return subprocess.run([sys.executable, "-m", "cedlite.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, timeout=60,
                           env=env)
 
@@ -189,6 +191,23 @@ def test_a_ten_thousand_deep_numeral_erases(tmp_path):
         + "\n"
     assert run.returncode == 0
     assert run.stderr == ""
+
+
+@pytest.mark.parametrize("n, ok", [(700, True), (3000, False)])
+def test_a_normal_form_too_deep_to_compute_is_depth_exhausted(tmp_path, n,
+                                                              ok):
+    # run as `python -m cedlite`; the normal form is `λ s . λ z . s (…)`,
+    # and η-contraction's `shift` (one frame per level) cannot reach 3,000
+    path = tmp_path / "eta.ced"
+    path.write_text("e ◂ Nat ➔ Nat = λ s . λ z . λ x . (" + "s (" * n + "z"
+                    + ")" * n + ") x .\n", encoding="utf-8")
+    run = cedlite_cli("norm", NAT, str(path), "e", module="cedlite")
+    if ok:
+        assert run.stdout.startswith("λ s . λ z . s (s (")
+        assert (run.returncode, run.stderr) == (0, "")
+    else:
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "error: depth exhausted\n"
 
 
 def doubling(n: int) -> str:

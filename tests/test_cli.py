@@ -15,6 +15,7 @@ def cpath(*names):
 
 PREFIX = cpath("nat.ced", "list.ced", "vec.ced")
 GOLDEN = Path(__file__).parent / "golden"
+ADVERSARIAL = Path(__file__).parent / "adversarial"
 
 
 def run(capsys, *argv):
@@ -192,3 +193,39 @@ def test_a_rejected_definition_stays_opaque_outside_check(
     command, *names = argv
     code, out, _ = run(capsys, command, str(f), *names)
     assert (code, out.strip()) == (exit_code, output)
+
+
+@pytest.mark.parametrize("command", ["norm", "assert-id"])
+def test_a_call_out_of_fuel_is_an_error_exit_1(capsys, command):
+    code, out, err = run(capsys, command, "--fuel", "50",
+                         str(ADVERSARIAL / "church_20_20.ced"), "big")
+    assert (code, out) == (1, "")
+    assert err == "error: fuel exhausted after 50 reduction steps\n"
+
+
+def test_a_missing_file_is_an_error_exit_2(capsys):
+    code, out, err = run(capsys, "check", "/nonexistent.ced")
+    assert (code, out) == (2, "")
+    assert err == ("error: [Errno 2] No such file or directory: "
+                   "'/nonexistent.ced'\n")
+
+
+def test_a_type_definition_has_no_erasure(capsys):
+    code, out, err = run(capsys, "erase", PREFIX[0], "Nat")
+    assert (code, out) == (2, "")
+    assert err == "Nat is a type-level definition and has no erasure\n"
+
+
+@pytest.mark.parametrize("assertion, fuel, mark", [
+    ("zero", [], "FAIL (normal form is λ cZ . λ cS . cS (cS cZ))"),
+    ("mult (suc (suc zero)) (suc zero)", ["--fuel", "30"],
+     "FAIL (fuel exhausted after 30 reduction steps)"),
+])
+def test_a_failed_erases_to_assertion_says_why(tmp_path, capsys, assertion,
+                                               fuel, mark):
+    f = tmp_path / "two.ced"
+    f.write_text("two ◂ Nat = suc (suc zero) .\n"
+                 f"#assert-erase two = {assertion} .\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check", *fuel, PREFIX[0], str(f))
+    assert code == 1
+    assert out.splitlines()[-1] == f"       assert erases-to two: {mark}"

@@ -158,13 +158,13 @@ def test_a_wrong_sort_at_any_position_of_vals_raises(node, good, bad,
 MATCH_ARGS = {
     "Var": ("idx",), "Ref": ("name",), "Lam": ("name", "ann", "body"),
     "ILam": ("name", "body"), "App": ("fn", "arg"), "EApp": ("fn", "arg"),
-    "TApp": ("fn", "ty"), "Pair": ("left", "right"),
+    "TApp": ("fn", "arg"), "Pair": ("left", "right"),
     "Proj": ("sub", "which"), "Beta": ("witness",),
     "Rho": ("proof", "body", "normalize_first"), "Symm": ("proof",),
     "TVar": ("idx",), "TRef": ("name",), "All": ("name", "dom", "body"),
     "Pi": ("name", "dom", "body"), "TLam": ("name", "dom", "body"),
     "AppT": ("fn", "arg"), "AppTm": ("fn", "arg"),
-    "Iota": ("name", "left", "right"), "Eq": ("lhs", "rhs"), "Star": (),
+    "Iota": ("name", "dom", "body"), "Eq": ("lhs", "rhs"), "Star": (),
     "KPi": ("name", "dom", "body"), "KPiK": ("name", "dom", "body"),
     "PVar": ("idx",), "PLam": ("hint", "body"), "PApp": ("fn", "arg"),
     "PRef": ("name",),

@@ -277,6 +277,19 @@ def test_symmetry_checks_against_swapped_equality(fresh_corpus):
                  "  = λ q . ς q .", "swapped", base=fresh_corpus)
 
 
+@pytest.mark.parametrize("text, error", [
+    # a type argument whose kind differs from the kind's domain
+    ("F ◂ ★ ➔ ★ = λ X : ★ . X .\nG ◂ ★ = F · F .\n",
+     "type argument has the wrong kind"),
+    # ς inferred as ρ's proof, of a proof that is not an equation
+    ("h ◂ {zero ≃ zero} = ρ (ς zero) - β .\n",
+     "ς applied to a non-equality proof"),
+])
+def test_a_type_argument_and_a_symmetry_proof_are_checked(text, error):
+    rows = check_text(text, base=nat_sig())
+    assert (rows[-1].status, rows[-1].error) == ("type error", error)
+
+
 def test_type_level_lambda_requires_annotation():
     from cedlite.parser import ResolveError, parse_signature
     with pytest.raises(ResolveError, match="annotated"):
