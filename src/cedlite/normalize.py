@@ -1,9 +1,11 @@
 """Untyped conversion on pure terms by normalization by evaluation.
 
-Values are weak-head normal forms of two shapes: a λ-closure (the λ's
-hint and body plus the environment it was evaluated in) or a neutral (a
-variable, named by its de Bruijn *level*, or a reference to a rejected
-definition, applied to a spine of arguments). Evaluation is call-by-need:
+Values are weak-head normal forms of two shapes, the records the checker
+uses too (`values.py`): a λ-closure, a `VBind` of class `PLam` whose
+domain is None (the λ's hint and body plus the environment it was
+evaluated in, a linked pair), or a neutral `VNe` (a variable, named by
+its de Bruijn *level*, or a reference to a rejected definition, applied
+to a spine of arguments). Evaluation is call-by-need:
 every application argument becomes a memoizing thunk, forced at most once
 and only when it reaches head position or is read back, so a term that
 normal order normalizes still normalizes. A free index of an open input
@@ -22,7 +24,8 @@ nothing finds that and returns the input itself, in 0 steps, and `conv`
 of two such terms is the single α-comparison it starts with.
 
 A definition reference costs one δ-step and evaluates the definition's
-own normal form, which is memoized on the signature. A definition that
+own normal form, which is memoized on the signature; one not yet
+memoized is computed on the same meter. A definition that
 failed to check is never unfolded: its reference is a neutral head.
 `normalize` spends the `Meter` it is given, or one of its own sized by a
 `Fuel`; running out is an error, never silent truncation.
@@ -37,7 +40,7 @@ from .syntax import (
     KernelError, PApp, PLam, PRef, PureTerm, PVar, Signature, occurs_index,
     shift,
 )
-from .values import VNe
+from .values import VBind, VNe
 
 
 @dataclass(frozen=True)
@@ -74,15 +77,6 @@ class Meter:
         if self.used > self.max_steps:
             self.used = self.max_steps
             raise FuelExhausted(self.max_steps)
-
-
-class _Closure:
-    __slots__ = ("hint", "body", "env")
-
-    def __init__(self, hint: str, body: PureTerm, env):
-        self.hint = hint
-        self.body = body
-        self.env = env
 
 
 class _Thunk:
@@ -127,7 +121,7 @@ def _eval(t: PureTerm, env, m: Meter, sig: Signature):
             t = t.fn
         elif kind is PLam:
             if not args:
-                return _Closure(t.hint, t.body, env)
+                return VBind(PLam, t.hint, None, t.body, env)
             m.tick()
             env, t = (args.pop(), env), t.body
         elif kind is PVar:
@@ -171,9 +165,9 @@ def _readback(v, m: Meter, sig: Signature) -> PureTerm:
         else:
             if type(item) is _Thunk:
                 item = _force(item, m, sig)
-            if type(item) is _Closure:
+            if type(item) is VBind:
                 fresh = _Thunk(None, None, VNe(depth, ()))
-                todo.append((item.hint, depth))
+                todo.append((item.name, depth))
                 todo.append((_eval(item.body, (fresh, item.env), m, sig),
                              depth + 1))
             else:
@@ -203,14 +197,14 @@ def _eta(hint: str, body: PureTerm) -> PureTerm:
 
 
 def _def_nf(name: str, sig: Signature, m: Meter) -> PureTerm:
-    # a normal form not yet memoized is computed on a budget of its own
+    # a normal form not yet memoized is computed on the caller's budget
     cached = sig._def_nfs.get(name)
     if cached is not None:
         return cached
     decl = sig.lookup(name)
     if decl is None or decl.level != "term":
         raise KernelError(f"{name} is not an unfoldable term definition")
-    nf = normalize(erase(decl.body), sig, Meter(m.max_steps)).term
+    nf = normalize(erase(decl.body), sig, m).term
     sig._def_nfs[name] = nf
     return nf
 

@@ -138,7 +138,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[tuple]:
 #          | (ρ|ρ+) proof - expr | ς expr | arrows (≃ arrows)?
 #   proof := ς proof | app              arrows := app ((➔|➾) expr)?
 #   app   := atom (atom | -atom | · atom)*
-#   atom  := (x | (expr) | [expr , expr] | {arrows ≃ arrows}) .n* | β{expr}? | ★
+#   atom  := (x | (expr) | [expr , expr] | {arrows ≃ expr}) .n* | β{expr}? | ★
 # Each expression is read in a sort: term, type, kind, or classifier (a
 # kind if it is ★ or a Π or ➔ ending in ★, through parentheses, else a
 # type). A construct of the wrong sort fails at its first token before
@@ -424,7 +424,7 @@ class _Reader:
                     i = self.expect(_SEPARATOR[tag], i)
                     stack.append((tag + 1, b_at, val, data, before))
                     sort, eq = "term", False
-                    state = _ARROWS if tag is _BRACE else _EXPR
+                    state = _EXPR
                 elif tag is _PAIR_R or tag is _BRACE_R:
                     _, at, left, asort, before = frame
                     pair = tag is _PAIR_R

@@ -86,11 +86,12 @@ _FLAVORS = {S.Var: (False, "type variable used as a term"),
 _SPINE = (S.App, S.EApp, S.TApp)
 _ELIMINATIONS = _SPINE + (S.Var, S.Ref, S.Proj)
 
-# The binder each application form consumes, and whether its domain is a
-# kind (None: either).
+# The binder each application form (of a term or of a type) consumes, and
+# whether its domain is a kind (None: either).
 _TAKES = {S.App: (S.Pi, None), S.EApp: (S.All, False),
-          S.TApp: (S.All, True)}
-# The error when the function's type is another binder (None: no binder).
+          S.TApp: (S.All, True), S.AppT: (S.KPiK, None),
+          S.AppTm: (S.KPi, None)}
+# The error per form and the function's classifier (None: not Π or ∀).
 _MISAPPLIED = {
     (S.App, S.All): "implicit function applied explicitly; use -arg or · T",
     (S.App, None): "explicit application of a non-function",
@@ -101,6 +102,10 @@ _MISAPPLIED = {
                      "(-t)",
     (S.TApp, S.Pi): "type application to an explicit function",
     (S.TApp, None): "type application of a non-function",
+    (S.AppT, None): "type applied to a type argument but its kind is not Π "
+                    "over a kind",
+    (S.AppTm, None): "type applied to a term argument but its kind is not "
+                     "term-indexed",
 }
 
 
@@ -335,18 +340,8 @@ class Checker:
                                len(inner.env))
             return VBind(S.KPiK if S.is_kind(ty.dom) else S.KPi, ty.name,
                          inner.types[-1], body, ctx.env)
-        if cls is S.AppT:
-            kf = self.kind_check(ctx, ty.fn)
-            if type(kf) is not VBind or kf.cls is not S.KPiK:
-                raise CheckError("kind", "type applied to a type argument "
-                                         "but its kind is not Π over a kind")
-            return self._apply(ctx, kf, ty.arg)
-        if cls is S.AppTm:
-            kf = self.kind_check(ctx, ty.fn)
-            if type(kf) is not VBind or kf.cls is not S.KPi:
-                raise CheckError("kind", "type applied to a term argument "
-                                         "but its kind is not term-indexed")
-            return self._apply(ctx, kf, ty.arg)
+        if cls is S.AppT or cls is S.AppTm:
+            return self._apply(ctx, self.kind_check(ctx, ty.fn), ty)
         if cls is S.Eq:
             # operands stay untyped: only free variables' flavors count,
             # and that no Λ-bound variable survives erasure
@@ -396,7 +391,8 @@ class Checker:
             self._check(inner, t.body, enter(w, inner.env[-1]))
             return
         if k is S.Pair and form is S.Iota:
-            self._check(ctx, t.right, self._apply(ctx, w, t.left))
+            self._check(ctx, t.left, w.dom)
+            self._check(ctx, t.right, instantiate(w, VTm(t.left, ctx.env)))
             pl, pr = erase(t.left), erase(t.right)
             if not conv(pl, pr, self.sig, self.meter):
                 raise CheckError("erasure-mismatch", self._sides(
@@ -481,7 +477,14 @@ class Checker:
         elif k is S.Ref:
             ty = evaluate(self._definition(t.name, "term").classifier, [])
         elif k in _SPINE:
-            ty = self._infer_spine(ctx, t)
+            # the head is inferred once, then each argument applied to it
+            apps, head = [], t
+            while isinstance(head, _SPINE):
+                apps.append(head)
+                head = head.fn
+            ty = self.infer(ctx, head)
+            for app in reversed(apps):
+                ty = self._apply(ctx, ty, app)
         elif k is S.Proj:
             st = self.type_whnf(self.infer(ctx, t.sub))
             if type(st) is not VBind or st.cls is not S.Iota:
@@ -511,38 +514,27 @@ class Checker:
             t, ctx, ty, self.meter.used - steps, self.warnings[n_warnings:])
         return ty
 
-    def _infer_spine(self, ctx: Ctx, t: S.Term):
-        """The type of an application spine `h a1 ... an`. The head is
-        inferred once; each argument instantiates the binder it is applied
-        to by extending that binder's environment."""
-        apps = []
-        while isinstance(t, _SPINE):
-            apps.append(t)
-            t = t.fn
-        ty = self.infer(ctx, t)
-        for app in reversed(apps):
-            if type(ty) is VNe:
-                ty = self.type_whnf(ty)
-            binder, kind_dom = _TAKES[type(app)]
-            form = type(ty) is VBind and ty.cls
-            if form is not binder or (
-                    kind_dom is not None and is_kind(ty.dom) != kind_dom):
-                got = form if form in (S.Pi, S.All) else None
-                raise CheckError("application", _MISAPPLIED[type(app), got])
-            ty = self._apply(ctx, ty, app.arg)
-        return ty
-
-    def _apply(self, ctx: Ctx, b: VBind, arg):
-        """The body of the binder value `b` at the argument syntax `arg`,
-        written in `ctx`: a type argument's kind must convert with `b`'s
-        domain, and a term argument is checked against it."""
-        if S.is_type(arg):
-            if not self.type_conv(self.kind_check(ctx, arg), b.dom,
+    def _apply(self, ctx: Ctx, fn, app):
+        """The classifier of the term or type application `app` in `ctx`,
+        whose function's classifier `fn` must be the binder `app` consumes:
+        a type argument's kind must convert with its domain, and a term
+        argument is checked against it."""
+        if type(fn) is VNe:
+            fn = self.type_whnf(fn)
+        binder, kind_dom = _TAKES[type(app)]
+        form = type(fn) is VBind and fn.cls
+        if form is not binder or (
+                kind_dom is not None and is_kind(fn.dom) != kind_dom):
+            got = form if form in (S.Pi, S.All) else None
+            raise CheckError("application" if binder in (S.Pi, S.All)
+                             else "kind", _MISAPPLIED[type(app), got])
+        if S.is_type(app.arg):
+            if not self.type_conv(self.kind_check(ctx, app.arg), fn.dom,
                                   len(ctx.env)):
                 raise CheckError("kind", "type argument has the wrong kind")
-            return instantiate(b, evaluate(arg, ctx.env))
-        self._check(ctx, arg, b.dom)
-        return instantiate(b, VTm(arg, ctx.env))
+            return instantiate(fn, evaluate(app.arg, ctx.env))
+        self._check(ctx, app.arg, fn.dom)
+        return instantiate(fn, VTm(app.arg, ctx.env))
 
     # --- the ρ rule -------------------------------------------------------
 

@@ -33,12 +33,14 @@ class VNe:
 @dataclass(eq=False, slots=True)
 class VBind:
     """A binder (Π, ∀, ι, type-λ or a kind's Π) of class `cls` over the
-    value `dom`; its body is a closure, the syntax `body` in `env`."""
+    value `dom`; its body is a closure, the syntax `body` in `env`. In
+    `normalize` it is a λ-closure: the class is `PLam`, the domain is
+    None, and the environment is a linked pair."""
     cls: type
     name: str
     dom: object
     body: object
-    env: list
+    env: object
 
 
 @dataclass(eq=False, slots=True)

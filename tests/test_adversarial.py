@@ -48,6 +48,18 @@ def test_deep_nesting_parses_and_the_checker_reports_its_depth():
     assert run.stderr == ""
 
 
+def test_a_three_hundred_deep_numeral_checks(tmp_path):
+    # pins the checker's depth per nested argument: each costs the frames
+    # `_check`, `infer` and `_apply`, and a fourth would fail this input
+    n = 300
+    path = tmp_path / "deep.ced"
+    path.write_text("n ◂ Nat = " + "suc (" * n + "zero" + ")" * n + " .\n",
+                    encoding="utf-8")
+    run = cedlite_cli("check", "--porcelain", NAT, str(path))
+    assert run.stdout.splitlines()[-1] == "OK n"
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 def test_both_report_modes_agree_on_a_four_hundred_binder_declaration(
         tmp_path):
     # the checker accepts `f`; printing its report must not fail it

@@ -102,6 +102,23 @@ def test_fuel_must_be_positive():
         Fuel(0)
 
 
+def test_unfolding_an_unchecked_definition_counts_its_normalization():
+    # against an unchecked signature, a δ-step computes the definition's
+    # normal form on the caller's meter; once memoized, it costs nothing
+    from importlib import resources
+    from cedlite.parser import parse_signature
+
+    def unchecked_nat():
+        return parse_signature((resources.files("cedlite.corpus")
+                                / "nat.ced").read_text(encoding="utf-8"))
+    sig = unchecked_nat()
+    t = pure("mult (suc (suc zero)) (suc (suc zero))", sig)
+    assert normalize(t, sig).steps_used == 62
+    assert normalize(t, sig).steps_used == 45
+    with pytest.raises(FuelExhausted):
+        normalize(t, unchecked_nat(), Fuel(45))
+
+
 def test_normalize_is_deterministic(corpus_sig):
     t = erase(corpus_sig.lookup("appendL").body)
     a = normalize(t, corpus_sig).term

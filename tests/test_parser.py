@@ -137,6 +137,24 @@ def test_bare_equality_in_classifier():
     assert sig.lookup("q").classifier == S.Eq(S.Ref("i"), S.Ref("i"))
 
 
+def test_an_equation_operand_right_of_the_sign_may_be_any_term():
+    # the paper's spelling of the identity type, `{f ≃ λ x . x}`
+    from cedlite.typecheck import check_signature
+    text = ("Id ◂ ★ ➔ ★ ➔ ★ = λ A : ★ . λ B : ★ . "
+            "ι f : A ➔ B . {f ≃ λ x . x} .\n"
+            "elimId ◂ ∀ A : ★ . ∀ B : ★ . Id · A · B ➔ A ➔ B\n"
+            "  = Λ A . Λ B . λ c . c.1 .\n"
+            "#assert-id elimId\n"
+            "idId ◂ ∀ A : ★ . Id · A · A = Λ A . [λ x . x, β] .\n")
+    sig = parse_signature(text)
+    identity = S.Eq(S.Var(0), S.Lam("x", None, S.Var(0)))
+    assert sig.lookup("Id").body.body.body.body == identity
+    assert check_signature(sig).ok
+    printed = print_decl(sig.lookup("Id"))
+    assert printed.endswith(". f ≃ (λ x . x) .")
+    assert parse_signature(printed).lookup("Id").body == sig.lookup("Id").body
+
+
 def test_directive_requires_known_name():
     with pytest.raises(ResolveError, match="unknown"):
         parse_signature("#assert-id nothing")

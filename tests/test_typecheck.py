@@ -281,6 +281,11 @@ def test_symmetry_checks_against_swapped_equality(fresh_corpus):
     # a type argument whose kind differs from the kind's domain
     ("F ◂ ★ ➔ ★ = λ X : ★ . X .\nG ◂ ★ = F · F .\n",
      "type argument has the wrong kind"),
+    # a type applied to an argument its kind does not take
+    ("G ◂ ★ = Nat · Nat .\n",
+     "type applied to a type argument but its kind is not Π over a kind"),
+    ("H ◂ ★ = Nat zero .\n",
+     "type applied to a term argument but its kind is not term-indexed"),
     # ς inferred as ρ's proof, of a proof that is not an equation
     ("h ◂ {zero ≃ zero} = ρ (ς zero) - β .\n",
      "ς applied to a non-equality proof"),
