@@ -16,7 +16,7 @@ from .erasure import erase
 from .normalize import Fuel, conv, is_identity, normalize
 from .parser import ParseError, parse_files
 from .printer import print_classifier, print_pure
-from .syntax import KernelError, Signature
+from .syntax import KernelError, Signature, deep
 from .typecheck import CheckReport, check_signature
 
 def fuel(text: str) -> Fuel:
@@ -76,11 +76,12 @@ def _find_term(sig: Signature, name: str):
 
 
 def _checked_terms(args):
-    """The files' checked signature (a rejected definition stays opaque;
-    the report is not shown) and the term definitions named."""
+    """The files' checked signature (a rejected definition stays opaque)
+    and per name the normal form its check stored, else its erasure."""
     sig = parse_files(args.files)
     check_signature(sig, args.fuel)
-    return sig, [_find_term(sig, name) for name in args.names]
+    return sig, [sig.normal_form(name) or erase(_find_term(sig, name).body)
+                 for name in args.names]
 
 
 def cmd_check(args) -> int:
@@ -97,22 +98,22 @@ def cmd_erase(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    sig, (decl,) = _checked_terms(args)
-    nf = normalize(erase(decl.body), sig, args.fuel)
+    sig, (term,) = _checked_terms(args)
+    nf = normalize(term, sig, args.fuel)
     print(print_pure(nf.term, ascii_only=args.ascii))
     return 0
 
 
 def cmd_assert_id(args) -> int:
-    sig, (decl,) = _checked_terms(args)
-    verdict = is_identity(erase(decl.body), sig, args.fuel)
+    sig, (term,) = _checked_terms(args)
+    verdict = is_identity(term, sig, args.fuel)
     print(f"identity: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1
 
 
 def cmd_eq(args) -> int:
-    sig, (d1, d2) = _checked_terms(args)
-    verdict = conv(erase(d1.body), erase(d2.body), sig, args.fuel)
+    sig, (t1, t2) = _checked_terms(args)
+    verdict = conv(t1, t2, sig, args.fuel)
     print(f"convertible: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1
 
@@ -124,8 +125,9 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         "--fuel", type=fuel,
         help=f"reduction step budget of each declaration (its check, the "
              f"normalizations inside it and its normal form) and of each "
-             f"other call: norm, eq and assert-id, and each assertion; a "
-             f"conversion spends it on both sides (default "
+             f"assertion; norm, eq and assert-id start from the normal "
+             f"forms the checks stored and spend one more budget, which a "
+             f"conversion spends on both sides (default "
              f"{Fuel().max_steps}, or CEDLITE_FUEL)")
     common.add_argument("--ascii", action="store_true",
                         help="print ASCII token spellings")
@@ -167,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     _FUEL.default = os.environ.get("CEDLITE_FUEL") or Fuel()
     try:
         ns = _PARSER.parse_args(argv)
-        return ns.fn(ns)
+        return deep(ns.fn)(ns)
     except SystemExit as e:
         return int(e.code or 0)
     except ParseError as e:

@@ -12,78 +12,58 @@ Definition references are preserved; unfolding them is conversion's job.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .syntax import (
     App, Beta, EApp, ILam, Lam, Pair, PApp, PLam, PRef, Proj, PureTerm, PVar,
-    Ref, Rho, Symm, TApp, Term, Var,
+    Ref, Rho, Symm, TApp, Term, Var, deep,
 )
 
 # The one field of each erased wrapper node that survives erasure; an
 # absent witness (plain `β`) erases to the identity.
 _KEPT = {EApp: "fn", TApp: "fn", Pair: "left", Proj: "sub", Rho: "body",
          Symm: "proof", Beta: "witness"}
-# Markers on `erase`'s stack: a Λ's body is done; apply the result below
-# to the top one.
-_ERASED_DONE, _APP = object(), object()
 
 
+@deep
 def erase(t: Term, free=None) -> PureTerm:
-    """Total on resolved terms, on an explicit stack.
+    """Total on resolved terms.
 
     A variable whose binder is erased (only reachable from code the
     checker rejects) comes out as a free index past the result's depth.
     A variable free in `t`, index `j` under `d` λs of the result, comes
     out as `PVar(d + j)`, or as `free(j, d)` when `free` is given.
     """
-    env: list[Optional[int]] = []   # per binder of t: its λ's level, or None
-    depth = 0                       # λs of the result around the focus
-    out: list[PureTerm] = []
-    todo: list = [t]
-    while todo:
-        t = todo.pop()
+    return _erase(t, free, [], 0)
+
+
+def _erase(t: Term, free, env: list, depth: int) -> PureTerm:
+    """`env` holds, per binder of `t`, its λ's level in the result or None
+    (erased); `depth` counts the result's λs around `t`."""
+    kind = type(t)
+    while (kept := _KEPT.get(kind)) is not None:
+        t = getattr(t, kept)
         kind = type(t)
-        if kind is str:             # the hint of a λ whose body is done
-            env.pop()
-            depth -= 1
-            out[-1] = PLam(t, out[-1])
-            continue
-        if t is _ERASED_DONE:
-            env.pop()
-            continue
-        if t is _APP:
-            arg = out.pop()
-            out[-1] = PApp(out[-1], arg)
-            continue
-        while (kept := _KEPT.get(kind)) is not None:
-            t = getattr(t, kept)
-            kind = type(t)
-        if kind is Var:
-            idx, n = t.idx, len(env)
-            if idx >= n:
-                out.append(PVar(depth + idx - n) if free is None
-                           else free(idx - n, depth))
-            elif (level := env[n - 1 - idx]) is None:
-                # erased binder; expose as a free variable
-                out.append(PVar(depth + (n - 1 - idx)))
-            else:
-                out.append(PVar(depth - 1 - level))
-        elif kind is Ref:
-            out.append(PRef(t.name))
-        elif kind is Lam:
-            env.append(depth)
-            depth += 1
-            todo += (t.name, t.body)
-        elif kind is ILam:
-            env.append(None)
-            todo += (_ERASED_DONE, t.body)
-        elif kind is App:
-            todo += (_APP, t.arg, t.fn)
-        elif t is None:             # plain `β`
-            out.append(PLam("x", PVar(0)))
-        else:
-            raise TypeError(t)
-    return out[0]
+    if kind is Var:
+        idx, n = t.idx, len(env)
+        if idx >= n:
+            return PVar(depth + idx - n) if free is None \
+                else free(idx - n, depth)
+        level = env[n - 1 - idx]
+        if level is None:   # erased binder; expose as a free variable
+            return PVar(depth + (n - 1 - idx))
+        return PVar(depth - 1 - level)
+    if kind is Ref:
+        return PRef(t.name)
+    if kind is Lam or kind is ILam:
+        env.append(depth if kind is Lam else None)
+        body = _erase(t.body, free, env, depth + (kind is Lam))
+        env.pop()
+        return PLam(t.name, body) if kind is Lam else body
+    if kind is App:
+        return PApp(_erase(t.fn, free, env, depth),
+                    _erase(t.arg, free, env, depth))
+    if t is None:           # plain `β`
+        return PLam("x", PVar(0))
+    raise TypeError(t)
 
 
 def free_in_erasure(idx: int, t: Term) -> bool:

@@ -159,19 +159,11 @@ _APPS = {True: {"": S.App, "ERASED": S.EApp, "CDOT": S.TApp},
          False: {"": S.AppTm, "ERASED": S.AppTm, "CDOT": S.AppT}}
 _ID_ASSERTIONS = {"#assert-id": "identity", "#assert-not-id": "not-identity"}
 
-# What the machine does next, and what a pending construct waits for.
-_EXPR, _ARROWS, _PROOF, _ATOM, _JOIN, _DONE = range(6)
-(_APP, _OPERAND, _PAREN, _BODY, _DOM, _EQ_RHS, _WRAP, _PAIR, _PAIR_R,
- _BRACE, _BRACE_R, _RHO_PROOF, _RHO) = range(13)
-# The token between the two parts of `[l , r]`, `{l ≃ r}` and `ρ q - t`;
-# the tag of each second part is one above its first part's.
-_SEPARATOR = {_PAIR: "COMMA", _BRACE: "SIMEQ", _RHO_PROOF: "DASH"}
-
 
 class _Reader:
-    """Reads one input with no recursion: pending constructs wait on an
-    explicit stack, and each node is built through the declaration's
-    interner once its construct completes, until the first resolve error."""
+    """Reads one input by recursive descent, one method per rule of the
+    grammar. Each node is built through the declaration's interner once
+    its children are read, until the first resolve error."""
 
     def __init__(self, text: str, filename: str, sig: Optional[Signature]):
         self.src = _Source(text, filename)
@@ -188,12 +180,12 @@ class _Reader:
         self.attached = []            # (declaration, assertion) pairs
         self.close: dict[int, int] = {}
 
-    def expect(self, kind: str, i: int) -> int:
-        """The index after token `i`, which must be of `kind`."""
-        got, text, at = self.toks[i]
+    def expect(self, kind: str) -> None:
+        """Step past the next token, which must be of `kind`."""
+        got, text, at = self.toks[self.i]
         if got != kind:
             self.src.fail(f"expected {kind}, found {got} {text!r}", at)
-        return i + 1
+        self.i += 1
 
     def fail(self, msg: str, at, before=False):
         """Record `msg` at `at` if it is the first resolve error; or, given
@@ -285,172 +277,65 @@ class _Reader:
                 return False
             i, app_only = i + 1, False
 
-    # --- expressions ------------------------------------------------------
+    # --- expressions: each rule gives its node and the offset that errors
+    # about the node point at ---------------------------------------------
 
     def expr(self, sort: str):
-        """The node of the expression of `sort` at the next token."""
-        toks, env, levels = self.toks, self.env, self.levels
-        stack, lookup = [], self.sig.lookup
-        i, state = self.i, _EXPR
-        fn = fn_at = app_sort = joint = None
-        while True:
-            if state is _EXPR:
-                kind, _, at = toks[i]
-                if sort == "classifier":
-                    sort = "kind" if self.kind_at(i) else "type"
-                if kind in _PREFIXES:
-                    i, sort, state = self.prefix(kind, at, i + 1, sort, stack)
-                    continue
-                eq, state = True, _ARROWS
-            if state is _ARROWS:    # `arrows`, then `≃ arrows` if `eq`
-                app_sort = sort
-                if sort == "type":
-                    if eq and toks[self.app_end(i)][0] == "SIMEQ":
-                        app_sort = "term"
-                elif sort == "kind" and \
-                        toks[self.app_end(i)][0] == "ARROW" and \
-                        not self.kind_at(i, True):
-                    app_sort = "type"
-                stack.append((_OPERAND, sort, app_sort, self.err, eq))
-                joint, state = None, _ATOM
-            elif state is _PROOF:
-                if toks[i][0] == "SIGMA":
-                    stack.append((_WRAP, toks[i][2], S.Symm, None))
-                    i += 1
-                    continue
-                app_sort, joint, state = "term", None, _ATOM
-            while state is _ATOM or state is _JOIN:     # an application
-                if state is _ATOM:
-                    kind, text, at = toks[i]
-                    asort = app_sort if joint is None else \
-                        "type" if joint == "CDOT" else "term"
-                    before = self.err
-                    if kind == "IDENT":
-                        term = asort == "term"
-                        level = levels.get(text)
-                        if level is not None:   # bound: its de Bruijn index
-                            val = self.mk(S.Var if term else S.TVar,
-                                          len(env) - 1 - level)
-                        else:
-                            decl, level = lookup(text), "term" if term else "type"
-                            if decl is None:
-                                self.fail(f"unbound identifier {text}", at)
-                            elif decl.level != level:
-                                self.fail(f"{text} is a {decl.level}-level "
-                                          f"definition, not a {level}", at)
-                            val = self.mk(S.Ref if term else S.TRef, text)
-                        i += 1
-                        if toks[i][0] == "PROJ":
-                            i, val, at = self.postfix(i, val, at, asort,
-                                                      before)
-                    else:
-                        if kind == "LPAREN":
-                            stack.append((_PAREN, fn, fn_at, app_sort, joint,
-                                          asort, before))
-                            i, sort, state = i + 1, asort, _EXPR
-                        else:
-                            stack.append((_APP, fn, fn_at, app_sort, joint))
-                            i, sort, state, val = self.atom(
-                                kind, at, i, asort, before, stack)
-                        eq = False
-                        break
-                if joint is None:
-                    fn, fn_at = val, at
-                else:
-                    fn = self.mk(_APPS[app_sort == "term"][joint], fn, val)
-                kind = toks[i][0]
-                if kind in _ATOM_STARTERS:
-                    joint, state = "", _ATOM
-                elif kind == "ERASED" or kind == "CDOT":
-                    if kind == "ERASED" and app_sort != "term":
-                        self.fail("erased application in a type position",
-                                  fn_at)
-                    joint, state = kind, _ATOM
-                    i += 1
-                else:
-                    val, at, state = fn, fn_at, _DONE
-            while state is _DONE:   # `val` at `at` completes the top construct
-                if not stack:
-                    self.i = i
-                    return val
-                frame = stack.pop()
-                tag = frame[0]
-                if tag is _OPERAND:
-                    _, sort, app_sort, before, eq = frame
-                    kind = toks[i][0]
-                    if kind == "ARROW" or kind == "FATARROW":
-                        if sort == "term":
-                            self.fail("type syntax in a term position", at,
-                                      before)
-                        if eq:      # an arrow as the left side of ≃
-                            stack.append((_OPERAND, sort, "", before, eq))
-                        cls = (S.KPiK if S.is_kind(val) else S.KPi) \
-                            if sort == "kind" else _TYPE_BINDERS[kind]
-                        stack.append((_BODY, at, cls, "", val))
-                        self.bind("")
-                        i, state = i + 1, _EXPR
-                    elif eq and kind == "SIMEQ":
-                        if sort == "term" or app_sort != "term":
-                            self.fail("type syntax in a term position", at,
-                                      before)
-                        stack.append((_EQ_RHS, at, val))
-                        i, sort, eq, state = i + 1, "term", False, _ARROWS
-                elif tag is _PAREN:     # and then the application it is in
-                    _, fn, fn_at, app_sort, joint, asort, before = frame
-                    i = self.expect("RPAREN", i)
-                    if toks[i][0] == "PROJ":
-                        i, val, at = self.postfix(i, val, at, asort, before)
-                    state = _JOIN
-                elif tag is _APP:
-                    _, fn, fn_at, app_sort, joint = frame
-                    state = _JOIN
-                elif tag is _BODY:
-                    _, at, cls, binder, dom = frame
-                    self.unbind()
-                    val = self.mk(cls, binder, val) if cls is S.ILam \
-                        else self.mk(cls, binder, dom, val)
-                elif tag is _DOM:
-                    _, d_at, cls, binder, sort = frame
-                    i = self.expect("DOT", i)
-                    if cls is None:
-                        cls = S.KPiK if S.is_kind(val) else S.KPi
-                    stack.append((_BODY, d_at, cls, binder, val))
-                    self.bind(binder)
-                    state = _EXPR
-                elif tag is _EQ_RHS:
-                    val, at = self.mk(S.Eq, frame[2], val), frame[1]
-                elif tag in _SEPARATOR:     # the first part of a pair
-                    _, b_at, data, before = frame
-                    i = self.expect(_SEPARATOR[tag], i)
-                    stack.append((tag + 1, b_at, val, data, before))
-                    sort, eq = "term", False
-                    state = _EXPR
-                elif tag is _PAIR_R or tag is _BRACE_R:
-                    _, at, left, asort, before = frame
-                    pair = tag is _PAIR_R
-                    i = self.expect("RBRACKET" if pair else "RBRACE", i)
-                    val = self.mk(S.Pair if pair else S.Eq, left, val)
-                    i, val, at = self.postfix(i, val, at, asort, before)
-                elif tag is _RHO:
-                    _, at, proof, plus, _ = frame
-                    val = self.mk(S.Rho, proof, val, plus)
-                else:   # _WRAP: ς t, or β{t} once its `}` is read
-                    _, at, cls, closing = frame
-                    if closing:
-                        i = self.expect(closing, i)
-                    val = self.mk(cls, val)
+        """The expression of `sort` at the next token."""
+        kind, _, at = self.toks[self.i]
+        if sort == "classifier":
+            sort = "kind" if self.kind_at(self.i) else "type"
+        if kind in _PREFIXES:
+            return self.prefix(kind, at, sort)
+        return self.arrows(sort, True)
 
-    def prefix(self, kind: str, at: int, i: int, sort: str, stack: list):
-        """Push the construct that `kind` at `at` begins in `sort`, with
-        token `i` next; the index, sort and state to go on with."""
+    def arrows(self, sort: str, eq: bool):
+        """`arrows` of `sort`, and then `≃ arrows` if `eq`."""
+        toks, before = self.toks, self.err
+        app_sort = sort
+        if sort == "type":
+            if eq and toks[self.app_end(self.i)][0] == "SIMEQ":
+                app_sort = "term"
+        elif sort == "kind" and toks[self.app_end(self.i)][0] == "ARROW" \
+                and not self.kind_at(self.i, True):
+            app_sort = "type"
+        val, at = self.app(app_sort)
+        kind = toks[self.i][0]
+        if kind == "ARROW" or kind == "FATARROW":
+            if sort == "term":
+                self.fail("type syntax in a term position", at, before)
+            cls = (S.KPiK if S.is_kind(val) else S.KPi) if sort == "kind" \
+                else _TYPE_BINDERS[kind]
+            self.i += 1
+            self.bind("")
+            body = self.expr(sort)[0]
+            self.unbind()
+            # an arrow is type syntax, also as the left side of ≃
+            val, app_sort = self.mk(cls, "", val, body), ""
+            kind = toks[self.i][0]
+        if eq and kind == "SIMEQ":
+            if sort == "term" or app_sort != "term":
+                self.fail("type syntax in a term position", at, before)
+            self.i += 1
+            rhs = self.arrows("term", False)[0]
+            val = self.mk(S.Eq, val, rhs)
+        return val, at
+
+    def prefix(self, kind: str, at: int, sort: str):
+        """The construct of `sort` that the binder, ς or ρ at `at` begins."""
+        self.i += 1
         if kind not in _OPENERS:        # ς, ρ or ρ+
             if sort != "term":
                 self.fail("term syntax in a type position", at)
-            stack.append((_WRAP, at, S.Symm, None) if kind == "SIGMA"
-                         else (_RHO_PROOF, at, kind == "RHOPLUS", None))
-            return i, "term", _EXPR if kind == "SIGMA" else _PROOF
-        i = self.expect("IDENT", i)
-        binder, colon = self.toks[i - 1][1], self.toks[i][0] == "COLON"
+            if kind == "SIGMA":
+                proof = self.expr("term")[0]
+                return self.mk(S.Symm, proof), at
+            proof = self.proof()
+            self.expect("DASH")
+            body = self.expr("term")[0]
+            return self.mk(S.Rho, proof, body, kind == "RHOPLUS"), at
+        binder = self.ident()
+        colon = self.toks[self.i][0] == "COLON"
         if kind == "BIGLAM":
             if sort != "term":
                 self.fail("term syntax in a type position", at)
@@ -458,62 +343,117 @@ class _Reader:
         elif kind == "LAM":
             if sort != "term" and not colon:
                 self.fail("type-level λ binders must be annotated", at)
-            cls, dom, sort = (S.Lam, "type", "term") if sort == "term" \
+            cls, dom_sort, sort = (S.Lam, "type", "term") if sort == "term" \
                 else (S.TLam, "classifier", "type")
         elif kind == "PI" and sort == "kind":
-            cls, dom, colon = None, "classifier", True
+            cls, dom_sort, colon = None, "classifier", True
         else:
             if sort == "term":
                 self.fail("type syntax in a term position", at)
             cls, sort, colon = _TYPE_BINDERS[kind], "type", True
-            dom = "classifier" if kind == "FORALL" else "type"
-        if not colon:
-            stack.append((_BODY, at, cls, binder, None))
-            self.bind(binder)
-            return self.expect("DOT", i), sort, _EXPR
-        stack.append((_DOM, at, cls, binder, sort))
-        return self.expect("COLON", i), dom, _EXPR
+            dom_sort = "classifier" if kind == "FORALL" else "type"
+        dom = None
+        if colon:
+            self.expect("COLON")
+            dom = self.expr(dom_sort)[0]
+            if cls is None:
+                cls = S.KPiK if S.is_kind(dom) else S.KPi
+        self.expect("DOT")
+        self.bind(binder)
+        body = self.expr(sort)[0]
+        self.unbind()
+        return (self.mk(cls, binder, body) if cls is S.ILam
+                else self.mk(cls, binder, dom, body)), at
 
-    def atom(self, kind: str, at: int, i: int, sort: str, before,
-             stack: list):
-        """Begin the atom other than a name or `(` at token `i`, in `sort`:
-        the index, sort and state to go on with, and the atom if whole."""
-        if kind == "STAR":
+    def proof(self):
+        """The proof of a ρ: `ς proof`, or an application."""
+        if self.toks[self.i][0] != "SIGMA":
+            return self.app("term")[0]
+        self.i += 1
+        proof = self.proof()
+        return self.mk(S.Symm, proof)
+
+    def app(self, sort: str):
+        """An application in `sort`; errors about it point at its head."""
+        fn, fn_at = self.atom(sort)
+        while True:
+            joint = self.toks[self.i][0]
+            if joint == "ERASED" or joint == "CDOT":
+                if joint == "ERASED" and sort != "term":
+                    self.fail("erased application in a type position",
+                              fn_at)
+                self.i += 1
+            elif joint in _ATOM_STARTERS:
+                joint = ""
+            else:
+                return fn, fn_at
+            arg = self.atom("type" if joint == "CDOT" else "term")[0]
+            fn = self.mk(_APPS[sort == "term"][joint], fn, arg)
+
+    def atom(self, sort: str):
+        """The atom of `sort` at the next token, under the projections after
+        it; a projection is term syntax, so in a type it is an error at its
+        last `.n`."""
+        kind, text, at = self.toks[self.i]
+        before = self.err
+        self.i += 1
+        if kind == "IDENT":
+            term = sort == "term"
+            level = self.levels.get(text)
+            if level is not None:   # bound: its de Bruijn index
+                val = self.mk(S.Var if term else S.TVar,
+                              len(self.env) - 1 - level)
+            else:
+                decl = self.sig.lookup(text)
+                level = "term" if term else "type"
+                if decl is None:
+                    self.fail(f"unbound identifier {text}", at)
+                elif decl.level != level:
+                    self.fail(f"{text} is a {decl.level}-level definition, "
+                              f"not a {level}", at)
+                val = self.mk(S.Ref if term else S.TRef, text)
+        elif kind == "LPAREN":
+            val, at = self.expr(sort)
+            self.expect("RPAREN")
+        elif kind == "STAR":
             if sort != "kind":
                 self.fail("★ in a term position" if sort == "term"
                           else "★ is a kind, not a type", at)
-            return i + 1, sort, _DONE, self.mk(S.Star)
-        if kind == "LBRACE":
+            return self.mk(S.Star), at
+        elif kind == "LBRACE":
             if sort == "term":
                 self.fail("type syntax in a term position", at)
-            stack.append((_BRACE, at, sort, before))
-            return i + 1, "term", _ARROWS, None
-        if kind not in _ATOM_STARTERS:
-            self.src.fail(f"expected a term or type, found {kind} "
-                          f"{self.toks[i][1]!r}", at)
-        if sort != "term":
-            self.fail("term syntax in a type position", at)
-        if kind == "LBRACKET":
-            stack.append((_PAIR, at, sort, before))
-        elif self.toks[i + 1][0] != "LBRACE":
-            return i + 1, sort, _DONE, self.mk(S.Beta, None)
+            left = self.arrows("term", False)[0]
+            self.expect("SIMEQ")
+            right = self.expr("term")[0]
+            self.expect("RBRACE")
+            val = self.mk(S.Eq, left, right)
         else:
-            stack.append((_WRAP, at, S.Beta, "RBRACE"))
-            i += 1
-        return i + 1, "term", _EXPR, None
-
-    def postfix(self, i: int, val, at: int, sort: str, before):
-        """`val` under the projections from token `i` on; a projection is
-        term syntax, so in a type it is an error at its last `.n`."""
-        toks = self.toks
-        while toks[i][0] == "PROJ":
-            _, which, at = toks[i]
+            if kind not in _ATOM_STARTERS:
+                self.src.fail(f"expected a term or type, found {kind} "
+                              f"{text!r}", at)
+            if sort != "term":
+                self.fail("term syntax in a type position", at)
+            if kind == "BETA":
+                if self.toks[self.i][0] != "LBRACE":
+                    return self.mk(S.Beta, None), at
+                self.i += 1
+                witness = self.expr("term")[0]
+                self.expect("RBRACE")
+                return self.mk(S.Beta, witness), at
+            left = self.expr("term")[0]
+            self.expect("COMMA")
+            right = self.expr("term")[0]
+            self.expect("RBRACKET")
+            val = self.mk(S.Pair, left, right)
+        while self.toks[self.i][0] == "PROJ":
+            _, which, at = self.toks[self.i]
             if sort == "term":
                 val = self.mk(S.Proj, val, int(which))
             else:
                 self.fail("term syntax in a type position", at, before)
-            i += 1
-        return i, val, at
+            self.i += 1
+        return val, at
 
     # --- declarations and directives ------------------------------------
 
@@ -539,9 +479,9 @@ class _Reader:
                 self.attach(Assertion("erase-equal", a, other=b), at)
             elif text == "#assert-erase":
                 name = self.ident()
-                self.i = self.expect("EQUALS", self.i)
-                payload = self.expr("term")
-                self.i = self.expect("DOT", self.i)
+                self.expect("EQUALS")
+                payload = self.expr("term")[0]
+                self.expect("DOT")
                 self.attach(Assertion("erases-to", name, payload=payload), at)
             elif text == "#assert-fail":
                 self.decl(True)
@@ -549,7 +489,7 @@ class _Reader:
                 self.src.fail(f"unknown directive {text}", at)
 
     def ident(self) -> str:
-        self.i = self.expect("IDENT", self.i)
+        self.expect("IDENT")
         return self.toks[self.i - 1][1]
 
     def decl(self, expect_fail: bool) -> None:
@@ -557,12 +497,12 @@ class _Reader:
         name = self.ident()
         if not expect_fail and name in self.sig:
             self.fail(f"duplicate definition {name}", at)
-        self.i = self.expect("ASCRIBE", self.i)
+        self.expect("ASCRIBE")
         level = "type" if self.kind_at(self.i) else "term"
-        classifier = self.expr("kind" if level == "type" else "type")
-        self.i = self.expect("EQUALS", self.i)
-        body = self.expr(level)
-        self.i = self.expect("DOT", self.i)
+        classifier = self.expr("kind" if level == "type" else "type")[0]
+        self.expect("EQUALS")
+        body = self.expr(level)[0]
+        self.expect("DOT")
         if self.err is None:
             self.sig.add(Decl(name, level, classifier, body,
                               expect_fail=expect_fail))
@@ -584,8 +524,8 @@ class _Reader:
 
     def whole(self, sort: str):
         """One expression of `sort` that spans the whole input."""
-        node = self.expr(sort)
-        self.expect("EOF", self.i)
+        node = self.expr(sort)[0]
+        self.expect("EOF")
         self.raise_first()
         return node
 
@@ -593,6 +533,7 @@ class _Reader:
 # ---------------------------------------------------------------------------
 # Entry points
 
+@S.deep
 def parse_signature(text: str, filename: str = "<input>",
                     sig: Optional[Signature] = None) -> Signature:
     """Parse and resolve declarations, extending `sig` when given, only
@@ -618,11 +559,13 @@ def parse_files(paths, sig: Optional[Signature] = None) -> Signature:
     return sig
 
 
+@S.deep
 def parse_term(text: str, sig: Optional[Signature] = None) -> S.Term:
     """Parse a standalone term (closed up to definitions in `sig`)."""
     return _Reader(text, "<term>", sig).whole("term")
 
 
+@S.deep
 def parse_type(text: str, sig: Optional[Signature] = None) -> S.Type:
     """Parse a standalone type, or a kind."""
     return _Reader(text, "<type>", sig).whole("classifier")

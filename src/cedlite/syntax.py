@@ -19,6 +19,9 @@ every other rewrite of the kernel are callbacks given to the one walk,
 
 from __future__ import annotations
 
+import functools
+import sys
+import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional, Union
@@ -438,6 +441,72 @@ def subst(node, j: int, *vals):
     return transform(node, at, j)
 
 
+# ---------------------------------------------------------------------------
+# One deep stack for the kernel's recursion
+
+# The second run's stack and frame limit. On 3.10, where each Python call
+# takes C stack, `DEEP_FRAMES` frames of the kernel fill at most 80 MB.
+DEEP_STACK_BYTES = 512 * 2**20
+DEEP_FRAMES = 200_000
+_deep_run = threading.local()   # `.attempt`: None, "first" or "deep"
+_deep_lock = threading.Lock()   # the recursion limit is the process's
+
+
+def deep(fn):
+    """`fn`, run so that its recursion reaches about `DEEP_FRAMES` frames:
+    a call that runs into Python's recursion limit runs once more, on a
+    thread whose stack holds them. A call inside another `deep` call runs
+    as it is, so only the outermost starts over: what `fn`'s first run
+    changed must not change what its second run gives. Outermost calls
+    from several threads take turns. (Handing every call to the deep
+    thread instead cost `church` queries, two calls each, a quarter of
+    their time.)"""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if getattr(_deep_run, "attempt", None):
+            return fn(*args, **kwargs)
+        out = []
+
+        def again():
+            _deep_run.attempt = "deep"
+            try:
+                out.append((fn(*args, **kwargs), None))
+            except BaseException as e:     # raised again in the caller
+                out.append((None, e.with_traceback(None)))
+        with _deep_lock:
+            _deep_run.attempt = "first"
+            try:
+                return fn(*args, **kwargs)
+            except RecursionError:
+                pass
+            finally:
+                _deep_run.attempt = None
+            limit, size = sys.getrecursionlimit(), threading.stack_size()
+            try:
+                threading.stack_size(DEEP_STACK_BYTES)
+                worker = threading.Thread(target=again, daemon=True)
+                sys.setrecursionlimit(DEEP_FRAMES)
+                worker.start()
+                worker.join()
+            except (RuntimeError, ValueError):  # no room: run again here
+                sys.setrecursionlimit(limit)
+                again()
+            finally:
+                threading.stack_size(size)
+                sys.setrecursionlimit(limit)
+                _deep_run.attempt = None
+        result, error = out[0]
+        if error is not None:
+            raise error
+        return result
+    return run
+
+
+def retry_to_come() -> bool:
+    """Does a `RecursionError` here send the `deep` call to the deep stack?"""
+    return getattr(_deep_run, "attempt", None) == "first"
+
+
 def occurs_index(node, idx: int) -> bool:
     """Does de Bruijn index `idx` occur free in `node`?"""
     return node.free_mask >> idx & 1 == 1
@@ -499,6 +568,10 @@ class Signature:
 
     def lookup(self, name: str) -> Optional[Decl]:
         return self._by_name.get(name)
+
+    def normal_form(self, name: str):
+        """The normal form stored for the term definition `name`, if any."""
+        return self._def_nfs.get(name)
 
     def staged(self) -> Signature:
         """An empty signature that resolves the names of this one too."""

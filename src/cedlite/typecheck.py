@@ -26,7 +26,7 @@ from .syntax import (
 )
 from .values import (
     EMPTY, STAR, Ctx, VBind, VEq, VNe, VTm, enter, evaluate,
-    instantiate, is_kind, is_var,
+    instantiate, is_kind, is_var, lookup, size,
 )
 
 
@@ -159,16 +159,13 @@ class Checker:
 
     def _quote_tm(self, tm: VTm, lvl: int) -> S.Term:
         """The embedded term with its environment substituted, at `lvl`."""
-        env, n = tm.env, len(tm.env)
-
         def at(node, d):
             if not node.free_mask >> d:
                 return node
             cls = type(node)
             if cls is not S.Var and cls is not S.TVar:
                 return None
-            j = node.idx - d
-            v = env[-1 - j] if j < n else VNe(n - 1 - j, ())
+            v = lookup(tm.env, node.idx - d)
             if is_var(v):
                 idx = lvl + d - 1 - v.head
                 return node if idx == node.idx else cls(idx)
@@ -180,12 +177,8 @@ class Checker:
         """The erasure of an embedded term, its free variables read back
         at level `lvl` (the erasure of `_quote_tm`, without building the
         parts that erasure drops)."""
-        env, n = tm.env, len(tm.env)
-
         def free(j: int, d: int) -> PureTerm:
-            if j >= n:
-                return PVar(lvl + d - n + j)
-            v = env[-1 - j]
+            v = lookup(tm.env, j)
             if type(v) is VTm:
                 return self._erased(v, lvl + d)
             return PVar(lvl + d - 1 - v.head)
@@ -205,7 +198,7 @@ class Checker:
                 if head.name in self.sig.rejected:
                     break   # rejected: only its ascription is trusted
                 self.meter.tick()
-                f = evaluate(decl.body, [])
+                f = evaluate(decl.body, ())
             elif type(head) is VBind and head.cls is S.TLam:
                 f = head
             else:
@@ -297,10 +290,10 @@ class Checker:
 
     def classifier_of(self, ctx: Ctx, idx: int, var):
         """The classifier value at `idx` of a `var` (`Var` or `TVar`)."""
-        if idx >= len(ctx.types):
+        if idx >= size(ctx.env):
             raise CheckError("scope", f"variable index {idx} out of context")
         kind, wrong = _FLAVORS[var]
-        if is_kind(cls := ctx.types[-1 - idx]) is not kind:
+        if is_kind(cls := lookup(ctx.vars, idx)[1]) is not kind:
             raise CheckError("kind", wrong)
         return cls
 
@@ -316,7 +309,7 @@ class Checker:
     def ensure_star(self, ctx: Ctx, ty: S.Type) -> None:
         k = self.kind_check(ctx, ty)
         if type(k) is not S.Star:
-            shown = print_classifier(self._quote(k, len(ctx.env)))
+            shown = print_classifier(self._quote(k, size(ctx.env)))
             raise CheckError("kind",
                              f"expected a ★-kinded type, got kind {shown}")
 
@@ -326,7 +319,7 @@ class Checker:
         if cls is S.TVar:
             return self.classifier_of(ctx, ty.idx, S.TVar)
         if cls is S.TRef:
-            return evaluate(self._definition(ty.name, "type").classifier, [])
+            return evaluate(self._definition(ty.name, "type").classifier, ())
         if cls in (S.All, S.Pi, S.TLam, S.Iota):
             if cls is S.Pi or cls is S.Iota:
                 self.ensure_star(ctx, ty.dom)
@@ -337,9 +330,9 @@ class Checker:
                 self.ensure_star(inner, ty.body)
                 return STAR
             body = self._quote(self.kind_check(inner, ty.body),
-                               len(inner.env))
+                               size(inner.env))
             return VBind(S.KPiK if S.is_kind(ty.dom) else S.KPi, ty.name,
-                         inner.types[-1], body, ctx.env)
+                         lookup(inner.vars, 0)[1], body, ctx.env)
         if cls is S.AppT or cls is S.AppTm:
             return self._apply(ctx, self.kind_check(ctx, ty.fn), ty)
         if cls is S.Eq:
@@ -365,7 +358,7 @@ class Checker:
         inferred = None
         if isinstance(t, _ELIMINATIONS):
             inferred = self.infer(ctx, t)
-            if self.type_conv(inferred, ty, len(ctx.env), False):
+            if self.type_conv(inferred, ty, size(ctx.env), False):
                 return
         if type(ty) is VNe:
             ty = self.type_whnf(ty)
@@ -376,7 +369,7 @@ class Checker:
         """Check `t` against the weak-head normal `w`. `inferred` is what
         inferring `t` gave (its type or its error), or None if not yet
         inferred."""
-        lvl, k, form = len(ctx.env), type(t), type(w) is VBind and w.cls
+        lvl, k, form = size(ctx.env), type(t), type(w) is VBind and w.cls
         if (k is S.Lam and form is S.Pi) or (k is S.ILam and form is S.All):
             if k is S.ILam:
                 _implicit_binder_erased(t)
@@ -388,7 +381,7 @@ class Checker:
                     f"expected domain "
                     f"{print_classifier(self._quote(w.dom, lvl))}")
             inner = ctx.bind(t.name, w.dom)
-            self._check(inner, t.body, enter(w, inner.env[-1]))
+            self._check(inner, t.body, enter(w, lookup(inner.env, 0)))
             return
         if k is S.Pair and form is S.Iota:
             self._check(ctx, t.left, w.dom)
@@ -402,20 +395,11 @@ class Checker:
         if k is S.Rho:
             self._check_rho(ctx, t, w)
             return
-        if type(w) is VEq and k in (S.Beta, S.Symm):
-            l, r = w.lhs, w.rhs
-            if k is S.Beta:
-                if not self._conv_tm(l, r, lvl):
-                    raise CheckError("beta-nonconv", self._sides(
-                        "β requires convertible equands",
-                        self._erased(l, lvl), self._erased(r, lvl)))
-                return
-            q = self.infer(ctx, t)      # the proof's equation, swapped
-            if not (self._conv_tm(l, q.lhs, lvl)
-                    and self._conv_tm(r, q.rhs, lvl)):
-                raise CheckError("conversion",
-                                 "ς proof does not match the goal "
-                                 "with sides swapped")
+        if k is S.Beta and type(w) is VEq:
+            if not self._conv_tm(w.lhs, w.rhs, lvl):
+                raise CheckError("beta-nonconv", self._sides(
+                    "β requires convertible equands",
+                    self._erased(w.lhs, lvl), self._erased(w.rhs, lvl)))
             return
         if inferred is None:
             try:
@@ -434,6 +418,9 @@ class Checker:
             inferred = None     # no type to infer; `w` is not a Π
         elif isinstance(inferred, CheckError):
             raise inferred
+        if k is S.Symm and type(w) is VEq:
+            raise CheckError("conversion", "ς proof does not match the goal "
+                                           "with sides swapped")
         self._conversion_failure(ctx, inferred, w)
 
     def _sides(self, what: str, l: PureTerm, r: PureTerm):
@@ -446,15 +433,15 @@ class Checker:
         `expected`, printed with the names of `ctx` once shown."""
         def message() -> str:
             names: list[str] = []     # innermost first; shadowed ones primed
-            for name in reversed(ctx.names):
-                name = name or "_"
+            for i in range(size(ctx.vars)):
+                name = lookup(ctx.vars, i)[0] or "_"
                 while name in names:
                     name += "'"
                 names.append(name)
             names.reverse()
 
             def show(v) -> str:
-                return print_classifier(self._quote(v, len(ctx.env), True),
+                return print_classifier(self._quote(v, size(ctx.env), True),
                                         False, names)
             got = ("inferred: " + show(inferred) if inferred is not None
                    else "a λ abstraction needs a Π type")
@@ -475,7 +462,7 @@ class Checker:
         if k is S.Var:
             ty = self.classifier_of(ctx, t.idx, S.Var)
         elif k is S.Ref:
-            ty = evaluate(self._definition(t.name, "term").classifier, [])
+            ty = evaluate(self._definition(t.name, "term").classifier, ())
         elif k in _SPINE:
             # the head is inferred once, then each argument applied to it
             apps, head = [], t
@@ -496,7 +483,7 @@ class Checker:
             self.ensure_star(ctx, t.ann)
             dom = evaluate(t.ann, ctx.env)
             inner = ctx.bind(t.name, dom)
-            body = self._quote(self.infer(inner, t.body), len(inner.env))
+            body = self._quote(self.infer(inner, t.body), size(inner.env))
             ty = VBind(S.Pi, t.name, dom, body, ctx.env)
         elif k is S.Lam:
             raise CheckError("cannot-infer", "unannotated λ binders are "
@@ -530,7 +517,7 @@ class Checker:
                              else "kind", _MISAPPLIED[type(app), got])
         if S.is_type(app.arg):
             if not self.type_conv(self.kind_check(ctx, app.arg), fn.dom,
-                                  len(ctx.env)):
+                                  size(ctx.env)):
                 raise CheckError("kind", "type argument has the wrong kind")
             return instantiate(fn, evaluate(app.arg, ctx.env))
         self._check(ctx, app.arg, fn.dom)
@@ -540,7 +527,7 @@ class Checker:
 
     def _check_rho(self, ctx: Ctx, t: S.Rho, w) -> None:
         """Check the chain `ρ q1 - … ρ qn - b`, reading `w` back once."""
-        lvl, goal = len(ctx.env), None
+        lvl, goal = size(ctx.env), None
         while type(t) is S.Rho:
             qt = self.type_whnf(self.infer(ctx, t.proof))
             if type(qt) is not VEq:
@@ -613,7 +600,7 @@ class Checker:
 # Whole-signature checking
 
 def _check_decl(checker: Checker, decl: Decl) -> None:
-    cls = evaluate(decl.classifier, [])
+    cls = evaluate(decl.classifier, ())
     if decl.level == "type":
         checker.classifier_wf(EMPTY, decl.classifier)
         k = checker.kind_check(EMPTY, decl.body)
@@ -663,22 +650,25 @@ def _eval_assertion(sig: Signature, fuel: Fuel, assertion: S.Assertion,
 def _attempt(step, *args):
     """`step(*args)`, or the kernel error it raised, kept without its
     traceback (which holds this frame). Running into Python's recursion
-    limit is the error "depth exhausted"."""
+    limit on the deep stack is the error "depth exhausted"."""
     try:
         return step(*args)
     except KernelError as e:
         return e.with_traceback(None)
     except RecursionError:
+        if S.retry_to_come():
+            raise
         return KernelError("depth exhausted")
 
 
+@S.deep
 def check_signature(sig: Signature, fuel: Fuel = Fuel()) -> CheckReport:
     """Check declarations in order, then evaluate attached assertions.
 
     A failing declaration is still recorded in the signature (later
     declarations trust its ascription, and a type-level one is never
-    unfolded) and checking continues. Running into Python's recursion
-    limit fails only the declaration at hand ("depth exhausted").
+    unfolded) and checking continues. Running out of the deep stack fails
+    only the declaration at hand ("depth exhausted").
     A declaration's check and its normal form spend one budget of `fuel`
     (one `Checker.meter`); each assertion gets a budget of its own.
     """

@@ -1,14 +1,15 @@
 """Classifier values: what the checker evaluates types and kinds to.
 
-A type or kind is evaluated against an environment: a list holding, per
-de Bruijn index of its syntax (index i at position -1-i), the value that
-index denotes. Variables of the context are neutrals named by their de
-Bruijn *level*; a free index past the environment denotes a level below
-0, as in `normalize`. Evaluation reduces nothing: a definition head or a
-type-λ applied to arguments stays an application until the checker's
-`type_whnf` forces it, so reading a value back without forcing it gives
-the syntax that substituting the environment would give. Binders are
-closures, so instantiating one extends an environment.
+A type or kind is evaluated against an environment: the value each de
+Bruijn index of its syntax denotes, held as a linked list (see `lookup`)
+so that extending one shares it. Variables of the context are neutrals
+named by their de Bruijn *level*; a free index past the environment
+denotes a level below 0, as in `normalize`. Evaluation reduces nothing:
+a definition head or a type-λ applied to arguments stays an application
+until the checker's `type_whnf` forces it, so reading a value back
+without forcing it gives the syntax that substituting the environment
+would give. Binders are closures, so instantiating one extends an
+environment.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class VTm:
     """An embedded term: the syntax `term` in `env`. Terms are compared by
     their erasures, so a term value is never reduced."""
     term: S.Term
-    env: list
+    env: tuple
 
 
 STAR = S.Star()        # ★ is its own value
@@ -71,14 +72,39 @@ def is_var(v) -> bool:
     return type(v) is VNe and type(v.head) is int and not v.spine
 
 
-def evaluate(node, env: list):
+# An environment is empty (`()`) or a cell: the value of index 0, the
+# environment of the others, its length, and a jump to a shorter one.
+# Jumps skip so that a lookup takes O(log n) steps (Myers's random-access
+# stack), and extending an environment shares it.
+
+def size(env) -> int:
+    return env[2] if env else 0
+
+
+def extend(env, value) -> tuple:
+    j = env[3] if env else ()
+    if j and size(env) - j[2] == j[2] - size(j[3]):
+        return value, env, env[2] + 1, j[3]
+    return value, env, size(env) + 1, env
+
+
+def lookup(env, i: int):
+    """The value index `i` denotes in `env`."""
+    n = env[2] if env else 0
+    if i >= n:
+        return VNe(n - 1 - i, ())
+    n -= i
+    while env[2] != n:
+        j = env[3]
+        env = j if j and j[2] >= n else env[1]
+    return env[0]
+
+
+def evaluate(node, env):
     """The value of type or kind syntax `node` in `env`."""
     cls = type(node)
     if cls is S.TVar:
-        i = node.idx
-        if i >= len(env):
-            return VNe(len(env) - 1 - i, ())
-        return env[-1 - i]
+        return lookup(env, node.idx)
     if cls is S.TRef:
         return VNe(node, ())
     if cls is S.AppT or cls is S.AppTm:
@@ -102,26 +128,26 @@ def instantiate(b: VBind, arg):
     if b.body.sort_mask & (2 if type(arg) is VTm else 1):
         raise sort_clash(*(("term", "type") if type(arg) is VTm
                            else ("type", "term")))
-    return evaluate(b.body, b.env + [arg])
+    return evaluate(b.body, extend(b.env, arg))
 
 
 def enter(b: VBind, var: VNe):
     """The body of the binder value `b` under the context variable `var`."""
-    return evaluate(b.body, b.env + [var])
+    return evaluate(b.body, extend(b.env, var))
 
 
 @dataclass(eq=False, slots=True)
 class Ctx:
-    """The checking context: per variable, its name and classifier value,
-    and the environment of its variables that syntax written in it is
-    evaluated against. Binding copies; a context is never changed."""
-    names: list
-    types: list
-    env: list
+    """The checking context: environments of, per variable, its name and
+    classifier value, and of the variables themselves, which syntax
+    written in the context is evaluated against. Binding shares the
+    context bound in; a context is never changed."""
+    vars: tuple
+    env: tuple
 
     def bind(self, name: str, classifier) -> Ctx:
-        return Ctx(self.names + [name], self.types + [classifier],
-                   self.env + [VNe(len(self.env), ())])
+        return Ctx(extend(self.vars, (name, classifier)),
+                   extend(self.env, VNe(size(self.env), ())))
 
 
-EMPTY = Ctx([], [], [])
+EMPTY = Ctx((), ())

@@ -7,6 +7,7 @@ timeout, so a hang fails the test instead of stalling the suite.
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -38,12 +39,17 @@ def test_rejected_type_definitions_are_never_unfolded():
     assert "Traceback" not in run.stderr
 
 
-def test_deep_nesting_parses_and_the_checker_reports_its_depth():
-    # the reader has no nesting limit; the checker's recursion still has
-    # one, and it fails only the declaration at hand
+def test_deep_nesting_parses_and_the_checker_reports_its_depth(tmp_path):
+    # n400 checks on the deep stack; a chain of 300,000 projections, one
+    # frame of `infer` each, runs out of it and fails only the declaration
+    # at hand
+    chain = tmp_path / "chain.ced"
+    chain.write_text("bad ◂ Nat = zero" + ".1" * 300_000 + " .\n"
+                     "after ◂ Nat = zero .\n", encoding="utf-8")
     run = cedlite_cli("check", "--porcelain", NAT,
-                      str(ADVERSARIAL / "deep_numeral.ced"))
-    assert run.stdout.splitlines()[-1] == "ERR n400 depth exhausted"
+                      str(ADVERSARIAL / "deep_numeral.ced"), str(chain))
+    assert run.stdout.splitlines()[-3:] == [
+        "OK n400", "ERR bad depth exhausted", "OK after"]
     assert run.returncode == 1
     assert run.stderr == ""
 
@@ -103,10 +109,33 @@ def test_ten_thousand_deep_inputs_end_in_verdicts(tmp_path):
                     "c ◂ NatC = Λ X . λ z . λ s . " + "s (" * n + "z"
                     + ")" * n + " .\n", encoding="utf-8")
     run = cedlite_cli("check", "--porcelain", NAT, str(path))
-    assert run.stdout.splitlines()[-3:] == [
-        "OK T", "ERR n depth exhausted", "ERR c depth exhausted"]
-    assert run.returncode == 1
+    assert run.stdout.splitlines()[-3:] == ["OK T", "OK n", "OK c"]
+    assert run.returncode == 0
     assert run.stderr == ""
+
+
+def test_twenty_thousand_binders_check_in_linear_space(tmp_path):
+    # binding shares the environment bound in; copying it per binder made
+    # this input take 46 s and a peak of 6.2 GB
+    n = 20_000
+    path = tmp_path / "binders.ced"
+    path.write_text("f ◂ " + "".join(f"Π x{i} : Nat . " for i in range(n))
+                    + "Nat = " + "".join(f"λ x{i} . " for i in range(n))
+                    + "x0 .\n", encoding="utf-8")
+    measured = ("import resource, sys\n"
+                "from cedlite.cli import main\n"
+                "rc = main(sys.argv[1:])\n"
+                "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "sys.exit(print(peak // 1024, file=sys.stderr) or rc)\n")
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", measured, "check", "--porcelain", NAT,
+         str(path)], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert time.perf_counter() - start < 20
+    assert run.stdout.splitlines()[-1] == "OK f"
+    assert run.returncode == 0
+    assert int(run.stderr) < 1000     # peak RSS in MB
 
 
 C65K = "λ z . λ s . " + "s (" * 65_535 + "s z" + ")" * 65_535
@@ -205,11 +234,13 @@ def test_a_ten_thousand_deep_numeral_erases(tmp_path):
     assert run.stderr == ""
 
 
-@pytest.mark.parametrize("n, ok", [(700, True), (3000, False)])
+@pytest.mark.parametrize("n, ok", [(700, True), (3000, True),
+                                   (60_000, False)])
 def test_a_normal_form_too_deep_to_compute_is_depth_exhausted(tmp_path, n,
                                                               ok):
     # run as `python -m cedlite`; the normal form is `λ s . λ z . s (…)`,
-    # and η-contraction's `shift` (one frame per level) cannot reach 3,000
+    # and η-contraction's `shift` takes one frame per level, on the deep
+    # stack; 60,000 nested parentheses are past it, and the reader stops
     path = tmp_path / "eta.ced"
     path.write_text("e ◂ Nat ➔ Nat = λ s . λ z . λ x . (" + "s (" * n + "z"
                     + ")" * n + ") x .\n", encoding="utf-8")

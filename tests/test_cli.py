@@ -203,6 +203,31 @@ def test_a_call_out_of_fuel_is_an_error_exit_1(capsys, command):
     assert err == "error: fuel exhausted after 50 reduction steps\n"
 
 
+def test_eq_spends_the_budget_once_per_definition_in_its_check(
+        capsys, tmp_path):
+    # `a` and `b` each check within 200 steps and start `eq` from the
+    # normal forms stored then; normalizing both on one budget of 200
+    # steps runs out
+    from cedlite.erasure import erase
+    from cedlite.normalize import Fuel, conv
+    from cedlite.parser import parse_files
+    from cedlite.syntax import KernelError
+    from cedlite.typecheck import check_signature
+    two = tmp_path / "two.ced"
+    two.write_text("three ◂ Nat = suc (suc (suc zero)) .\n"
+                   "a ◂ Nat = mult three (mult three three) .\n"
+                   "b ◂ Nat = mult (mult three three) three .\n",
+                   encoding="utf-8")
+    files = cpath("nat.ced") + [str(two)]
+    assert run(capsys, "eq", "--fuel", "200", *files, "a", "b") == (
+        0, "convertible: yes\n", "")
+    sig = parse_files(files)
+    assert all(d.ok for d in check_signature(sig, Fuel(200)).decls)
+    with pytest.raises(KernelError, match="fuel exhausted"):
+        conv(erase(sig.lookup("a").body), erase(sig.lookup("b").body), sig,
+             Fuel(200))
+
+
 def test_a_missing_file_is_an_error_exit_2(capsys):
     code, out, err = run(capsys, "check", "/nonexistent.ced")
     assert (code, out) == (2, "")

@@ -1,4 +1,6 @@
 import io
+import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -546,6 +548,108 @@ def test_a_mismatch_too_deep_to_print_is_depth_exhausted(monkeypatch):
                       base=nat_sig())
     assert rows[0].error == "depth exhausted"
     assert rows[1].ok and rows[1].assertions[0].ok
+
+
+DEEP = 2_000    # nested arguments: past the default recursion limit
+
+
+def numeral(name: str, n: int) -> str:
+    return f"{name} ◂ Nat = " + "suc (" * n + "zero" + ")" * n + " .\n"
+
+
+def test_a_retry_on_the_deep_stack_leaves_the_interpreter_as_it_was():
+    assert 3 * DEEP > sys.getrecursionlimit()
+    before = (sys.getrecursionlimit(), threading.stack_size(),
+              threading.active_count())
+    sig = parse_signature(numeral("n", DEEP), sig=nat_sig())
+    assert check_signature(sig).decls[-1].ok
+    assert (sys.getrecursionlimit(), threading.stack_size(),
+            threading.active_count()) == before
+
+
+def no_thread(thread):
+    raise RuntimeError("can't start new thread")
+
+
+def no_such_stack(size=0):
+    if size:
+        raise ValueError("size not valid")
+    return 0
+
+
+@pytest.mark.parametrize("where, name, no_room", [
+    (threading.Thread, "start", no_thread),
+    (threading, "stack_size", no_such_stack)], ids=["thread", "stack"])
+def test_without_room_for_the_deep_stack_a_check_runs_again_in_place(
+        monkeypatch, where, name, no_room):
+    # as before the deep stack: only the declaration too deep fails
+    sig = parse_signature(numeral("n", 200) + numeral("m", DEEP)
+                          + "after ◂ Nat = zero .\n", sig=nat_sig())
+    limit, size = sys.getrecursionlimit(), threading.stack_size()
+    monkeypatch.setattr(where, name, no_room)
+    rows = check_signature(sig).decls[-3:]
+    assert [(d.name, d.error) for d in rows] == [
+        ("n", None), ("m", "depth exhausted"), ("after", None)]
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
+    monkeypatch.undo()      # and the next call starts over on a thread
+    assert check_signature(sig).decls[-2].ok
+
+
+def test_a_check_started_over_reports_what_the_deep_stack_reports(
+        monkeypatch):
+    # the middle declaration sends the whole check to the deep stack,
+    # after the first attempt has stored normal forms and rejections
+    text = ("a ◂ Nat = add (suc zero) zero .\n"
+            "bad ◂ Nat = suc .\n"
+            "#assert-fail worse ◂ Nat = suc .\n"
+            + numeral("n", DEEP) +
+            "b ◂ Nat = add a n .\n"
+            "c ◂ Nat = suc bad .\n"
+            "#assert-eq a b\n")
+    retries, attempts = [], []
+    retry_to_come = S.retry_to_come
+
+    def counted():
+        retries.append(retry_to_come())
+        return retries[-1]
+    monkeypatch.setattr(S, "retry_to_come", counted)
+    started_over = check_signature(parse_signature(text, sig=nat_sig()))
+    assert retries == [True]
+
+    def on_the_deep_stack():
+        attempts.append(None)
+        if len(attempts) == 1:
+            raise RecursionError    # as if too deep: run again there
+        return check_signature(parse_signature(text, sig=nat_sig()))
+    there = S.deep(on_the_deep_stack)()
+    assert retries == [True] and len(attempts) == 2
+
+    def rows(report):
+        return [(d.name, d.status, d.error, d.steps_used, d.normal_form,
+                 [(a.ok, a.detail) for a in d.assertions])
+                for d in report.decls]
+    assert rows(started_over) == rows(there)
+    assert [r[1] for r in rows(there)[-6:]] == [
+        "assertion failure", "type error", "ok", "ok", "ok", "ok"]
+
+
+def test_deep_calls_from_eight_threads_take_turns():
+    # each call sets the process's recursion limit and restores it after
+    limit, errors = sys.getrecursionlimit(), []
+    sigs = [parse_signature(numeral(name, 2 * DEEP), sig=nat_sig())
+            for name in "nmkjabcd"]
+    together = threading.Barrier(len(sigs))
+
+    def check(sig) -> None:
+        together.wait()
+        errors.append(check_signature(sig).decls[-1].error)
+    threads = [threading.Thread(target=check, args=(sig,)) for sig in sigs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == [None] * len(sigs)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_a_mismatch_under_binders_prints_the_context_names():
