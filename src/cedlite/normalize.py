@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 from .erasure import erase
 from .syntax import (
-    KernelError, PApp, PLam, PRef, PureTerm, PVar, Signature, occurs_index,
-    shift,
+    KernelError, PApp, PLam, PRef, PureTerm, PVar, Signature, alpha_eq,
+    occurs_index, shift,
 )
 from .values import VBind, VNe
 
@@ -244,29 +244,6 @@ def normalize(t: PureTerm, sig: Signature,
     before = m.used
     return NormalForm(_readback(_eval(t, None, m, sig), m, sig),
                       m.used - before)
-
-
-def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
-    """Structural equality up to binder hints, without recursion."""
-    todo = [(t1, t2)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        kind = type(a)
-        if kind is not type(b):
-            return False
-        if kind is PApp:
-            todo.append((a.arg, b.arg))
-            todo.append((a.fn, b.fn))
-        elif kind is PLam:
-            todo.append((a.body, b.body))
-        elif kind is PVar:
-            if a.idx != b.idx:
-                return False
-        elif a.name != b.name:
-            return False
-    return True
 
 
 def conv(t1: PureTerm, t2: PureTerm, sig: Signature,

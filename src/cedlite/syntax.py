@@ -73,24 +73,10 @@ class _Node:
     __slots__ = ("free_mask", "sort_mask")
 
     def __eq__(self, other):
-        """α-equivalence: the same classes and the same fields, binder hints
-        aside, compared on an explicit stack, so at any depth."""
+        """α-equivalence (`alpha_eq`)."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            cls = a.__class__
-            if b.__class__ is not cls:
-                return False
-            data = _DATA[cls]
-            if data(a) != data(b):
-                return False
-            for f, _ in _SUBS[cls]:
-                todo.append((getattr(a, f), getattr(b, f)))
-        return True
+        return alpha_eq(self, other)
 
     def __hash__(self):
         """Of the classes and compared data of the nodes in pre-order, with
@@ -334,6 +320,38 @@ for _cls, _row in SHAPES.items():
     _cls.__match_args__ = tuple(_row)
     if _cls in _LEAVES:
         _cls.__eq__ = _scope[f"{_cls.__name__}_eq"]
+
+
+def alpha_eq(a, b) -> bool:
+    """α-equivalence: the same classes and the same fields, binder hints
+    aside, compared on an explicit stack, so at any depth. Pure terms,
+    which conversion compares, take the first tests."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is PApp:
+            todo.append((a.arg, b.arg))
+            todo.append((a.fn, b.fn))
+        elif cls is PLam:
+            todo.append((a.body, b.body))
+        elif cls is PVar:
+            if a.idx != b.idx:
+                return False
+        elif cls is PRef:
+            if a.name != b.name:
+                return False
+        else:
+            data = _DATA[cls]
+            if data(a) != data(b):
+                return False
+            for f, _ in _SUBS[cls]:
+                todo.append((getattr(a, f), getattr(b, f)))
+    return True
 
 
 def sort_clash(got: str, position: str) -> KernelError:

@@ -19,14 +19,15 @@ from typing import Optional, Union
 
 from . import syntax as S
 from .erasure import PureTerm, PVar, embed, erase, free_in_erasure
-from .normalize import IDENTITY, Fuel, Meter, alpha_eq, conv, normalize
+from .normalize import IDENTITY, Fuel, Meter, conv, normalize
 from .printer import print_classifier, print_pure
 from .syntax import (
-    Decl, KernelError, Signature, occurs_index, shift, subtrees, transform,
+    Decl, KernelError, Signature, alpha_eq, occurs_index, shift, subtrees,
+    transform,
 )
 from .values import (
-    EMPTY, STAR, Ctx, VBind, VEq, VNe, VTm, enter, evaluate,
-    instantiate, is_kind, is_var, lookup, size,
+    STAR, VBind, VEq, VNe, VTm, enter, evaluate, extend, instantiate,
+    is_kind, is_var, lookup, size,
 )
 
 
@@ -198,7 +199,7 @@ class Checker:
                 if head.name in self.sig.rejected:
                     break   # rejected: only its ascription is trusted
                 self.meter.tick()
-                f = evaluate(decl.body, ())
+                f = evaluate(decl.body, 0)
             elif type(head) is VBind and head.cls is S.TLam:
                 f = head
             else:
@@ -288,51 +289,51 @@ class Checker:
             raise CheckError("scope", f"{name} is not a {level}")
         return decl
 
-    def classifier_of(self, ctx: Ctx, idx: int, var):
+    def classifier_of(self, ctx, idx: int, var):
         """The classifier value at `idx` of a `var` (`Var` or `TVar`)."""
-        if idx >= size(ctx.env):
+        if idx >= size(ctx):
             raise CheckError("scope", f"variable index {idx} out of context")
         kind, wrong = _FLAVORS[var]
-        if is_kind(cls := lookup(ctx.vars, idx)[1]) is not kind:
+        if is_kind(cls := lookup(ctx, idx)[1]) is not kind:
             raise CheckError("kind", wrong)
         return cls
 
-    def classifier_wf(self, ctx: Ctx, c) -> None:
+    def classifier_wf(self, ctx, c) -> None:
         """A binder's classifier is a well-formed kind or a ★-kinded type."""
         if not S.is_kind(c):
             self.ensure_star(ctx, c)
         elif not isinstance(c, S.Star):
             self.classifier_wf(ctx, c.dom)
-            self.classifier_wf(ctx.bind(c.name, evaluate(c.dom, ctx.env)),
-                               c.body)
+            self.classifier_wf(
+                extend(ctx, (c.name, evaluate(c.dom, size(ctx)))), c.body)
 
-    def ensure_star(self, ctx: Ctx, ty: S.Type) -> None:
+    def ensure_star(self, ctx, ty: S.Type) -> None:
         k = self.kind_check(ctx, ty)
         if type(k) is not S.Star:
-            shown = print_classifier(self._quote(k, size(ctx.env)))
+            shown = print_classifier(self._quote(k, size(ctx)))
             raise CheckError("kind",
                              f"expected a ★-kinded type, got kind {shown}")
 
-    def kind_check(self, ctx: Ctx, ty: S.Type):
+    def kind_check(self, ctx, ty: S.Type):
         """The kind value of the type syntax `ty` written in `ctx`."""
         cls = type(ty)
         if cls is S.TVar:
             return self.classifier_of(ctx, ty.idx, S.TVar)
         if cls is S.TRef:
-            return evaluate(self._definition(ty.name, "type").classifier, ())
+            return evaluate(self._definition(ty.name, "type").classifier, 0)
         if cls in (S.All, S.Pi, S.TLam, S.Iota):
             if cls is S.Pi or cls is S.Iota:
                 self.ensure_star(ctx, ty.dom)
             else:
                 self.classifier_wf(ctx, ty.dom)
-            inner = ctx.bind(ty.name, evaluate(ty.dom, ctx.env))
+            dom = evaluate(ty.dom, size(ctx))
+            inner = extend(ctx, (ty.name, dom))
             if cls is not S.TLam:
                 self.ensure_star(inner, ty.body)
                 return STAR
-            body = self._quote(self.kind_check(inner, ty.body),
-                               size(inner.env))
+            body = self._quote(self.kind_check(inner, ty.body), size(inner))
             return VBind(S.KPiK if S.is_kind(ty.dom) else S.KPi, ty.name,
-                         lookup(inner.vars, 0)[1], body, ctx.env)
+                         dom, body, size(ctx))
         if cls is S.AppT or cls is S.AppTm:
             return self._apply(ctx, self.kind_check(ctx, ty.fn), ty)
         if cls is S.Eq:
@@ -351,41 +352,41 @@ class Checker:
 
     # --- terms ----------------------------------------------------------------
 
-    def _check(self, ctx: Ctx, t: S.Term, ty) -> None:
+    def _check(self, ctx, t: S.Term, ty) -> None:
         """Check `t` against the value `ty`. An elimination form's type is
         inferred once and compared with `ty` without reducing; `ty` is
         weak-head normalized only when that fails."""
         inferred = None
         if isinstance(t, _ELIMINATIONS):
             inferred = self.infer(ctx, t)
-            if self.type_conv(inferred, ty, size(ctx.env), False):
+            if self.type_conv(inferred, ty, size(ctx), False):
                 return
         if type(ty) is VNe:
             ty = self.type_whnf(ty)
         self._check_whnf(ctx, t, ty, inferred)
 
-    def _check_whnf(self, ctx: Ctx, t: S.Term, w,
+    def _check_whnf(self, ctx, t: S.Term, w,
                     inferred: Union[VNe, VBind, CheckError, None]) -> None:
         """Check `t` against the weak-head normal `w`. `inferred` is what
         inferring `t` gave (its type or its error), or None if not yet
         inferred."""
-        lvl, k, form = size(ctx.env), type(t), type(w) is VBind and w.cls
+        lvl, k, form = size(ctx), type(t), type(w) is VBind and w.cls
         if (k is S.Lam and form is S.Pi) or (k is S.ILam and form is S.All):
             if k is S.ILam:
                 _implicit_binder_erased(t)
             elif t.ann is not None and not self.type_conv(
-                    evaluate(t.ann, ctx.env), w.dom, lvl):
+                    evaluate(t.ann, lvl), w.dom, lvl):
                 raise CheckError(
                     "conversion",
                     f"λ binder annotation does not convert to the "
                     f"expected domain "
                     f"{print_classifier(self._quote(w.dom, lvl))}")
-            inner = ctx.bind(t.name, w.dom)
-            self._check(inner, t.body, enter(w, lookup(inner.env, 0)))
+            self._check(extend(ctx, (t.name, w.dom)), t.body,
+                        enter(w, VNe(lvl, ())))
             return
         if k is S.Pair and form is S.Iota:
             self._check(ctx, t.left, w.dom)
-            self._check(ctx, t.right, instantiate(w, VTm(t.left, ctx.env)))
+            self._check(ctx, t.right, instantiate(w, VTm(t.left, lvl)))
             pl, pr = erase(t.left), erase(t.right)
             if not conv(pl, pr, self.sig, self.meter):
                 raise CheckError("erasure-mismatch", self._sides(
@@ -428,27 +429,27 @@ class Checker:
         return lambda: (f"{what}: {print_pure(self._nf(l))} vs "
                         f"{print_pure(self._nf(r))}")
 
-    def _conversion_failure(self, ctx: Ctx, inferred, expected):
+    def _conversion_failure(self, ctx, inferred, expected):
         """Raise the mismatch of `inferred` (None: an unannotated λ) with
         `expected`, printed with the names of `ctx` once shown."""
         def message() -> str:
             names: list[str] = []     # innermost first; shadowed ones primed
-            for i in range(size(ctx.vars)):
-                name = lookup(ctx.vars, i)[0] or "_"
+            for i in range(size(ctx)):
+                name = lookup(ctx, i)[0] or "_"
                 while name in names:
                     name += "'"
                 names.append(name)
             names.reverse()
 
             def show(v) -> str:
-                return print_classifier(self._quote(v, size(ctx.env), True),
+                return print_classifier(self._quote(v, size(ctx), True),
                                         False, names)
             got = ("inferred: " + show(inferred) if inferred is not None
                    else "a λ abstraction needs a Π type")
             return f"type mismatch:\n  {got}\n  expected: {show(expected)}"
         raise CheckError("conversion", message)
 
-    def infer(self, ctx: Ctx, t: S.Term):
+    def infer(self, ctx, t: S.Term):
         """The type value of `t`, memoized by the identities of `t` and `ctx`
         (kept alive); a hit charges its steps and appends its warnings
         again."""
@@ -462,7 +463,7 @@ class Checker:
         if k is S.Var:
             ty = self.classifier_of(ctx, t.idx, S.Var)
         elif k is S.Ref:
-            ty = evaluate(self._definition(t.name, "term").classifier, ())
+            ty = evaluate(self._definition(t.name, "term").classifier, 0)
         elif k in _SPINE:
             # the head is inferred once, then each argument applied to it
             apps, head = [], t
@@ -478,13 +479,13 @@ class Checker:
                 raise CheckError("projection",
                                  "projection from a non-intersection")
             ty = st.dom if t.which == 1 \
-                else instantiate(st, VTm(S.Proj(t.sub, 1), ctx.env))
+                else instantiate(st, VTm(S.Proj(t.sub, 1), size(ctx)))
         elif k is S.Lam and t.ann is not None:
             self.ensure_star(ctx, t.ann)
-            dom = evaluate(t.ann, ctx.env)
-            inner = ctx.bind(t.name, dom)
-            body = self._quote(self.infer(inner, t.body), size(inner.env))
-            ty = VBind(S.Pi, t.name, dom, body, ctx.env)
+            dom = evaluate(t.ann, size(ctx))
+            inner = extend(ctx, (t.name, dom))
+            body = self._quote(self.infer(inner, t.body), size(inner))
+            ty = VBind(S.Pi, t.name, dom, body, size(ctx))
         elif k is S.Lam:
             raise CheckError("cannot-infer", "unannotated λ binders are "
                              "only permitted in checking mode")
@@ -501,7 +502,7 @@ class Checker:
             t, ctx, ty, self.meter.used - steps, self.warnings[n_warnings:])
         return ty
 
-    def _apply(self, ctx: Ctx, fn, app):
+    def _apply(self, ctx, fn, app):
         """The classifier of the term or type application `app` in `ctx`,
         whose function's classifier `fn` must be the binder `app` consumes:
         a type argument's kind must convert with its domain, and a term
@@ -517,17 +518,17 @@ class Checker:
                              else "kind", _MISAPPLIED[type(app), got])
         if S.is_type(app.arg):
             if not self.type_conv(self.kind_check(ctx, app.arg), fn.dom,
-                                  size(ctx.env)):
+                                  size(ctx)):
                 raise CheckError("kind", "type argument has the wrong kind")
-            return instantiate(fn, evaluate(app.arg, ctx.env))
+            return instantiate(fn, evaluate(app.arg, size(ctx)))
         self._check(ctx, app.arg, fn.dom)
-        return instantiate(fn, VTm(app.arg, ctx.env))
+        return instantiate(fn, VTm(app.arg, size(ctx)))
 
     # --- the ρ rule -------------------------------------------------------
 
-    def _check_rho(self, ctx: Ctx, t: S.Rho, w) -> None:
+    def _check_rho(self, ctx, t: S.Rho, w) -> None:
         """Check the chain `ρ q1 - … ρ qn - b`, reading `w` back once."""
-        lvl, goal = size(ctx.env), None
+        lvl, goal = size(ctx), None
         while type(t) is S.Rho:
             qt = self.type_whnf(self.infer(ctx, t.proof))
             if type(qt) is not VEq:
@@ -542,7 +543,7 @@ class Checker:
                 self.warnings.append("ρ rewrote no occurrences of the "
                                      "equation's left side")
             t = t.body
-        self._check(ctx, t, evaluate(goal, ctx.env))
+        self._check(ctx, t, evaluate(goal, lvl))
 
     def _norm_term_positions(self, node):
         """βδ-normalize every embedded term of an already type-normal type."""
@@ -600,18 +601,18 @@ class Checker:
 # Whole-signature checking
 
 def _check_decl(checker: Checker, decl: Decl) -> None:
-    cls = evaluate(decl.classifier, ())
+    cls = evaluate(decl.classifier, 0)
     if decl.level == "type":
-        checker.classifier_wf(EMPTY, decl.classifier)
-        k = checker.kind_check(EMPTY, decl.body)
+        checker.classifier_wf(0, decl.classifier)
+        k = checker.kind_check(0, decl.body)
         if not checker.type_conv(k, cls):
             raise CheckError(
                 "kind",
                 f"body kinds to {print_classifier(checker._quote(k, 0))}, "
                 f"not the ascribed {print_classifier(decl.classifier)}")
     else:
-        checker.ensure_star(EMPTY, decl.classifier)
-        checker._check(EMPTY, decl.body, cls)
+        checker.ensure_star(0, decl.classifier)
+        checker._check(0, decl.body, cls)
 
 
 # Per assertion kind: what the target's normal form is compared with, the

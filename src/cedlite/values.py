@@ -1,9 +1,9 @@
 """Classifier values: what the checker evaluates types and kinds to.
 
 A type or kind is evaluated against an environment: the value each de
-Bruijn index of its syntax denotes, held as a linked list (see `lookup`)
-so that extending one shares it. Variables of the context are neutrals
-named by their de Bruijn *level*; a free index past the environment
+Bruijn index of its syntax denotes (see `lookup`). Variables of the
+context are neutrals named by their de Bruijn *level*; a number n stands
+for the n variables of a context, and an index past the environment
 denotes a level below 0, as in `normalize`. Evaluation reduces nothing:
 a definition head or a type-λ applied to arguments stays an application
 until the checker's `type_whnf` forces it, so reading a value back
@@ -11,7 +11,6 @@ without forcing it gives the syntax that substituting the environment
 would give. Binders are closures, so instantiating one extends an
 environment.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -56,7 +55,7 @@ class VTm:
     """An embedded term: the syntax `term` in `env`. Terms are compared by
     their erasures, so a term value is never reduced."""
     term: S.Term
-    env: tuple
+    env: object
 
 
 STAR = S.Star()        # ★ is its own value
@@ -72,32 +71,36 @@ def is_var(v) -> bool:
     return type(v) is VNe and type(v.head) is int and not v.spine
 
 
-# An environment is empty (`()`) or a cell: the value of index 0, the
-# environment of the others, its length, and a jump to a shorter one.
-# Jumps skip so that a lookup takes O(log n) steps (Myers's random-access
-# stack), and extending an environment shares it.
+# An environment is a number or a cell. The number n stands for the n
+# variables of a context: index i denotes level n - 1 - i, so 0 is the
+# empty environment. A cell holds the value of index 0, the environment
+# of the others, its size, and a jump to a shorter one. Jumps skip so
+# that a lookup takes O(log n) steps (Myers's random-access stack), and
+# extending an environment shares it. A checking context is the
+# environment of its variables' `(name, classifier)` pairs over 0.
 
 def size(env) -> int:
-    return env[2] if env else 0
+    return env if type(env) is int else env[2]
 
 
 def extend(env, value) -> tuple:
-    j = env[3] if env else ()
-    if j and size(env) - j[2] == j[2] - size(j[3]):
+    if type(env) is int:
+        return value, env, env + 1, env
+    j = env[3]
+    if type(j) is tuple and env[2] - j[2] == j[2] - size(j[3]):
         return value, env, env[2] + 1, j[3]
-    return value, env, size(env) + 1, env
+    return value, env, env[2] + 1, env
 
 
 def lookup(env, i: int):
     """The value index `i` denotes in `env`."""
-    n = env[2] if env else 0
-    if i >= n:
-        return VNe(n - 1 - i, ())
-    n -= i
-    while env[2] != n:
+    n = (env if type(env) is int else env[2]) - i
+    while type(env) is tuple:
+        if env[2] == n:
+            return env[0]
         j = env[3]
-        env = j if j and j[2] >= n else env[1]
-    return env[0]
+        env = j if type(j) is tuple and j[2] >= n else env[1]
+    return VNe(n - 1, ())
 
 
 def evaluate(node, env):
@@ -134,20 +137,3 @@ def instantiate(b: VBind, arg):
 def enter(b: VBind, var: VNe):
     """The body of the binder value `b` under the context variable `var`."""
     return evaluate(b.body, extend(b.env, var))
-
-
-@dataclass(eq=False, slots=True)
-class Ctx:
-    """The checking context: environments of, per variable, its name and
-    classifier value, and of the variables themselves, which syntax
-    written in the context is evaluated against. Binding shares the
-    context bound in; a context is never changed."""
-    vars: tuple
-    env: tuple
-
-    def bind(self, name: str, classifier) -> Ctx:
-        return Ctx(extend(self.vars, (name, classifier)),
-                   extend(self.env, VNe(size(self.env), ())))
-
-
-EMPTY = Ctx((), ())

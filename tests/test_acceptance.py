@@ -15,7 +15,7 @@ from cedlite.parser import parse_signature, parse_term, parse_type
 from cedlite.printer import print_decl
 from cedlite.syntax import shift
 from cedlite.typecheck import CheckError, Checker
-from cedlite.values import EMPTY, evaluate
+from cedlite.values import evaluate
 from termgen import DUPLICATING_CASES, gen_pure
 
 CHURCH_NIL = PLam("cN", PLam("cC", PVar(1)))
@@ -155,7 +155,7 @@ def test_criterion_7_checker_side_conditions(corpus_sig):
         cls = parse_type(cls_text, corpus_sig)
         body = parse_term(body_text, corpus_sig)
         try:
-            checker._check(EMPTY, body, evaluate(cls, []))
+            checker._check(0, body, evaluate(cls, 0))
             ok = False
         except CheckError as e:
             ok = ok and e.kind == expected_kind

@@ -114,14 +114,26 @@ def test_ten_thousand_deep_inputs_end_in_verdicts(tmp_path):
     assert run.stderr == ""
 
 
-def test_twenty_thousand_binders_check_in_linear_space(tmp_path):
+N_BINDERS = 20_000
+BINDERS = {
     # binding shares the environment bound in; copying it per binder made
     # this input take 46 s and a peak of 6.2 GB
-    n = 20_000
+    "f": "f ◂ " + "".join(f"Π x{i} : Nat . " for i in range(N_BINDERS))
+         + "Nat = " + "".join(f"λ x{i} . " for i in range(N_BINDERS))
+         + "x0 .\n",
+    # every domain names X, up to 20,000 cells away: the lookups take the
+    # environment's jumps (with every jump one cell long it took 24 s)
+    "g": "g ◂ ∀ X : ★ . "
+         + "".join(f"Π x{i} : X . " for i in range(N_BINDERS))
+         + "X = Λ X . " + "".join(f"λ x{i} . " for i in range(N_BINDERS))
+         + "x0 .\n",
+}
+
+
+@pytest.mark.parametrize("name", BINDERS)
+def test_twenty_thousand_binders_check_in_linear_space(tmp_path, name):
     path = tmp_path / "binders.ced"
-    path.write_text("f ◂ " + "".join(f"Π x{i} : Nat . " for i in range(n))
-                    + "Nat = " + "".join(f"λ x{i} . " for i in range(n))
-                    + "x0 .\n", encoding="utf-8")
+    path.write_text(BINDERS[name], encoding="utf-8")
     measured = ("import resource, sys\n"
                 "from cedlite.cli import main\n"
                 "rc = main(sys.argv[1:])\n"
@@ -133,7 +145,7 @@ def test_twenty_thousand_binders_check_in_linear_space(tmp_path):
          str(path)], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=SRC))
     assert time.perf_counter() - start < 20
-    assert run.stdout.splitlines()[-1] == "OK f"
+    assert run.stdout.splitlines()[-1] == f"OK {name}"
     assert run.returncode == 0
     assert int(run.stderr) < 1000     # peak RSS in MB
 

@@ -46,7 +46,7 @@ def classifier_nfs() -> str:
     for source, sig, start in sources:
         lines.append(f"-- {source}")
         for decl in sig.decls[start:]:
-            nf = Checker(sig)._quote(evaluate(decl.classifier, []), 0, True)
+            nf = Checker(sig)._quote(evaluate(decl.classifier, 0), 0, True)
             lines.append(f"{decl.name} : {print_classifier(nf)}")
     return "\n".join(lines) + "\n"
 

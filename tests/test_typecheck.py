@@ -11,7 +11,7 @@ from cedlite.parser import parse_signature, parse_type
 from cedlite.printer import print_classifier, print_pure
 from cedlite.normalize import Fuel, conv
 from cedlite.typecheck import CheckError, Checker, check_signature
-from cedlite.values import EMPTY, evaluate
+from cedlite.values import evaluate, extend, size
 from audits import audit_implicit_erasures, audit_intersections
 
 ADVERSARIAL = Path(__file__).parent / "adversarial"
@@ -37,7 +37,7 @@ def check_text(text, base=None):
 def value(node):
     """The classifier value of type or kind syntax of the empty context,
     as `Checker.type_conv` takes it."""
-    return evaluate(node, [])
+    return evaluate(node, 0)
 
 
 def assert_ok(text, base=None):
@@ -62,7 +62,7 @@ def test_kind_of_vecc_and_vecr(corpus_sig):
     checker = Checker(corpus_sig)
     assert print_classifier(corpus_sig.lookup("VecC").classifier) \
         == "★ ➔ Nat ➔ ★"
-    got = checker.kind_check(EMPTY, S.TRef("VecC"))
+    got = checker.kind_check(0, S.TRef("VecC"))
     assert checker.type_conv(got, value(corpus_sig.lookup("VecC").classifier))
     want = parse_type("Π A : ★ . Π n : Nat . VecC · A n ➔ ★", corpus_sig)
     assert checker.type_conv(value(corpus_sig.lookup("VecR").classifier),
@@ -73,7 +73,7 @@ def test_star_kinded_type_cannot_be_applied(corpus_sig):
     checker = Checker(corpus_sig)
     bad = parse_type("Nat zero", corpus_sig)
     with pytest.raises(CheckError) as exc:
-        checker.kind_check(EMPTY, bad)
+        checker.kind_check(0, bad)
     assert exc.value.kind == "kind"
 
 
@@ -128,7 +128,7 @@ def test_type_nf_takes_and_gives_syntax(corpus_sig):
     c = Checker(corpus_sig)
 
     def type_nf(node):
-        return c._quote(evaluate(node, []), 0, True)
+        return c._quote(evaluate(node, 0), 0, True)
     vec = parse_type("Vec · Nat zero", corpus_sig)
     assert S.is_type(type_nf(vec))
     assert type_nf(vec) == type_nf(type_nf(vec))
@@ -182,13 +182,13 @@ def nat_sig():
 
 def test_matching_folded_types_are_not_unfolded():
     checker = Checker(nat_sig())
-    checker._check(EMPTY, S.Ref("zero"), value(S.TRef("Nat")))
+    checker._check(0, S.Ref("zero"), value(S.TRef("Nat")))
     assert checker.meter.used == 0
 
 
 def test_mismatch_reports_the_unfolded_types():
     with pytest.raises(CheckError) as exc:
-        Checker(nat_sig())._check(EMPTY, S.Ref("suc"), value(S.TRef("Nat")))
+        Checker(nat_sig())._check(0, S.Ref("suc"), value(S.TRef("Nat")))
     assert exc.value.kind == "conversion"
     assert str(exc.value) == SUC_NOT_NAT
 
@@ -267,7 +267,7 @@ def test_error_kinds_are_machine_distinguishable(corpus_sig):
         cls = parse_type(cls_text, corpus_sig)
         body = parse_term(body_text, corpus_sig)
         with pytest.raises(CheckError) as exc:
-            checker._check(EMPTY, body, value(cls))
+            checker._check(0, body, value(cls))
         assert exc.value.kind == kind
 
 
@@ -322,21 +322,21 @@ def test_rho_rewrite_round_trip(corpus_sig):
     # leaves a goal the same body still checks against
     from cedlite.erasure import erase
     checker = Checker(corpus_sig)
-    ctx = EMPTY
+    ctx = 0
     for name, cls in (("A", S.Star()), ("x", S.TVar(0)), ("y", S.TVar(1)),
                       ("q", S.Eq(S.Var(1), S.Var(0)))):     # q : x ≃ y
-        ctx = ctx.bind(name, evaluate(cls, ctx.env))
+        ctx = extend(ctx, (name, evaluate(cls, size(ctx))))
     goal = S.Eq(S.Var(2), S.Var(2))               # x ≃ x
     body = S.Beta(S.Var(1))                       # β{y}
     lhs, rhs = S.Var(2), S.Var(1)                 # x, y
     fwd, n1 = checker._rewrite(goal, erase(lhs),
                                checker._nf(erase(lhs)), rhs, 0)
     assert n1 == 2 and fwd == S.Eq(S.Var(1), S.Var(1))
-    checker._check(ctx, body, evaluate(fwd, ctx.env))
+    checker._check(ctx, body, evaluate(fwd, size(ctx)))
     back, n2 = checker._rewrite(fwd, erase(rhs),
                                 checker._nf(erase(rhs)), lhs, 0)
     assert n2 == 2
-    checker._check(ctx, body, evaluate(back, ctx.env))
+    checker._check(ctx, body, evaluate(back, size(ctx)))
 
 
 def test_rho_plus_required_for_reduced_matches(fresh_corpus):
