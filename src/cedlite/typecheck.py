@@ -527,17 +527,24 @@ class Checker:
     # --- the ρ rule -------------------------------------------------------
 
     def _check_rho(self, ctx, t: S.Rho, w) -> None:
-        """Check the chain `ρ q1 - … ρ qn - b`, reading `w` back once."""
-        lvl, goal = size(ctx), None
+        """Check the chain `ρ q1 - … ρ qn - b`. The goal `w` is read back
+        once, unforced; each link then forces the type nodes that hold
+        every variable free in its left side's normal form (those its
+        rewrite visits, see `_reached`) and leaves the rest as written.
+        Once a ρ+ has normalized the goal's terms, a later link normalizes
+        those of each part it forces, as if the ρ+ had forced them all."""
+        lvl, goal, normed = size(ctx), None, False
         while type(t) is S.Rho:
             qt = self.type_whnf(self.infer(ctx, t.proof))
             if type(qt) is not VEq:
                 raise CheckError("rho", "ρ proof is not an equality")
-            goal = goal or self._quote(w, lvl, True)
-            if t.normalize_first:
-                goal = self._norm_term_positions(goal)
             lhs = self._erased(qt.lhs, lvl)
-            goal, count = self._rewrite(goal, lhs, self._nf(lhs),
+            lhs_nf = self._nf(lhs)
+            goal = self._reached(goal or self._quote(w, lvl),
+                                 lhs_nf.free_mask, lvl, normed)
+            if t.normalize_first:
+                goal, normed = self._norm_term_positions(goal), True
+            goal, count = self._rewrite(goal, lhs, lhs_nf,
                                         self._quote_tm(qt.rhs, lvl), 0)
             if count == 0:
                 self.warnings.append("ρ rewrote no occurrences of the "
@@ -545,8 +552,33 @@ class Checker:
             t = t.body
         self._check(ctx, t, evaluate(goal, lvl))
 
+    def _reached(self, node, mask: int, lvl: int, normed: bool,
+                 depth: int = 0):
+        """The type `node`, under `depth` binders at level `lvl`, with each
+        type node that holds every variable of `mask` forced as in
+        `_quote(…, True)`, and the parts of its forced form likewise. Any
+        other subtree, every kind and every embedded term stay as written:
+        δ and β add no free variable, so no forced form of theirs could
+        hold all of `mask` either. With `normed`, the embedded terms of
+        each forced form are βδ-normalized, as ρ+ did to the rest."""
+        def at(n, d):
+            if S.is_kind(n) or S.is_term(n) or mask << d & ~n.free_mask:
+                return n
+            head = n
+            while type(head) is S.AppT or type(head) is S.AppTm:
+                head = head.fn
+            if type(head) is S.TRef and head.name not in self.sig.rejected \
+                    or type(head) is S.TLam and head is not n:
+                form = self._quote(self.type_whnf(evaluate(n, lvl + d)),
+                                   lvl + d)
+                if normed:
+                    form = self._norm_term_positions(form)
+                return self._reached(form, mask, lvl, normed, d)
+            return None
+        return transform(node, at, depth)
+
     def _norm_term_positions(self, node):
-        """βδ-normalize every embedded term of an already type-normal type."""
+        """βδ-normalize every embedded term of a type, kinds left alone."""
         def at(n, d):
             if S.is_kind(n):
                 return n

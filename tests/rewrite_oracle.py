@@ -8,6 +8,10 @@ each node's `free_mask`, and the goal is walked field by field off
 `S.SHAPES`, sharing no traversal with the kernel's `transform`. The tests
 require the kernel's pruned rewrite to give the same goal and the same
 count.
+
+`rho_chain_eager` is the whole ρ chain as the kernel checked it before
+each link forced only what its rewrite can reach: the goal read back
+forced, then rewritten link by link.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from cedlite import syntax as S
 from cedlite.erasure import PApp, PLam, PVar, erase
 from cedlite.normalize import alpha_eq
+from cedlite.values import VEq, size
 
 
 def free_indices(t) -> set:
@@ -59,3 +64,26 @@ def rewrite_unpruned(checker, node, lhs, lhs_nf, rhs, depth: int):
                           else go(v, d + S.DEPTH[role]))
         return type(n)(*fields)
     return go(node, depth), count
+
+
+def rho_chain_eager(checker, ctx, t, w) -> list:
+    """The goal each link of the chain `t` leaves, and its count, when the
+    goal value `w` is read back forced in `ctx` once and then rewritten
+    link by link by `rewrite_unpruned` (ρ+ normalizing every embedded term
+    of it first): the ρ rule as the kernel ran it before each link forced
+    only the part of its goal its rewrite can reach. Stops before a link
+    whose proof is not an equality."""
+    lvl, goal, out = size(ctx), None, []
+    while type(t) is S.Rho:
+        qt = checker.type_whnf(checker.infer(ctx, t.proof))
+        if type(qt) is not VEq:
+            break
+        goal = goal or checker._quote(w, lvl, True)
+        if t.normalize_first:
+            goal = checker._norm_term_positions(goal)
+        lhs = checker._erased(qt.lhs, lvl)
+        goal, count = rewrite_unpruned(checker, goal, lhs, checker._nf(lhs),
+                                       checker._quote_tm(qt.rhs, lvl), 0)
+        out.append((goal, count))
+        t = t.body
+    return out

@@ -32,6 +32,10 @@ DIAGNOSTICS = [
     # annotations, ς, projections and ρ
     ("f ◂ B ➔ B = λ x : (B ➔ B) . x .",
      "ERR f λ binder annotation does not convert to the expected domain B"),
+    # a ρ link leaves the part of its goal that lacks x as written
+    ("g ◂ Π x : Nat . Π q : {x ≃ zero} . B ➔ {x ≃ zero}\n"
+     "  = λ x . λ q . ρ q - λ b : Nat . β .",
+     "ERR g λ binder annotation does not convert to the expected domain B"),
     ("s ◂ {i ≃ i} = ς i .",
      "ERR s ς applied to a non-equality proof"),
     ("s ◂ {i ≃ k} ➔ {i ≃ k} = λ q . ς q .",
