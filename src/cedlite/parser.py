@@ -280,14 +280,15 @@ class _Reader:
     # --- expressions: each rule gives its node and the offset that errors
     # about the node point at ---------------------------------------------
 
-    def expr(self, sort: str):
-        """The expression of `sort` at the next token."""
+    def expr(self, sort: str, eq: bool = True):
+        """The expression of `sort` at the next token; without `eq` it ends
+        before a `≃`, as the left side of a braced equation does."""
         kind, _, at = self.toks[self.i]
         if sort == "classifier":
             sort = "kind" if self.kind_at(self.i) else "type"
         if kind in _PREFIXES:
-            return self.prefix(kind, at, sort)
-        return self.arrows(sort, True)
+            return self.prefix(kind, at, sort, eq)
+        return self.arrows(sort, eq)
 
     def arrows(self, sort: str, eq: bool):
         """`arrows` of `sort`, and then `≃ arrows` if `eq`."""
@@ -321,18 +322,19 @@ class _Reader:
             val = self.mk(S.Eq, val, rhs)
         return val, at
 
-    def prefix(self, kind: str, at: int, sort: str):
-        """The construct of `sort` that the binder, ς or ρ at `at` begins."""
+    def prefix(self, kind: str, at: int, sort: str, eq: bool):
+        """The construct of `sort` that the binder, ς or ρ at `at` begins;
+        its body is an `expr(…, eq)`."""
         self.i += 1
         if kind not in _OPENERS:        # ς, ρ or ρ+
             if sort != "term":
                 self.fail("term syntax in a type position", at)
             if kind == "SIGMA":
-                proof = self.expr("term")[0]
+                proof = self.expr("term", eq)[0]
                 return self.mk(S.Symm, proof), at
             proof = self.proof()
             self.expect("DASH")
-            body = self.expr("term")[0]
+            body = self.expr("term", eq)[0]
             return self.mk(S.Rho, proof, body, kind == "RHOPLUS"), at
         binder = self.ident()
         colon = self.toks[self.i][0] == "COLON"
@@ -360,7 +362,7 @@ class _Reader:
                 cls = S.KPiK if S.is_kind(dom) else S.KPi
         self.expect("DOT")
         self.bind(binder)
-        body = self.expr(sort)[0]
+        body = self.expr(sort, eq)[0]
         self.unbind()
         return (self.mk(cls, binder, body) if cls is S.ILam
                 else self.mk(cls, binder, dom, body)), at
@@ -423,7 +425,7 @@ class _Reader:
         elif kind == "LBRACE":
             if sort == "term":
                 self.fail("type syntax in a term position", at)
-            left = self.arrows("term", False)[0]
+            left = self.expr("term", False)[0]
             self.expect("SIMEQ")
             right = self.expr("term")[0]
             self.expect("RBRACE")

@@ -528,54 +528,26 @@ class Checker:
 
     def _check_rho(self, ctx, t: S.Rho, w) -> None:
         """Check the chain `ρ q1 - … ρ qn - b`. The goal `w` is read back
-        once, unforced; each link then forces the type nodes that hold
-        every variable free in its left side's normal form (those its
-        rewrite visits, see `_reached`) and leaves the rest as written.
-        Once a ρ+ has normalized the goal's terms, a later link normalizes
-        those of each part it forces, as if the ρ+ had forced them all."""
+        once, unforced, and each link rewrites it in one walk that forces
+        what it visits (`_rewrite`); a ρ+ link normalizes the goal's terms
+        first, so what to force is judged on the terms the walk sees."""
         lvl, goal, normed = size(ctx), None, False
         while type(t) is S.Rho:
             qt = self.type_whnf(self.infer(ctx, t.proof))
             if type(qt) is not VEq:
                 raise CheckError("rho", "ρ proof is not an equality")
             lhs = self._erased(qt.lhs, lvl)
-            lhs_nf = self._nf(lhs)
-            goal = self._reached(goal or self._quote(w, lvl),
-                                 lhs_nf.free_mask, lvl, normed)
+            goal = goal or self._quote(w, lvl)
             if t.normalize_first:
                 goal, normed = self._norm_term_positions(goal), True
-            goal, count = self._rewrite(goal, lhs, lhs_nf,
-                                        self._quote_tm(qt.rhs, lvl), 0)
+            goal, count = self._rewrite(goal, lhs, self._nf(lhs),
+                                        self._quote_tm(qt.rhs, lvl), lvl,
+                                        normed)
             if count == 0:
                 self.warnings.append("ρ rewrote no occurrences of the "
                                      "equation's left side")
             t = t.body
         self._check(ctx, t, evaluate(goal, lvl))
-
-    def _reached(self, node, mask: int, lvl: int, normed: bool,
-                 depth: int = 0):
-        """The type `node`, under `depth` binders at level `lvl`, with each
-        type node that holds every variable of `mask` forced as in
-        `_quote(…, True)`, and the parts of its forced form likewise. Any
-        other subtree, every kind and every embedded term stay as written:
-        δ and β add no free variable, so no forced form of theirs could
-        hold all of `mask` either. With `normed`, the embedded terms of
-        each forced form are βδ-normalized, as ρ+ did to the rest."""
-        def at(n, d):
-            if S.is_kind(n) or S.is_term(n) or mask << d & ~n.free_mask:
-                return n
-            head = n
-            while type(head) is S.AppT or type(head) is S.AppTm:
-                head = head.fn
-            if type(head) is S.TRef and head.name not in self.sig.rejected \
-                    or type(head) is S.TLam and head is not n:
-                form = self._quote(self.type_whnf(evaluate(n, lvl + d)),
-                                   lvl + d)
-                if normed:
-                    form = self._norm_term_positions(form)
-                return self._reached(form, mask, lvl, normed, d)
-            return None
-        return transform(node, at, depth)
 
     def _norm_term_positions(self, node):
         """βδ-normalize every embedded term of a type, kinds left alone."""
@@ -586,34 +558,52 @@ class Checker:
         return transform(node, at)
 
     def _rewrite(self, node, lhs: PureTerm, lhs_nf: PureTerm, rhs: S.Term,
-                 depth: int):
-        """Replace by `rhs` every term position of the type or term `node`
-        whose erasure converts with `lhs` (whose normal form is `lhs_nf`);
-        kinds are left alone. `node` sits under `depth` binders. Returns
-        the result and the number of positions replaced.
-
-        A subtree lacking a variable free in `lhs_nf` is kept as it is,
-        unvisited: β, η and δ add no free variable (see `_matches`), and
-        neither does erasure, except where a Λ-bound variable survives it,
-        which checking rejects in terms and kinding in equation operands."""
+                 lvl: int, normed: bool):
+        """Replace by `rhs` every term position of the type `node`, at
+        level `lvl`, whose erasure converts with `lhs` (normal form
+        `lhs_nf`); returns the result and the number replaced. A visited
+        type node headed by a checked definition or an applied type-λ is
+        forced as by `_quote(…, True)`, and the walk goes on into its
+        forced form, with its terms βδ-normalized first if `normed`.
+        Kinds and the types inside terms stay as written, and so does a
+        subtree lacking a variable free in `lhs_nf`, unvisited: β, η and δ
+        add no free variable (see `_matches`), and neither does erasure,
+        except where a Λ-bound variable survives it, which checking
+        rejects in terms and kinding in equation operands."""
         count = 0
         mask = lhs_nf.free_mask
         lhs_at: dict[int, tuple] = {}     # lhs, lhs_nf, its mask under d
 
-        def at(n, d):
+        def in_term(n, d):
             nonlocal count
             if S.is_kind(n) or mask << d & ~n.free_mask:
                 return n
             if S.is_term(n):
-                at_d = lhs_at.get(d)
-                if at_d is None:
-                    at_d = lhs_at[d] = (shift(lhs, d), shift(lhs_nf, d),
-                                        mask << d)
+                at_d = lhs_at.get(d) or lhs_at.setdefault(
+                    d, (shift(lhs, d), shift(lhs_nf, d), mask << d))
                 if self._matches(n, *at_d):
                     count += 1
                     return shift(rhs, d)
             return None
-        return transform(node, at, depth), count
+
+        def in_type(n, d):
+            if not S.is_type(n) or mask << d & ~n.free_mask:
+                return transform(n, in_term, d)
+            head = n
+            while type(head) is S.AppT or type(head) is S.AppTm:
+                head = head.fn
+            if type(head) is S.TRef and head.name not in self.sig.rejected \
+                    or type(head) is S.TLam and head is not n:
+                form = self._quote(self.type_whnf(evaluate(n, lvl + d)),
+                                   lvl + d)
+                if normed:
+                    form = self._norm_term_positions(form)
+                return transform(form, in_type, d)
+            return None
+        try:
+            return transform(node, in_type), count
+        finally:
+            in_type = None      # it refers to itself through this cell
 
     def _matches(self, t: S.Term, lhs: PureTerm, lhs_nf: PureTerm,
                  lhs_mask: int) -> bool:

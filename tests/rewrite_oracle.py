@@ -9,6 +9,11 @@ each node's `free_mask`, and the goal is walked field by field off
 require the kernel's pruned rewrite to give the same goal and the same
 count.
 
+`reach` forces, in a walk of its own, the parts of a goal that a link's
+rewrite visits, as the kernel did before it forced them in the rewrite's
+own walk. `Checker._rewrite` must give what `rewrite_unpruned` gives on
+the goal `reach` leaves.
+
 `rho_chain_eager` is the whole ρ chain as the kernel checked it before
 each link forced only what its rewrite can reach: the goal read back
 forced, then rewritten link by link.
@@ -19,7 +24,7 @@ from __future__ import annotations
 from cedlite import syntax as S
 from cedlite.erasure import PApp, PLam, PVar, erase
 from cedlite.normalize import alpha_eq
-from cedlite.values import VEq, size
+from cedlite.values import VEq, evaluate, size
 
 
 def free_indices(t) -> set:
@@ -36,9 +41,34 @@ def free_indices(t) -> set:
     return out
 
 
+def reach(checker, node, mask: int, lvl: int, normed: bool, depth=0):
+    """The type `node`, under `depth` binders at level `lvl`, with each
+    type node that holds every variable of `mask` forced as in
+    `_quote(…, True)`, and the parts of its forced form likewise. Any
+    other subtree, every kind and every embedded term stay as written.
+    With `normed`, the embedded terms of each forced form are
+    βδ-normalized."""
+    def at(n, d):
+        if S.is_kind(n) or S.is_term(n) or mask << d & ~n.free_mask:
+            return n
+        head = n
+        while type(head) is S.AppT or type(head) is S.AppTm:
+            head = head.fn
+        if type(head) is S.TRef and head.name not in checker.sig.rejected \
+                or type(head) is S.TLam and head is not n:
+            form = checker._quote(checker.type_whnf(evaluate(n, lvl + d)),
+                                  lvl + d)
+            if normed:
+                form = checker._norm_term_positions(form)
+            return reach(checker, form, mask, lvl, normed, d)
+        return None
+    return S.transform(node, at, depth)
+
+
 def rewrite_unpruned(checker, node, lhs, lhs_nf, rhs, depth: int):
-    """`checker._rewrite(node, lhs, lhs_nf, rhs, depth)`, visiting every
-    position; returns the new node and the number of positions replaced."""
+    """`checker._rewrite` on a goal whose reachable parts `reach` has
+    already forced, visiting every position and forcing nothing; returns
+    the new node and the number of positions replaced."""
     count = 0
 
     def matches(t, d) -> bool:

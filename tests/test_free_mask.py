@@ -6,8 +6,9 @@ in `n`. Each node's constructor computes it, and `n.sort_mask`, from its
 children's, so every node the kernel builds, not only the parser's, must
 carry the masks a plain recursive walk finds. `Checker._rewrite` keeps a
 subtree as it is when the mask lacks a variable free in the equation's
-left side; the pruned rewrite must give the goal and the count of the
-unpruned one in `rewrite_oracle.py`.
+left side, and forces the parts it visits; it must give the goal and the
+count that the unpruned one in `rewrite_oracle.py` gives on the goal the
+separate forcing pass `reach` leaves.
 """
 
 import random
@@ -26,7 +27,7 @@ from cedlite.printer import print_classifier
 from cedlite.syntax import KernelError, Signature, shift, subst, transform
 from cedlite.typecheck import Checker, check_signature
 from perfbench import coercegen
-from rewrite_oracle import rewrite_unpruned
+from rewrite_oracle import reach, rewrite_unpruned
 from termgen import gen_pure
 
 PRELUDE = [str(resources.files("cedlite.corpus") / name)
@@ -209,14 +210,17 @@ def test_transform_keeps_a_node_whose_subtrees_come_back_unchanged():
 
 
 def record_rewrites(monkeypatch):
-    """Compare every `_rewrite` the checker makes with the oracle's."""
+    """Compare every `_rewrite` the checker makes with the oracle's, run on
+    the goal the separate forcing pass `reach` leaves."""
     seen = []
     pruned = Checker._rewrite
 
-    def both(self, node, lhs, lhs_nf, rhs, depth):
-        got = pruned(self, node, lhs, lhs_nf, rhs, depth)
-        want = rewrite_unpruned(Checker(self.sig, Fuel(self.meter.max_steps)),
-                                node, lhs, lhs_nf, rhs, depth)
+    def both(self, node, lhs, lhs_nf, rhs, lvl, normed):
+        got = pruned(self, node, lhs, lhs_nf, rhs, lvl, normed)
+        oracle = Checker(self.sig, Fuel(self.meter.max_steps))
+        want = rewrite_unpruned(
+            oracle, reach(oracle, node, lhs_nf.free_mask, lvl, normed),
+            lhs, lhs_nf, rhs, 0)
         seen.append((print_classifier(got[0]), got[1],
                      print_classifier(want[0]), want[1]))
         assert got[0] == want[0]
@@ -252,5 +256,5 @@ def test_a_deep_left_side_raises_no_recursion_error():
         lhs = PApp(PVar(0), lhs)
     goal = S.Eq(S.Var(0), S.Ref("zero"))
     checker = Checker(load_corpus())
-    new, count = checker._rewrite(goal, lhs, lhs, S.Ref("zero"), 0)
+    new, count = checker._rewrite(goal, lhs, lhs, S.Ref("zero"), 0, False)
     assert new is goal and count == 0

@@ -38,6 +38,14 @@ def test_eta_runs_to_a_fixpoint():
     assert normalize(t, EMPTY).term == f_free
 
 
+def test_eta_contracts_an_argument_before_the_abstraction_around_it():
+    # λ x . f (λ y . x y): the argument η-contracts to x, and only then is
+    # the whole term λ x . f x, which contracts to f
+    t = PLam("x", PApp(PVar(1), PLam("y", PApp(PVar(1), PVar(0)))))
+    assert normalize(t, EMPTY).term == PVar(0)
+    assert applicative_normalize(t, EMPTY) == PVar(0)
+
+
 def test_eta_contracts_over_a_deep_spine():
     # λ s . λ z . λ x . s^700 z x: the η-contractum is shifted down past x
     body = PVar(1)

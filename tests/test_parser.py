@@ -4,7 +4,7 @@ import pytest
 
 from cedlite import syntax as S
 from cedlite.parser import (ParseError, ResolveError, parse_signature,
-                            parse_term, tokenize)
+                            parse_term, parse_type, tokenize)
 from cedlite.printer import print_decl
 
 
@@ -153,6 +153,28 @@ def test_an_equation_operand_right_of_the_sign_may_be_any_term():
     printed = print_decl(sig.lookup("Id"))
     assert printed.endswith(". f ≃ (λ x . x) .")
     assert parse_signature(printed).lookup("Id").body == sig.lookup("Id").body
+
+
+def test_an_equation_operand_left_of_the_sign_may_be_any_term():
+    # the mirror of the paper's spelling, `{λ x . x ≃ f}`: a λ, Λ, ρ or ς
+    # on the left ends at the ≃ and reads as if parenthesized
+    from cedlite.typecheck import check_signature
+
+    def identity_type(equation):
+        return parse_signature("Id ◂ ★ ➔ ★ ➔ ★ = λ A : ★ . λ B : ★ . "
+                               f"ι f : A ➔ B . {equation} .")
+    sig = identity_type("{λ x . x ≃ f}")
+    mirrored = sig.lookup("Id")
+    assert mirrored.body == identity_type("{(λ x . x) ≃ f}").lookup("Id").body
+    assert mirrored.body.body.body.body == S.Eq(
+        S.Lam("x", None, S.Var(0)), S.Var(0))
+    assert check_signature(sig).ok
+    printed = print_decl(mirrored)
+    assert printed.endswith(". (λ x . x) ≃ f .")
+    assert parse_signature(printed).lookup("Id").body == mirrored.body
+    for left in ("Λ X . λ x . x", "ρ β - λ x . x", "ρ+ β - β", "ς β",
+                 "λ x . λ y . y x"):
+        assert parse_type(f"{{{left} ≃ β}}") == parse_type(f"{{({left}) ≃ β}}")
 
 
 def test_directive_requires_known_name():

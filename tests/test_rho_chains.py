@@ -5,13 +5,18 @@
 three-link chain mixing ρ and ρ+, one whose middle link rewrites nothing
 and warns, one whose last link is not an equality, and one whose links
 leave a goal β cannot prove. The fuel, warnings and errors were recorded
-before chains were checked in one loop, and must not move. A last chain
-has a ρ link unfold a part its ρ+ link left folded; its report is the
-one the goal read back forced in full gives.
+before chains were checked in one loop, and must not move. Then come
+chains whose links force a part a ρ+ link before them left folded: a
+ρ link (`chainFold`, `div`) and a second ρ+ link (`chainPlus2`); their
+reports are the ones the goal read back forced in full gives. In
+`div3` a ρ+ link normalizes the goal's terms before it judges what to
+force, so a part whose normal form drops the rewritten variable stays
+folded (fuel 8, where forcing on the terms as written spent 14). In
+`chainAnn` a type inside a term stays as written, unforced.
 
-Each link forces only the part of its goal that its rewrite can reach.
-Every link checked in the corpus, in `coercegen` seeds 0–3 and in
-`tests/rho_chains.ced` must leave the goal and count that
+Each link forces only the parts of its goal that its rewrite visits, in
+the same walk. Every link checked in the corpus, in `coercegen` seeds
+0–3 and in `tests/rho_chains.ced` must leave the goal and count that
 `rewrite_oracle.rho_chain_eager`, which forces the whole goal first,
 leaves; a part without the left side's variables must stay folded.
 """
@@ -52,6 +57,19 @@ error  chainBeta: β requires convertible equands: ?3 vs ?2
 ok     SucEq : Nat ➔ ★
 ok     chainFold : Π x : Nat . Π y : Nat . (x ≃ x) ➔ (suc y ≃ zero) ➔ (x ≃ x) ➔ SucEq y  (fuel 9)
        erasure: λ x . λ y . λ p . λ q . λ r . λ x' . x'
+ok     chainPlus2 : Π x : Nat . Π y : Nat . (x ≃ x) ➔ (suc y ≃ zero) ➔ (x ≃ x) ➔ SucEq y  (fuel 9)
+       erasure: λ x . λ y . λ p . λ q . λ r . λ x' . x'
+ok     K : Nat ➔ Nat ➔ Nat
+       erasure: λ a . λ b . a
+ok     P : Nat ➔ ★
+ok     F : Nat ➔ ★
+ok     div3 : Π y : Nat . (y ≃ zero) ➔ (y ≃ y) ➔ F y  (fuel 8)
+       erasure: λ y . λ q . λ r . λ s . λ x . x
+ok     div : Π x : Nat . Π y : Nat . (x ≃ x) ➔ (y ≃ zero) ➔ (x ≃ x) ➔ F y  (fuel 8)
+       erasure: λ x . λ y . λ p . λ q . λ r . λ s . λ x' . x'
+ok     SelfEq : Nat ➔ ★
+ok     chainAnn : Π x : Nat . Π y : Nat . (x ≃ y) ➔ ((λ t : SelfEq x . t) ≃ (λ t . t)) ➔ (x ≃ x)
+       erasure: λ x . λ y . λ q . λ e . λ x' . x'
 """
 
 PORCELAIN = """\
@@ -61,6 +79,14 @@ ERR chainBad ρ proof is not an equality
 ERR chainBeta β requires convertible equands: ?3 vs ?2
 OK SucEq
 OK chainFold
+OK chainPlus2
+OK K
+OK P
+OK F
+OK div3
+OK div
+OK SelfEq
+OK chainAnn
 """
 
 

@@ -330,11 +330,11 @@ def test_rho_rewrite_round_trip(corpus_sig):
     body = S.Beta(S.Var(1))                       # β{y}
     lhs, rhs = S.Var(2), S.Var(1)                 # x, y
     fwd, n1 = checker._rewrite(goal, erase(lhs),
-                               checker._nf(erase(lhs)), rhs, 0)
+                               checker._nf(erase(lhs)), rhs, size(ctx), False)
     assert n1 == 2 and fwd == S.Eq(S.Var(1), S.Var(1))
     checker._check(ctx, body, evaluate(fwd, size(ctx)))
     back, n2 = checker._rewrite(fwd, erase(rhs),
-                                checker._nf(erase(rhs)), lhs, 0)
+                                checker._nf(erase(rhs)), lhs, size(ctx), False)
     assert n2 == 2
     checker._check(ctx, body, evaluate(back, size(ctx)))
 
