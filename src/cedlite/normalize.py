@@ -23,6 +23,13 @@ checked, no η-redex) is its own normal form: one scan that builds
 nothing finds that and returns the input itself, in 0 steps, and `conv`
 of two such terms is the single α-comparison it starts with.
 
+`conv` compares values on an explicit stack: heads and spine lengths,
+then arguments left to right, two λs under one fresh level, and a λ
+with a neutral by applying the neutral to that level (η on values). A
+yes forces what reading both normal forms back forces, and so spends
+the same steps; a no stops at the first difference. No comparison tests
+object identity, so a count depends only on the text.
+
 A definition reference costs one δ-step and evaluates the definition's
 own normal form, which is memoized on the signature; one not yet
 memoized is computed on the same meter. A definition that
@@ -34,6 +41,7 @@ failed to check is never unfolded: its reference is a neutral head.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .erasure import erase
 from .syntax import (
@@ -252,11 +260,26 @@ def conv(t1: PureTerm, t2: PureTerm, sig: Signature,
     spend one budget: the `Meter` given, or one sized by a `Fuel`."""
     if alpha_eq(t1, t2):
         return True
+    if not (_has_redex(t1, sig.rejected) or _has_redex(t2, sig.rejected)):
+        return False            # two normal forms, compared just above
     m = fuel if type(fuel) is Meter else Meter(fuel.max_steps)
-    n1 = normalize(t1, sig, m).term
-    n2 = normalize(t2, sig, m).term
-    # two inputs that are their own normal forms were compared just above
-    return (n1 is not t1 or n2 is not t2) and alpha_eq(n1, n2)
+    todo = [(_Thunk(t1, None), _Thunk(t2, None), 0)]
+    while todo:
+        a, b, depth = todo.pop()
+        a, b = a.value or _force(a, m, sig), b.value or _force(b, m, sig)
+        while type(a) is VBind or type(b) is VBind:  # λ: enter; η: apply
+            x = _Thunk(None, None, VNe(depth, ()))
+            a = _eval(a.body, (x, a.env), m, sig) if type(a) is VBind \
+                else VNe(a.head, a.spine + (x,))
+            b = _eval(b.body, (x, b.env), m, sig) if type(b) is VBind \
+                else VNe(b.head, b.spine + (x,))
+            depth += 1
+        h1, h2 = a.head, b.head
+        if type(h1) is not type(h2) or len(a.spine) != len(b.spine) or (
+                h1 != h2 if type(h1) is int else h1.name != h2.name):
+            return False
+        todo += zip(reversed(a.spine), reversed(b.spine), repeat(depth))
+    return True
 
 
 IDENTITY = PLam("x", PVar(0))

@@ -616,7 +616,7 @@ class Checker:
         # variable free in `lhs_nf` (the bits of `lhs_mask`) is free in `te`.
         if lhs_mask & ~te.free_mask:
             return False
-        return alpha_eq(self._nf(te), lhs_nf)
+        return conv(te, lhs_nf, self.sig, self.meter)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,20 @@ def test_c65k_normalizes_and_prints_outside_a_report():
     assert run.stderr == ""
 
 
+def test_c65k_converts_with_another_spelling_and_not_with_c256(tmp_path):
+    # at the default budget and recursion limit; `eq` compares the normal
+    # forms the two checks stored, each 65,536 applications deep
+    other = tmp_path / "sq_sq_c16.ced"
+    other.write_text("c65kb ◂ NatC = sq (sq c16) .\n", encoding="utf-8")
+    files = [str(ADVERSARIAL / "church_65k.ced"), str(other)]
+    same = cedlite_cli("eq", *files, "c65k", "c65kb")
+    assert (same.stdout, same.stderr, same.returncode) == \
+        ("convertible: yes\n", "", 0)
+    differ = cedlite_cli("eq", *files, "c65k", "c256")
+    assert (differ.stdout, differ.stderr, differ.returncode) == \
+        ("convertible: no\n", "", 1)
+
+
 def test_an_ascii_only_stdout_ends_in_a_report_not_a_traceback(tmp_path):
     # diagnostics keep their Unicode text (here the ➔ of a mismatch),
     # which an ASCII stdout escapes

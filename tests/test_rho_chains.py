@@ -91,7 +91,8 @@ OK chainAnn
 
 
 @pytest.mark.parametrize("mode, expected", [([], PLAIN),
-                                            (["--porcelain"], PORCELAIN)])
+                                            (["--porcelain"], PORCELAIN)],
+                         ids=["plain", "porcelain"])
 def test_rho_chain_reports_are_pinned(capsys, mode, expected):
     code = main(["check", *mode, *FILES])
     out = capsys.readouterr().out
